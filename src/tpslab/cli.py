@@ -152,7 +152,8 @@ def cmd_profile(args) -> int:
         "product_distance": [float(x) for x in profile.product_distance],
         "max_entropy": profile.max_entropy,
         "max_distance": profile.max_distance,
-        "distance_measure": "chordal sqrt(2 - 2 sigma_1) to the product manifold",
+        "distance_measure": "chordal sqrt(2 - 2 sigma_1) to the product manifold, evaluated"
+        " without cancellation as sqrt(2 sum_{k>=2} sigma_k^2 / (1 + sigma_1))",
     }
     params = {"tps": args.tps, "samples": args.samples, "format": args.format}
     _emit_json(

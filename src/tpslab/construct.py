@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
 
-from .core import HilbertDims, TPSpec, operator_schmidt_values, rebase_state
-from .entanglement import max_minor_modulus, schmidt_values
-from .errors import DimensionMismatch, UnsupportedForm
+from .core import HilbertDims, TPSpec, operator_schmidt_values
+from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
+from .errors import UnsupportedForm
 from .linalg import nearest_unitary
 from .trajectory import (
     PolynomialSystem,
@@ -59,6 +59,8 @@ from .trajectory import (
 PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
 ROOT_LABELS = ("a", "b", "c", "d")
+
+_GRAM_UPPER = np.triu_indices(3, 1)
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,9 @@ def verify_disentangler(
     tps: TPSpec, traj: SampledTrajectory, tol: float
 ) -> VerificationReport:
     """Rebase every sample and report the worst product-state residuals."""
-    if tps.dims != traj.dims:
-        raise DimensionMismatch("TPS and trajectory dimensions differ")
-    worst_minor = 0.0
-    worst_s2 = 0.0
-    for k in range(len(traj)):
-        psi = rebase_state(tps, traj.state(k))
-        worst_minor = max(worst_minor, max_minor_modulus(psi))
-        worst_s2 = max(worst_s2, float(schmidt_values(psi)[1]))
+    mats = rebased_coefficients(traj, tps)
+    worst_minor = float(np.abs(coefficient_minors(mats)).max())
+    worst_s2 = float(schmidt_spectra(mats)[:, 1].max())
     return VerificationReport(
         max_minor=worst_minor,
         max_sigma2=worst_s2,
@@ -168,8 +165,8 @@ def _residuals(theta, r_inv, assignment, pairing, kappa_floor):
     kc = kappas[i] * kappas[j] - kappas[k] * kappas[l]
     out = np.empty(15)
     out[0:3] = np.real(np.diagonal(gram))
-    out[3:6] = np.real(gram[np.triu_indices(3, 1)])
-    out[6:9] = np.imag(gram[np.triu_indices(3, 1)])
+    out[3:6] = np.real(gram[_GRAM_UPPER])
+    out[6:9] = np.imag(gram[_GRAM_UPPER])
     out[9] = kc.real
     out[10] = kc.imag
     # soft barrier keeping the leading coefficients away from degree collapse
@@ -203,7 +200,8 @@ def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.nda
         return float(operator_schmidt_values(fixed + np.exp(1j * phi) * block, dims)[0])
 
     grid = np.linspace(0.0, 2 * np.pi, 181)
-    values = np.array([top_schmidt(p) for p in grid])
+    scan = fixed + np.exp(1j * grid)[:, None, None] * block
+    values = operator_schmidt_values(scan, dims)[:, 0]
     k = int(values.argmin())
     span = grid[1] - grid[0]
     # the minimum is typically a spectral-crossing kink, so ask for a very

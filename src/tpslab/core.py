@@ -136,7 +136,8 @@ def rebase_state(tps: TPSpec, psi: StateVector) -> StateVector:
 
 
 def operator_schmidt_values(v: np.ndarray, dims: HilbertDims) -> np.ndarray:
-    """Singular values of the reshuffled operator, non-increasing."""
+    """Singular values of the reshuffled operator (or of each operator in a
+    stack), non-increasing."""
     return np.linalg.svd(reshuffle(v, dims.n1, dims.n2), compute_uv=False)
 
 

@@ -3,8 +3,12 @@
 The chordal distance sqrt(2 - 2*sigma_1) to the product-state manifold is
 used as the distance measure throughout: the nearest product state to a pure
 state is its top Schmidt term, so the distance has a closed form and needs
-no inner optimization.  Entropies are in natural log units (a Bell pair has
-entropy ln 2, not 1 bit).
+no inner optimization.  It is evaluated as the equal sqrt(2 sum_{k>=2}
+sigma_k^2 / (1 + sigma_1)), which keeps full precision at product states where
+2 - 2*sigma_1 cancels to ~sqrt(eps).  Entropies are in natural log units (a
+Bell pair has entropy ln 2, not 1 bit).  All measures run on one batched
+kernel, `rebased_coefficients` plus `schmidt_spectra`; the single-state
+helpers call the same functions.
 """
 
 from __future__ import annotations
@@ -13,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HilbertDims,
-    StateVector,
-    TPSpec,
-    rebase_state,
-    reshape_coefficients,
-)
+from .core import HilbertDims, StateVector, TPSpec, reshape_coefficients
 from .errors import DimensionMismatch
 from .trajectory import SampledTrajectory
 
@@ -61,35 +59,61 @@ def schmidt_decompose(psi: StateVector) -> SchmidtDecomposition:
     )
 
 
+def rebased_coefficients(traj: SampledTrajectory, tps: TPSpec) -> np.ndarray:
+    """Coefficient matrices of U @ psi(t) at every sample, shape (T, n1, n2),
+    renormalized as in `rebase_state` since U is unitary to 1e-10 only."""
+    if traj.dims != tps.dims:
+        raise DimensionMismatch("trajectory and TPS dimensions differ")
+    rebased = traj.states @ tps.basis_change.T
+    rebased /= np.linalg.norm(rebased, axis=1)[:, None]
+    return rebased.reshape(len(traj), tps.dims.n1, tps.dims.n2)
+
+
+def schmidt_spectra(mats: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients of a stack of coefficient matrices, (T, k)."""
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy -sum sigma^2 ln sigma^2 per row, with 0 ln 0 := 0."""
+    p = spectra**2
+    terms = p * np.log(np.where(p > 0, p, 1.0))
+    # rounding can push the sum a hair below zero for product states
+    return np.maximum(0.0, -terms.sum(axis=-1))
+
+
+def _distances(spectra: np.ndarray) -> np.ndarray:
+    """sqrt(2 - 2 sigma_1) per row, as sqrt(2 sum_{k>=2} sigma_k^2 / (1 + sigma_1))."""
+    tail = (spectra[..., 1:] ** 2).sum(axis=-1)
+    return np.sqrt(2.0 * tail / (1.0 + spectra[..., 0]))
+
+
+def coefficient_minors(m: np.ndarray) -> np.ndarray:
+    """All 2x2 minors of a coefficient matrix, or of a stack of them.
+
+    Shape (..., n1, n2) -> (..., C(n1, 2) * C(n2, 2)), row pairs outermost.
+    """
+    n1, n2 = m.shape[-2:]
+    i, k = (a[:, None] for a in np.triu_indices(n1, 1))
+    j, l = np.triu_indices(n2, 1)
+    out = m[..., i, j] * m[..., k, l] - m[..., i, l] * m[..., k, j]
+    return out.reshape(*m.shape[:-2], -1)
+
+
 def schmidt_values(psi: StateVector) -> np.ndarray:
     """Schmidt coefficients only (cheaper than the full decomposition)."""
-    return np.linalg.svd(reshape_coefficients(psi).entries, compute_uv=False)
+    return schmidt_spectra(reshape_coefficients(psi).entries)
 
 
 def entanglement_entropy(psi: StateVector) -> float:
     """Von Neumann entropy -sum sigma^2 ln sigma^2 with 0 ln 0 := 0."""
-    p = schmidt_values(psi) ** 2
-    p = p[p > 0]
-    # rounding can push the sum a hair below zero for product states
-    return max(0.0, float(-(p * np.log(p)).sum()))
+    return float(_entropies(schmidt_values(psi)))
 
 
 def product_distance(psi: StateVector) -> float:
-    """Chordal distance sqrt(2 - 2 sigma_1) to the product-state manifold."""
-    s1 = schmidt_values(psi)[0]
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * s1)))
-
-
-def coefficient_minors(m: np.ndarray) -> np.ndarray:
-    """All 2x2 minors of a coefficient matrix, as a flat array."""
-    n1, n2 = m.shape
-    out = []
-    for i in range(n1):
-        for k in range(i + 1, n1):
-            for j in range(n2):
-                for l in range(j + 1, n2):
-                    out.append(m[i, j] * m[k, l] - m[i, l] * m[k, j])
-    return np.asarray(out)
+    """Chordal distance sqrt(2 - 2 sigma_1) to the product-state manifold,
+    evaluated as sqrt(2 sum_{k>=2} sigma_k^2 / (1 + sigma_1))."""
+    return float(_distances(schmidt_values(psi)))
 
 
 def max_minor_modulus(psi: StateVector) -> float:
@@ -120,14 +144,9 @@ class EntanglementProfile:
 
 def entanglement_profile(traj: SampledTrajectory, tps: TPSpec) -> EntanglementProfile:
     """Entropy and product distance of U @ psi(t) at every sample."""
-    if traj.dims != tps.dims:
-        raise DimensionMismatch("trajectory and TPS dimensions differ")
-    ent = np.empty(len(traj))
-    dist = np.empty(len(traj))
-    for k in range(len(traj)):
-        psi = rebase_state(tps, traj.state(k))
-        ent[k] = entanglement_entropy(psi)
-        dist[k] = product_distance(psi)
+    spectra = schmidt_spectra(rebased_coefficients(traj, tps))
+    ent = _entropies(spectra)
+    dist = _distances(spectra)
     return EntanglementProfile(
         times=traj.times.copy(),
         entropy=ent,

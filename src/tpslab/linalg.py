@@ -35,8 +35,10 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray:
 
 def reshuffle(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Rearrange an (n1*n2) x (n1*n2) operator into the n1^2 x n2^2 form
-    whose singular values are the operator-Schmidt coefficients."""
-    return v.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).reshape(n1 * n1, n2 * n2)
+    whose singular values are the operator-Schmidt coefficients (per
+    operator, for a stack)."""
+    lead = v.shape[:-2]
+    return v.reshape(*lead, n1, n2, n1, n2).swapaxes(-3, -2).reshape(*lead, n1 * n1, n2 * n2)
 
 
 def anti_hermitian_basis(n: int) -> list[np.ndarray]:

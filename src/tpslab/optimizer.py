@@ -260,7 +260,8 @@ def optimize_tps(
                     "ftol": 1e-18,
                     "gtol": 1e-13,
                 },
-                callback=lambda xk: trace.append(obj.surrogate(xk)[0]),
+                # the value L-BFGS-B already computed at the new iterate
+                callback=lambda intermediate_result: trace.append(intermediate_result.fun),
             )
             theta = res.x
             # Gauss-Newton refinement of the same surrogate: quadratic local

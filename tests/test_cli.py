@@ -217,7 +217,7 @@ def test_optimize_report(files, tmp_path):
     )
     assert code == 0
     results = read(out)["results"]
-    # sqrt(2 - 2 sigma_1) floors near sqrt(eps) even for exact product states
+    # the reported distance keeps full precision down to exact product states
     assert results["objective"] < 1e-6
     assert len(results["restarts"]) == 2
 

@@ -5,14 +5,19 @@ from hypothesis import given, settings, strategies as st
 from tpslab import fixtures
 from tpslab.core import HilbertDims, StateVector, TPSpec, rebase_state
 from tpslab.entanglement import (
+    coefficient_minors,
     entanglement_entropy,
     entanglement_profile,
     is_product_state,
     max_minor_modulus,
     product_distance,
+    rebased_coefficients,
     schmidt_decompose,
+    schmidt_spectra,
     schmidt_values,
 )
+from tpslab.errors import DimensionMismatch
+from tpslab.linalg import haar_unitary
 from tpslab.trajectory import sample_trig
 
 from helpers import QBITS, bell_state, random_local_unitary, random_state
@@ -168,3 +173,61 @@ def test_profile_constant_product_trajectory_is_zero():
     profile = entanglement_profile(sampled, TPSpec.identity(QBITS))
     assert profile.max_entropy == 0.0
     assert profile.max_distance == 0.0
+
+
+def test_profile_closed_form_disentangler_reads_machine_zero():
+    # max sigma_2 is ~1e-16 here; sqrt(2 - 2 sigma_1) would read ~3e-8
+    profile = entanglement_profile(
+        sample_trig(fixtures.cnot_trajectory(), 1000), fixtures.cnot_disentangler()
+    )
+    assert profile.max_distance < 1e-14
+
+
+def _loop_minors(m):
+    """Reference: the 2x2 minors of one matrix, row pairs outermost."""
+    n1, n2 = m.shape
+    return np.array(
+        [
+            m[i, j] * m[k, l] - m[i, l] * m[k, j]
+            for i in range(n1)
+            for k in range(i + 1, n1)
+            for j in range(n2)
+            for l in range(j + 1, n2)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_batched_kernel_matches_per_matrix_reference(n1, n2):
+    rng = np.random.default_rng(n1 * 10 + n2)
+    dims = HilbertDims(n1, n2)
+    entangled = [random_state(rng, dims).amplitudes for _ in range(20)]
+    products = [
+        np.kron(
+            rng.normal(size=n1) + 1j * rng.normal(size=n1),
+            rng.normal(size=n2) + 1j * rng.normal(size=n2),
+        )
+        for _ in range(5)
+    ]
+    states = np.array(entangled + products)
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    mats = states.reshape(-1, n1, n2)
+    spectra = schmidt_spectra(mats)
+    minors = coefficient_minors(mats)
+    assert spectra.shape == (len(mats), min(n1, n2))
+    for m, s, mn in zip(mats, spectra, minors):
+        assert np.abs(s - np.linalg.svd(m, compute_uv=False)).max() < 1e-14
+        assert np.abs(mn - _loop_minors(m)).max() < 1e-14
+    assert spectra[-5:, 1:].max() < 1e-14
+    assert np.abs(minors[-5:]).max() < 1e-14
+
+
+def test_rebased_coefficients_match_rebase_state():
+    tps = TPSpec(haar_unitary(4, np.random.default_rng(7)), QBITS)
+    sampled = sample_trig(fixtures.cnot_trajectory(), 50)
+    mats = rebased_coefficients(sampled, tps)
+    for k in range(len(sampled)):
+        ref = rebase_state(tps, sampled.state(k)).amplitudes.reshape(2, 2)
+        assert np.abs(mats[k] - ref).max() < 1e-14
+    with pytest.raises(DimensionMismatch):
+        rebased_coefficients(sampled, TPSpec.identity(HilbertDims(2, 3)))

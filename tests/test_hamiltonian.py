@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 from tpslab import fixtures
 from tpslab.core import TPSpec
 from tpslab.errors import NotHermitian
+from tpslab.core import HilbertDims
 from tpslab.hamiltonian import (
     interaction_norm,
     rebase_operator,
     separable_projection,
     stationarity_gradient,
 )
+from tpslab.linalg import anti_hermitian_basis, expm_antihermitian
 from tpslab.trajectory import evolve_under_hamiltonian, sample_trig
 
 from helpers import QBITS, random_hermitian, random_local_unitary
@@ -153,6 +155,30 @@ def test_stationarity_at_eigenbasis_despite_interaction():
 def test_stationarity_generic_operator_has_gradient(seed):
     h = random_hermitian(np.random.default_rng(seed))
     assert stationarity_gradient(h, QBITS) > 1e-3
+
+
+def _fd_stationarity_gradient(h, dims, step=1e-5):
+    """Reference: central differences of ||X(V H V^dag)||^2 over the tangent basis."""
+
+    def f(v):
+        return interaction_norm(v @ h @ v.conj().T, dims) ** 2
+
+    grad_sq = 0.0
+    for direction in anti_hermitian_basis(dims.n):
+        plus = f(expm_antihermitian(step * direction))
+        minus = f(expm_antihermitian(-step * direction))
+        grad_sq += ((plus - minus) / (2 * step)) ** 2
+    return np.sqrt(grad_sq)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stationarity_gradient_matches_finite_differences(n1, n2, seed):
+    dims = HilbertDims(n1, n2)
+    h = random_hermitian(np.random.default_rng([seed, n1, n2]), dims.n)
+    exact = stationarity_gradient(h, dims)
+    reference = _fd_stationarity_gradient(h, dims)
+    assert abs(exact - reference) <= 1e-8 * reference
 
 
 def test_evolution_consistency_with_closed_form():
