@@ -241,7 +241,7 @@ def cmd_optimize(args) -> int:
     if args.restarts < 1:
         raise _CliError(EXIT_INPUT_ERROR, "--restarts must be a positive integer")
     sampled = _as_sampled(load_trajectory(args.input), args.samples)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed, time_samples=args.samples)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     result = optimize_tps(sampled, config)
     results = {
         "objective": result.objective,

@@ -41,29 +41,24 @@ def reshuffle(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return v.reshape(*lead, n1, n2, n1, n2).swapaxes(-3, -2).reshape(*lead, n1 * n1, n2 * n2)
 
 
-def anti_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of the anti-Hermitian n x n matrices.
+def anti_hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the anti-Hermitian n x n matrices, stacked (n^2, n, n).
 
     Orthonormal with respect to the real inner product Re tr(A^dag B); this is
     the tangent space of the unitary group at the identity, of real dimension
     n^2.  Ordering: diagonal i*E_kk first, then for each k < l the real
     rotation (E_kl - E_lk)/sqrt(2) and the imaginary one i(E_kl + E_lk)/sqrt(2).
     """
-    basis = []
-    for k in range(n):
-        b = np.zeros((n, n), dtype=complex)
-        b[k, k] = 1j
-        basis.append(b)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1j
+    r = 1.0 / np.sqrt(2)
+    d = n
     for k in range(n):
         for l in range(k + 1, n):
-            b = np.zeros((n, n), dtype=complex)
-            b[k, l] = 1.0 / np.sqrt(2)
-            b[l, k] = -1.0 / np.sqrt(2)
-            basis.append(b)
-            b = np.zeros((n, n), dtype=complex)
-            b[k, l] = 1j / np.sqrt(2)
-            b[l, k] = 1j / np.sqrt(2)
-            basis.append(b)
+            basis[d, k, l], basis[d, l, k] = r, -r
+            basis[d + 1, k, l] = basis[d + 1, l, k] = 1j * r
+            d += 2
     return basis
 
 
@@ -73,11 +68,12 @@ def expm_antihermitian(a: np.ndarray) -> np.ndarray:
     return (w * np.exp(1j * mu)) @ w.conj().T
 
 
-def expm_frechet_factors(a: np.ndarray):
-    """Spectral data for directional derivatives of exp at anti-Hermitian A.
+def expm_frechet(a: np.ndarray):
+    """exp(A) and the spectral data of its derivative, from one eigh.
 
-    Returns (w, phi) such that the Frechet derivative of exp at A in direction
-    E is  w @ (phi * (w^dag E w)) @ w^dag  (Daleckii-Krein formula).
+    Returns (u, w, phi) with u = exp(A) and the Frechet derivative of exp at
+    A in direction E equal to  w @ (phi * (w^dag E w)) @ w^dag
+    (Daleckii-Krein formula).
     """
     mu, w = np.linalg.eigh(-1j * a)
     ea = np.exp(1j * mu)
@@ -85,7 +81,7 @@ def expm_frechet_factors(a: np.ndarray):
     num = ea[:, None] - ea[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.where(np.abs(diff) > 1e-14, num / diff, ea[:, None])
-    return w, phi
+    return (w * ea) @ w.conj().T, w, phi
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpslab
 from tpslab import fixtures
 from tpslab.cli import main
 from tpslab.fileio import save_matrix_document, save_trajectory
@@ -245,3 +250,17 @@ def test_reproduce_list(capsys):
     out = capsys.readouterr().out
     assert "cnot-disentangling" in out
     assert "optimizer-sidon-floor" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tpslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpslab", "reproduce", "--list"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cnot-disentangling" in proc.stdout

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from tpslab import fixtures
-from tpslab.core import TPSpec
+from tpslab.core import HilbertDims, TPSpec
 from tpslab.entanglement import entanglement_profile
+from tpslab.linalg import expm_frechet
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample_trig
 
-from helpers import QBITS
+from helpers import QBITS, random_state
 
 
 @pytest.fixture(scope="module")
@@ -92,21 +93,65 @@ def test_analytic_gradients_match_finite_differences(seed):
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
 
-def test_residual_jacobian_matches_finite_differences():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 30)
-    objective = _Objective(sampled)
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_residual_jacobian_matches_finite_differences(n1, n2):
+    # non-square coefficient matrices pin the slicing of the singular vectors
+    dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(9)
-    theta = rng.normal(scale=0.5, size=16)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
+    n_params = dims.n**2
+    theta = rng.normal(scale=0.5, size=n_params)
     jac = objective.residual_jacobian(theta)
+    assert jac.shape == (30 * (min(n1, n2) - 1), n_params)
     step = 1e-6
     fd = np.empty_like(jac)
-    for d in range(16):
-        e = np.zeros(16)
+    for d in range(n_params):
+        e = np.zeros(n_params)
         e[d] = step
         fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (
             2 * step
         )
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _loop_residual_jacobian(objective, theta):
+    """Per-(sample, residual, direction) chain rule: the reference the batched Jacobian replaces."""
+    a = sum(coef * b for coef, b in zip(theta, objective.basis))
+    u, wexp, phi = expm_frechet(a)
+    mats = (objective.states @ u.T).reshape(-1, objective.dims.n1, objective.dims.n2)
+    w, s, vh = np.linalg.svd(mats)
+    scale = 1.0 / np.sqrt(len(s))
+    rows = []
+    for t in range(len(s)):
+        for k in range(1, s.shape[1]):
+            y = np.outer(w[t, :, k], vh[t, k, :]).reshape(objective.n)
+            ghat = wexp.conj().T @ (scale * np.outer(y, np.conj(objective.states[t]))) @ wexp
+            kmat = wexp @ (np.conj(phi) * ghat) @ wexp.conj().T
+            rows.append([np.real(np.vdot(kmat, b)) for b in objective.basis])
+    return a, np.array(rows)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_batched_chain_rule_matches_loop_reference(n1, n2):
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(4)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(20)])
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 20), states))
+    theta = rng.normal(scale=0.7, size=dims.n**2)
+    a, jac = _loop_residual_jacobian(objective, theta)
+    assert np.array_equal(objective._theta_to_a(theta), a)
+    # only the summation order differs, so agreement is at rounding level
+    assert np.abs(objective.residual_jacobian(theta) - jac).max() < 1e-14
+
+
+def test_winner_summary_objective_is_the_reported_objective(cnot_result):
+    # both are the cancellation-free distance, so they agree far below 2 - 2 sigma_1's ~1e-8 steps
+    _, result = cnot_result
+    winner = result.restarts[result.restart_index]
+    assert abs(winner.objective - result.objective) <= 1e-12
 
 
 def test_best_tps_is_valid(cnot_result):
