@@ -8,7 +8,7 @@ writes one CSV per basis (plot-ready) and prints the sup-over-time summary.
 Usage: python scripts/entanglement_sweep.py [outdir]   (default: ./sweep)
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,11 @@ from tpslab.trajectory import sample_trig
 
 
 def main():
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("sweep")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "outdir", nargs="?", type=Path, default=Path("sweep"), help="default: ./sweep"
+    )
+    outdir = parser.parse_args().outdir
     outdir.mkdir(parents=True, exist_ok=True)
     dims = fixtures.QBIT_PAIR
     sampled = sample_trig(fixtures.cnot_trajectory(), 400)

@@ -4,7 +4,7 @@
 Usage: python scripts/make_inputs.py [outdir]   (default: ./inputs)
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 from tpslab import fixtures
@@ -12,7 +12,11 @@ from tpslab.fileio import save_matrix_document, save_trajectory
 
 
 def main():
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("inputs")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "outdir", nargs="?", type=Path, default=Path("inputs"), help="default: ./inputs"
+    )
+    outdir = parser.parse_args().outdir
     outdir.mkdir(parents=True, exist_ok=True)
     save_trajectory(fixtures.cnot_trajectory(), outdir / "cnot.json")
     save_trajectory(fixtures.cnot_evolution(), outdir / "cnot_evolution.json")

@@ -70,12 +70,6 @@ EXIT_VALIDITY_ERROR = 3
 EXIT_UNSUPPORTED = 4
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -238,10 +232,8 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_optimize(args) -> int:
     t0 = time.monotonic()
-    if args.restarts < 1:
-        raise _CliError(EXIT_INPUT_ERROR, "--restarts must be a positive integer")
-    sampled = _as_sampled(load_trajectory(args.input), args.samples)
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    sampled = _as_sampled(load_trajectory(args.input), args.samples)
     result = optimize_tps(sampled, config)
     results = {
         "objective": result.objective,
@@ -331,9 +323,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

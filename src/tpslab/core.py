@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch, NotHermitian, NotUnitary
 from .linalg import frozen_complex, reshuffle
 
 UNITARITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 LOCAL_PRODUCT_TOL = 1e-8
 
@@ -114,10 +115,14 @@ class CoefficientMatrix:
 
 def make_tps(basis_change, dims: HilbertDims) -> TPSpec:
     """Validate and wrap a unitary basis change as a TPS representative."""
-    u = np.asarray(basis_change, dtype=complex)
-    if u.shape != (dims.n, dims.n):
-        raise DimensionMismatch(f"matrix is {u.shape}, dims require ({dims.n}, {dims.n})")
-    return TPSpec(u, dims)
+    return TPSpec(basis_change, dims)
+
+
+def require_hermitian(h: np.ndarray) -> None:
+    """Raise NotHermitian if the square matrix h is not Hermitian to HERMITICITY_TOL."""
+    dev = np.abs(h - h.conj().T).max()
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
 
 
 def reshape_coefficients(psi: StateVector) -> CoefficientMatrix:

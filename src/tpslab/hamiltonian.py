@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertDims, TPSpec
-from .errors import DimensionMismatch, NotHermitian
-
-HERMITICITY_TOL = 1e-10
+from .core import HilbertDims, TPSpec, require_hermitian
+from .errors import DimensionMismatch
 
 
 def _check_hermitian(h: np.ndarray, dims: HilbertDims) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.shape != (dims.n, dims.n):
         raise DimensionMismatch(f"operator is {h.shape}, dims require ({dims.n}, {dims.n})")
-    dev = np.abs(h - h.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
+    require_hermitian(h)
     return h
 
 

@@ -11,14 +11,16 @@ Each restart performs two stages:
    differentiable even where the entropy's derivative degenerates
    (sigma_1 -> 1), driven by L-BFGS with analytic gradients and refined by
    Gauss-Newton on the residuals sigma_k(t), k >= 2;
-2. a minimax polish stage on a softmax-smoothed maximum of the squared
-   product distance with annealed temperature, accepting a step only when the
-   true hard maximum does not increase.
+2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
+   z_t the cancellation-free squared product distance, solved by SLSQP with
+   the per-sample gradients of z_t as the constraint Jacobian.  SLSQP is not
+   monotone, so the stage keeps the best max_t z_t it has seen and never ends
+   above its start.
 
 The reported objective is always the hard maximum of the chordal product
 distance on the full sample grid, recomputed through `entanglement_profile`;
 each restart's summary objective is the same cancellation-free distance at
-its polished point.  Gradients are exact (SVD perturbation + the
+its minimax point.  Gradients are exact (SVD perturbation + the
 Daleckii-Krein formula for the derivative of the matrix exponential) and are
 checked against central finite differences in the test suite.  Every
 evaluation is a few batched numpy calls with one eigh: the Gauss-Newton
@@ -41,28 +43,20 @@ from .linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, near
 from .trajectory import SampledTrajectory
 
 
+MAX_ITERATIONS = 400  # surrogate-stage iteration cap per restart
+CONVERGENCE_TOL = 1e-14  # skip the surrogate stage below this surrogate value
+EPIGRAPH_MAXITER = 100  # SLSQP iteration cap of the minimax stage
+EPIGRAPH_FTOL = 1e-15
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 32
-    max_iterations: int = 400  # surrogate-stage iteration cap per restart
     seed: int = 0
-    softmax_temp: float = 1e-2  # initial polish temperature
-    softmax_decay: float = 0.25  # temperature multiplier per annealing round
-    softmax_rounds: int = 6
-    polish_steps: int = 25  # gradient steps per annealing round
-    convergence_tol: float = 1e-14  # stop early below this surrogate value
 
     def __post_init__(self):
-        for name in (
-            "restarts",
-            "max_iterations",
-            "softmax_rounds",
-            "polish_steps",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0 < self.softmax_decay < 1):
-            raise ValueError("softmax_decay must be in (0, 1)")
+        if self.restarts <= 0:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ class OptimizationResult:
     best_tps: TPSpec
     objective: float  # max over samples of the chordal product distance
     surrogate_trace: tuple  # surrogate history of the winning restart
-    polish_trace: tuple  # accepted hard-max values of the winning restart
+    polish_trace: tuple  # best-so-far max squared distance in the winning minimax stage
     restart_index: int
     restarts: tuple  # per-restart summaries
 
@@ -113,10 +107,11 @@ class _Objective:
         return w, s, vh, wexp, phi
 
     def _grad_theta_from_grad_u(self, grad_u: np.ndarray, wexp, phi) -> np.ndarray:
-        """Pull a Frobenius gradient on U back to the exp(A) parameters."""
+        """Pull a Frobenius gradient on U, or a (T, n, n) stack of them, back
+        to the exp(A) parameters."""
         ghat = wexp.conj().T @ grad_u @ wexp
         k = wexp @ (np.conj(phi) * ghat) @ wexp.conj().T
-        return np.einsum("dij,ij->d", self._basis_conj, k).real
+        return np.einsum("dij,...ij->...d", self._basis_conj, k).real
 
     def _grad_u_from_sample_weights(self, weights, w, vh) -> np.ndarray:
         """Gradient on U of sum_t weights[t] * sigma_1(t).
@@ -166,53 +161,60 @@ class _Objective:
         scale = 1.0 / np.sqrt(s.shape[0])
         return scale * (g @ d_u.reshape(len(self.basis), -1).T).real
 
-    def softmax_sq_distance(self, theta: np.ndarray, temp: float):
-        """Softmax-smoothed max of the squared distance z_t = 2 - 2 sigma_1."""
+    def sq_distances(self, theta: np.ndarray):
+        """Squared distances z_t = 2 sum_{k>=2} sigma_k^2 / (1 + sigma_1) and
+        their theta-gradients, shapes (T,) and (T, n^2).
+
+        z_t equals 2 - 2 sigma_1 on unit states, so its gradient on U is
+        -2 y_t psi_t^dag with y_t the top singular pair's outer product.
+        """
         w, s, vh, wexp, phi = self._svd_pieces(theta)
-        z = 2.0 - 2.0 * s[:, 0]
-        zmax = z.max()
-        expw = np.exp((z - zmax) / temp)
-        expw /= expw.sum()
-        value = float(zmax + temp * np.log(np.sum(np.exp((z - zmax) / temp))))
-        weights = -2.0 * expw
-        grad_u = self._grad_u_from_sample_weights(weights, w, vh)
-        return value, self._grad_theta_from_grad_u(grad_u, wexp, phi)
-
-    def hard_max_sq(self, theta: np.ndarray) -> float:
-        s1 = self._singular_values(theta)[:, 0]
-        return float(np.max(2.0 - 2.0 * s1))
-
-    def max_distance(self, theta: np.ndarray) -> float:
-        """Hard maximum of the chordal distance, free of the 2 - 2 sigma_1 cancellation."""
-        return float(_distances(self._singular_values(theta)).max())
+        y = np.einsum("ti,tj->tij", w[:, :, 0], vh[:, 0, :]).reshape(len(s), self.n)
+        grad_u = -2.0 * np.einsum("ti,tj->tij", y, np.conj(self.states))
+        return _distances(s) ** 2, self._grad_theta_from_grad_u(grad_u, wexp, phi)
 
 
-def _polish(obj: _Objective, theta: np.ndarray, config: OptimizerConfig):
-    """Annealed minimax polish; keeps the hard objective non-increasing."""
-    best_theta = theta.copy()
-    best_hard = obj.hard_max_sq(theta)
-    trace = [best_hard]
-    temp = config.softmax_temp
-    for _ in range(config.softmax_rounds):
-        for _ in range(config.polish_steps):
-            _, grad = obj.softmax_sq_distance(best_theta, temp)
-            gnorm = np.linalg.norm(grad)
-            if gnorm < 1e-14:
-                break
-            step = min(1.0, 0.1 / gnorm)
-            accepted = False
-            for _ in range(20):
-                cand = best_theta - step * grad
-                hard = obj.hard_max_sq(cand)
-                if hard <= best_hard:
-                    best_theta, best_hard = cand, hard
-                    trace.append(best_hard)
-                    accepted = True
-                    break
-                step /= 2
-            if not accepted:
-                break
-        temp *= config.softmax_decay
+def _polish(obj: _Objective, theta: np.ndarray):
+    """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SLSQP.
+
+    Returns the best iterate seen and the trace of best max_t z_t values (the
+    start, then each improvement).
+    """
+    memo = {}  # one entry, so the constraint, its Jacobian and the callback share one SVD
+
+    def sq_distances(x):
+        key = x[:-1].tobytes()
+        if key not in memo:
+            memo.clear()
+            memo[key] = obj.sq_distances(x[:-1])
+        return memo[key]
+
+    x0 = np.append(theta, 0.0)
+    x0[-1] = sq_distances(x0)[0].max()  # s0 = max z(theta0)
+    best_theta, trace = theta.copy(), [float(x0[-1])]
+
+    def keep_best(xk):
+        nonlocal best_theta
+        zmax = float(sq_distances(xk)[0].max())
+        if zmax < trace[-1]:
+            best_theta = xk[:-1].copy()
+            trace.append(zmax)
+
+    e_last = np.zeros(len(theta) + 1)
+    e_last[-1] = 1.0
+    minimize(
+        lambda x: x[-1],
+        x0,
+        jac=lambda x: e_last,
+        method="SLSQP",
+        constraints={
+            "type": "ineq",
+            "fun": lambda x: x[-1] - sq_distances(x)[0],
+            "jac": lambda x: np.hstack([-sq_distances(x)[1], np.ones((len(obj.states), 1))]),
+        },
+        options={"maxiter": EPIGRAPH_MAXITER, "ftol": EPIGRAPH_FTOL},
+        callback=keep_best,
+    )
     return best_theta, trace
 
 
@@ -240,14 +242,14 @@ def optimize_tps(
         trace = []
         start_val, _ = obj.surrogate(theta)
         trace.append(start_val)
-        if start_val > config.convergence_tol:
+        if start_val > CONVERGENCE_TOL:
             res = minimize(
                 obj.surrogate,
                 theta,
                 jac=True,
                 method="L-BFGS-B",
                 options={
-                    "maxiter": config.max_iterations,
+                    "maxiter": MAX_ITERATIONS,
                     "ftol": 1e-18,
                     "gtol": 1e-13,
                 },
@@ -274,8 +276,8 @@ def optimize_tps(
             trace.append(value)
         surrogate_final = trace[-1]
 
-        theta, polish_trace = _polish(obj, theta, config)
-        objective = obj.max_distance(theta)
+        theta, polish_trace = _polish(obj, theta)
+        objective = float(np.sqrt(polish_trace[-1]))
         summaries.append(
             RestartSummary(
                 index=r,

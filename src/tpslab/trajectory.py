@@ -23,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertDims, StateVector, TPSpec
+from .core import HilbertDims, StateVector, TPSpec, require_hermitian
 from .errors import (
     DimensionMismatch,
-    NotHermitian,
     NotNormalizable,
     UnsupportedForm,
 )
 from .linalg import frozen_complex
 
-HERMITICITY_TOL = 1e-10
 SPHERE_TOL = 1e-9
 
 
@@ -92,9 +90,7 @@ class HamiltonianTrajectory:
     def __post_init__(self):
         n = self.dims.n
         h = frozen_complex(self.hamiltonian, (n, n))
-        dev = np.abs(h - h.conj().T).max()
-        if dev > HERMITICITY_TOL:
-            raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
+        require_hermitian(h)
         if self.initial.dims != self.dims:
             raise DimensionMismatch("initial state dims differ from trajectory dims")
         if not self.t_max > 0:
@@ -183,10 +179,6 @@ class PolynomialSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", frozen_complex(self.coeffs, (self.dims.n, 3)))
-
-    @property
-    def leading_coeffs(self) -> np.ndarray:
-        return np.asarray(self.coeffs)[:, 0]
 
     def evaluate_components(self, times) -> np.ndarray:
         """e^{-it} P_i(e^{it}) for each component; shape (len(times), n)."""

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from tpslab import fixtures
+from tpslab import fixtures, optimizer
 from tpslab.core import HilbertDims, TPSpec
 from tpslab.entanglement import entanglement_profile
-from tpslab.linalg import expm_frechet
+from tpslab.linalg import expm_frechet, haar_unitary
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample_trig
 
@@ -82,15 +84,28 @@ def test_analytic_gradients_match_finite_differences(seed):
         )
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
-    _, grad = objective.softmax_sq_distance(theta, 0.05)
-    for d in range(16):
-        e = np.zeros(16)
-        e[d] = step
-        fd[d] = (
-            objective.softmax_sq_distance(theta + e, 0.05)[0]
-            - objective.softmax_sq_distance(theta - e, 0.05)[0]
-        ) / (2 * step)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
+    # rows of G are the constraint Jacobian of the epigraph minimax stage
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(6)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
+    n_params = dims.n**2
+    theta = rng.normal(scale=0.6, size=n_params)
+    z, jac = objective.sq_distances(theta)
+    assert z.shape == (30,) and jac.shape == (30, n_params)
+    step = 1e-6
+    fd = np.empty_like(jac)
+    for d in range(n_params):
+        e = np.zeros(n_params)
+        e[d] = step
+        plus, minus = objective.sq_distances(theta + e)[0], objective.sq_distances(theta - e)[0]
+        fd[:, d] = (plus - minus) / (2 * step)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
 @pytest.mark.parametrize(
@@ -164,5 +179,44 @@ def test_best_tps_is_valid(cnot_result):
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(softmax_decay=1.5)
+    assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "seed"]
+
+
+def _random_sidon_2x3():
+    """V (a_k e^{i f_k t})_k with a Sidon frequency set and a Haar-random V."""
+    dims = HilbertDims(2, 3)
+    rng = np.random.default_rng(17)
+    amps = rng.uniform(0.5, 1.0, size=dims.n)
+    amps /= np.linalg.norm(amps)
+    times = np.linspace(0, 2 * np.pi, 200)
+    phases = np.exp(1j * np.outer(times, [0, 1, 3, 7, 12, 20]))
+    states = (amps * phases) @ haar_unitary(dims.n, rng).T
+    return SampledTrajectory(dims, times, states)
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [lambda: sample_trig(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    ids=["sidon", "random-2x3"],
+)
+def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
+    sampled = make_sampled()
+    runs = []
+    polish = optimizer._polish
+
+    def recording_polish(obj, theta):
+        best_theta, trace = polish(obj, theta)
+        runs.append((obj, best_theta, trace))
+        return best_theta, trace
+
+    monkeypatch.setattr(optimizer, "_polish", recording_polish)
+    result = optimize_tps(sampled, OptimizerConfig(restarts=3, seed=0))
+    assert len(runs) == 3
+    for obj, best_theta, trace in runs:
+        assert trace[-1] <= trace[0]
+        assert np.all(np.diff(trace) < 0)
+        # the trace's last entry is the max squared distance at the returned point
+        zmax = obj.sq_distances(best_theta)[0].max()
+        assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
+    assert result.polish_trace == tuple(runs[result.restart_index][2])
+    assert abs(result.polish_trace[-1] - result.objective**2) <= 1e-12 * result.objective**2
