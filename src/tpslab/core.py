@@ -61,7 +61,7 @@ class StateVector:
                 f"state has {amps.shape} amplitudes, dims require ({self.dims.n},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -88,9 +88,7 @@ class TPSpec:
         n = self.dims.n
         if u.shape != (n, n):
             raise DimensionMismatch(f"basis change is {u.shape}, expected ({n}, {n})")
-        dev = np.abs(u.conj().T @ u - np.eye(n)).max()
-        if dev > UNITARITY_TOL:
-            raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {UNITARITY_TOL}")
+        require_unitary(u)
         object.__setattr__(self, "basis_change", u)
 
     @staticmethod
@@ -118,10 +116,19 @@ def make_tps(basis_change, dims: HilbertDims) -> TPSpec:
     return TPSpec(basis_change, dims)
 
 
+def require_unitary(u: np.ndarray) -> None:
+    """Raise NotUnitary if the square matrix u is not unitary to UNITARITY_TOL
+    (NaN and inf entries fail too)."""
+    dev = np.abs(u.conj().T @ u - np.eye(len(u))).max()
+    if not dev <= UNITARITY_TOL:
+        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {UNITARITY_TOL}")
+
+
 def require_hermitian(h: np.ndarray) -> None:
-    """Raise NotHermitian if the square matrix h is not Hermitian to HERMITICITY_TOL."""
+    """Raise NotHermitian if the square matrix h is not Hermitian to HERMITICITY_TOL
+    (NaN and inf entries fail too)."""
     dev = np.abs(h - h.conj().T).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
 
 
@@ -160,9 +167,7 @@ def is_local_product_unitary(
     n = dims.n
     if v.shape != (n, n):
         raise DimensionMismatch(f"matrix is {v.shape}, dims require ({n}, {n})")
-    dev = np.abs(v.conj().T @ v - np.eye(n)).max()
-    if dev > UNITARITY_TOL:
-        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {UNITARITY_TOL}")
+    require_unitary(v)
     sv = operator_schmidt_values(v, dims)
     return bool(sv[1] < tol * sv[0])
 

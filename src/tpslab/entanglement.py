@@ -100,6 +100,22 @@ def coefficient_minors(m: np.ndarray) -> np.ndarray:
     return out.reshape(*m.shape[:-2], -1)
 
 
+def minor_forms(n1: int, n2: int) -> np.ndarray:
+    """Symmetric forms E_k with coefficient_minors(x.reshape(n1, n2))[k] = x^T E_k x.
+
+    Shape (C(n1, 2) * C(n2, 2), n1 * n2, n1 * n2), in the layout of
+    `coefficient_minors`.
+    """
+    i, k = (a[:, None] for a in np.triu_indices(n1, 1))
+    j, l = np.triu_indices(n2, 1)
+    ij, kl, il, kj = (np.ravel(a * n2 + b) for a, b in ((i, j), (k, l), (i, l), (k, j)))
+    forms = np.zeros((len(ij), n1 * n2, n1 * n2))
+    rows = np.arange(len(ij))
+    forms[rows, ij, kl] = forms[rows, kl, ij] = 0.5
+    forms[rows, il, kj] = forms[rows, kj, il] = -0.5
+    return forms
+
+
 def schmidt_values(psi: StateVector) -> np.ndarray:
     """Schmidt coefficients only (cheaper than the full decomposition)."""
     return schmidt_spectra(reshape_coefficients(psi).entries)

@@ -29,6 +29,7 @@ Entanglement profiles export as CSV with columns ``t,entropy,product_distance``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,12 @@ def _complex_in(value, path: str) -> complex:
         path,
         "complex parts must be numbers",
     )
+    _expect(math.isfinite(re) and math.isfinite(im), path, "complex parts must be finite")
     return complex(re, im)
+
+
+def _positive_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
 
 
 def _vector_in(value, n: int, path: str) -> np.ndarray:
@@ -153,11 +159,11 @@ def _trig_in(node, dims: HilbertDims) -> TrigTrajectory:
             )
         )
     t_max = _get(node, "t_max", "trig")
-    _expect(isinstance(t_max, (int, float)) and t_max > 0, "trig.t_max", "expected a positive number")
+    _expect(_positive_number(t_max), "trig.t_max", "expected a finite positive number")
     traj = TrigTrajectory(dims, constant, tuple(harmonics), float(t_max))
     # catch off-sphere component functions at load time
     probe = np.linalg.norm(traj.evaluate(np.linspace(0.0, traj.t_max, 17)), axis=1)
-    if np.abs(probe - 1.0).max() > 1e-9:
+    if not np.abs(probe - 1.0).max() <= 1e-9:
         raise NotNormalizable(
             f"trig components leave the unit sphere by {np.abs(probe - 1.0).max():.3e}"
         )
@@ -168,11 +174,7 @@ def _hamiltonian_in(node, dims: HilbertDims) -> HamiltonianTrajectory:
     matrix = _matrix_in(_get(node, "matrix", "hamiltonian"), (dims.n, dims.n), "hamiltonian.matrix")
     initial = _vector_in(_get(node, "initial", "hamiltonian"), dims.n, "hamiltonian.initial")
     t_max = _get(node, "t_max", "hamiltonian")
-    _expect(
-        isinstance(t_max, (int, float)) and t_max > 0,
-        "hamiltonian.t_max",
-        "expected a positive number",
-    )
+    _expect(_positive_number(t_max), "hamiltonian.t_max", "expected a finite positive number")
     return HamiltonianTrajectory(dims, matrix, StateVector.normalized(initial, dims), float(t_max))
 
 
@@ -180,9 +182,9 @@ def _samples_in(node, dims: HilbertDims) -> SampledTrajectory:
     times = _get(node, "times", "samples")
     _expect(isinstance(times, list) and len(times) >= 2, "samples.times", "expected >= 2 times")
     _expect(
-        all(isinstance(t, (int, float)) for t in times),
+        all(isinstance(t, (int, float)) and math.isfinite(t) for t in times),
         "samples.times",
-        "times must be numbers",
+        "times must be finite numbers",
     )
     states_raw = _get(node, "states", "samples")
     _expect(

@@ -7,10 +7,15 @@ harmless for descent and repeated equivalent minima are expected.
 
 Each restart performs two stages:
 
-1. a smooth surrogate stage minimizing mean_t (1 - sigma_1(t)^2), which is
-   differentiable even where the entropy's derivative degenerates
-   (sigma_1 -> 1), driven by L-BFGS with analytic gradients and refined by
-   Gauss-Newton on the residuals sigma_k(t), k >= 2;
+1. a least-squares stage on the paper's disentangling criterion: the real and
+   imaginary parts of every 2x2 minor m_k(t) of the rebased coefficient
+   matrices, scaled by 1/sqrt(T), which all vanish exactly when U
+   disentangles every sample.  Minor k is the quadratic form x_t^T E_k x_t in
+   x_t = U psi_t (E_k from `minor_forms`), so it is smooth everywhere and
+   needs no SVD.  It is solved by trust-region least squares with the exact
+   Jacobian and an iterative (lsmr) subproblem solver: the Jacobian has
+   near-null directions along local unitaries, and an exact Gauss-Newton
+   step moves along them by amounts set by rounding;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
    z_t the cancellation-free squared product distance, solved by SLSQP with
    the per-sample gradients of z_t as the constraint Jacobian.  SLSQP is not
@@ -20,14 +25,14 @@ Each restart performs two stages:
 The reported objective is always the hard maximum of the chordal product
 distance on the full sample grid, recomputed through `entanglement_profile`;
 each restart's summary objective is the same cancellation-free distance at
-its minimax point.  Gradients are exact (SVD perturbation + the
+its minimax point.  Derivatives are exact (SVD perturbation for z_t + the
 Daleckii-Krein formula for the derivative of the matrix exponential) and are
 checked against central finite differences in the test suite.  Every
-evaluation is a few batched numpy calls with one eigh: the Gauss-Newton
-Jacobian takes the n^2 directional derivatives dU_d = W (phi * (W^dag B_d W))
-W^dag of exp along the basis directions B_d at once, and its entry for
-sample t, residual k and direction d is
-Re(w_k(t)^dag reshape(dU_d psi_t) conj(vh_k(t))) / sqrt(T).
+evaluation is a few batched numpy calls with one eigh: the minors' Jacobian
+takes the n^2 directional derivatives dU_d = W (phi * (W^dag B_d W)) W^dag
+of exp along the basis directions B_d at once, and its entry for sample t,
+minor k and direction d is 2 (E_k x_t)^T dU_d psi_t / sqrt(T); the gradients
+of z_t are pulled back through the adjoint of the same formula.
 """
 
 from __future__ import annotations
@@ -38,13 +43,12 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .core import TPSpec
-from .entanglement import _distances, entanglement_profile
+from .entanglement import _distances, coefficient_minors, entanglement_profile, minor_forms
 from .linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, nearest_unitary
 from .trajectory import SampledTrajectory
 
 
-MAX_ITERATIONS = 400  # surrogate-stage iteration cap per restart
-CONVERGENCE_TOL = 1e-14  # skip the surrogate stage below this surrogate value
+MINORS_MAX_NFEV = 100  # evaluation cap of the least-squares stage per restart
 EPIGRAPH_MAXITER = 100  # SLSQP iteration cap of the minimax stage
 EPIGRAPH_FTOL = 1e-15
 
@@ -63,22 +67,22 @@ class OptimizerConfig:
 class RestartSummary:
     index: int
     objective: float
-    surrogate_final: float
-    iterations: int
+    surrogate_final: float  # sum_k |m_k|^2 / T after the least-squares stage
+    iterations: int  # residual evaluations of the least-squares stage
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     best_tps: TPSpec
     objective: float  # max over samples of the chordal product distance
-    surrogate_trace: tuple  # surrogate history of the winning restart
+    surrogate_trace: tuple  # sum_k |m_k|^2 / T of the winning restart, at start and end of stage 1
     polish_trace: tuple  # best-so-far max squared distance in the winning minimax stage
     restart_index: int
     restarts: tuple  # per-restart summaries
 
 
 class _Objective:
-    """Shared state for one trajectory: batched SVDs and the chain rule."""
+    """Shared state for one trajectory: batched minors, SVDs and the chain rule."""
 
     def __init__(self, traj: SampledTrajectory):
         self.dims = traj.dims
@@ -86,6 +90,8 @@ class _Objective:
         self.n = traj.dims.n
         self.basis = anti_hermitian_basis(self.n)  # (n^2, n, n)
         self._basis_conj = self.basis.conj()
+        self._forms = minor_forms(traj.dims.n1, traj.dims.n2)  # (K, n, n)
+        self._scale = 1.0 / np.sqrt(len(self.states))  # residuals are minors / sqrt(T)
 
     def _theta_to_a(self, theta: np.ndarray) -> np.ndarray:
         return np.tensordot(theta, self.basis, axes=1)
@@ -97,15 +103,6 @@ class _Objective:
         rebased = self.states @ u.T  # (T, n)
         return rebased.reshape(-1, self.dims.n1, self.dims.n2)
 
-    def _singular_values(self, theta: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(self._coefficients(self.unitary(theta)), compute_uv=False)
-
-    def _svd_pieces(self, theta: np.ndarray):
-        """SVD of every rebased coefficient matrix, plus exp's Frechet data."""
-        u, wexp, phi = expm_frechet(self._theta_to_a(theta))
-        w, s, vh = np.linalg.svd(self._coefficients(u))
-        return w, s, vh, wexp, phi
-
     def _grad_theta_from_grad_u(self, grad_u: np.ndarray, wexp, phi) -> np.ndarray:
         """Pull a Frobenius gradient on U, or a (T, n, n) stack of them, back
         to the exp(A) parameters."""
@@ -113,53 +110,27 @@ class _Objective:
         k = wexp @ (np.conj(phi) * ghat) @ wexp.conj().T
         return np.einsum("dij,...ij->...d", self._basis_conj, k).real
 
-    def _grad_u_from_sample_weights(self, weights, w, vh) -> np.ndarray:
-        """Gradient on U of sum_t weights[t] * sigma_1(t).
+    def minors(self, theta: np.ndarray) -> np.ndarray:
+        """Real, then imaginary parts of every 2x2 coefficient minor of
+        U psi_t, scaled by 1/sqrt(T), shape (2 * T * K,)."""
+        m = coefficient_minors(self._coefficients(self.unitary(theta))).ravel()
+        return self._scale * np.concatenate([m.real, m.imag])
 
-        d sigma_1 = Re <y_t psi_t^dag, dU>_F with y_t the outer product of the
-        top singular pair, flattened back to state indexing.
+    def minors_jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """d minors / d theta, shape (2 * T * K, n^2).
+
+        Minor k at sample t is x_t^T E_k x_t with x_t = U psi_t, so along
+        dU_d = W (phi * (W^dag B_d W)) W^dag it moves by
+        2 (E_k x_t)^T dU_d psi_t / sqrt(T).
         """
-        y = np.einsum("t,ti,tj->tij", weights, w[:, :, 0], vh[:, 0, :])
-        y = y.reshape(len(weights), self.n)
-        return np.einsum("tk,tb->kb", y, np.conj(self.states))
-
-    def surrogate(self, theta: np.ndarray):
-        """mean_t (1 - sigma_1^2) and its gradient."""
-        w, s, vh, wexp, phi = self._svd_pieces(theta)
-        s1 = s[:, 0]
-        value = float(np.mean(1.0 - s1**2))
-        weights = -2.0 * s1 / len(s1)
-        grad_u = self._grad_u_from_sample_weights(weights, w, vh)
-        return value, self._grad_theta_from_grad_u(grad_u, wexp, phi)
-
-    def residuals(self, theta: np.ndarray):
-        """Sub-leading singular values as a residual vector.
-
-        The squared norm of the residuals equals the surrogate (states are
-        normalized, so 1 - sigma_1^2 = sum_{k>=2} sigma_k^2), but the
-        least-squares form converges quadratically where the surrogate's
-        plain gradient descent stalls.
-        """
-        s = self._singular_values(theta)
-        scale = 1.0 / np.sqrt(s.shape[0])
-        return scale * s[:, 1:].ravel()
-
-    def residual_jacobian(self, theta: np.ndarray):
-        """d residuals / d theta, shape (T * (min(n1, n2) - 1), n^2).
-
-        With dU_d = W (phi * (W^dag B_d W)) W^dag the derivative of exp(A)
-        along basis direction B_d and dM_d(t) = reshape(dU_d psi_t), the
-        perturbation of a simple singular value gives
-        J[(t, k), d] = Re(w_k(t)^dag dM_d(t) conj(vh_k(t))) / sqrt(T).
-        """
-        w, s, vh, wexp, phi = self._svd_pieces(theta)
-        m = s.shape[1]
+        u, wexp, phi = expm_frechet(self._theta_to_a(theta))
         d_u = wexp @ (phi * (wexp.conj().T @ self.basis @ wexp)) @ wexp.conj().T
-        # J[(t, k), d] = Re sum_ab g[(t, k), ab] dU_d[a, b], g = conj(w_k(t) (x) vh_k(t)) psi_t^T
-        y = np.einsum("tik,tkj->tkij", w[:, :, 1:m], vh[:, 1:m, :]).reshape(len(s), m - 1, self.n)
-        g = np.einsum("tka,tb->tkab", y.conj(), self.states).reshape(-1, self.n**2)
-        scale = 1.0 / np.sqrt(s.shape[0])
-        return scale * (g @ d_u.reshape(len(self.basis), -1).T).real
+        # x_t^T E_k is (E_k x_t)^T, as E_k is symmetric
+        ex = (self.states @ u.T @ self._forms).swapaxes(0, 1)
+        # rows 2 E_k x_t (x) psi_t, one per (t, k), against the flattened dU_d
+        g = 2.0 * np.einsum("tka,tb->tkab", ex, self.states).reshape(-1, self.n**2)
+        jac = g @ d_u.reshape(len(self.basis), -1).T
+        return self._scale * np.concatenate([jac.real, jac.imag])
 
     def sq_distances(self, theta: np.ndarray):
         """Squared distances z_t = 2 sum_{k>=2} sigma_k^2 / (1 + sigma_1) and
@@ -168,7 +139,8 @@ class _Objective:
         z_t equals 2 - 2 sigma_1 on unit states, so its gradient on U is
         -2 y_t psi_t^dag with y_t the top singular pair's outer product.
         """
-        w, s, vh, wexp, phi = self._svd_pieces(theta)
+        u, wexp, phi = expm_frechet(self._theta_to_a(theta))
+        w, s, vh = np.linalg.svd(self._coefficients(u))
         y = np.einsum("ti,tj->tij", w[:, :, 0], vh[:, 0, :]).reshape(len(s), self.n)
         grad_u = -2.0 * np.einsum("ti,tj->tij", y, np.conj(self.states))
         return _distances(s) ** 2, self._grad_theta_from_grad_u(grad_u, wexp, phi)
@@ -239,42 +211,21 @@ def optimize_tps(
             rng = np.random.default_rng([config.seed, r])
             theta = rng.normal(scale=np.pi / 4, size=n_params)
 
-        trace = []
-        start_val, _ = obj.surrogate(theta)
-        trace.append(start_val)
-        if start_val > CONVERGENCE_TOL:
-            res = minimize(
-                obj.surrogate,
-                theta,
-                jac=True,
-                method="L-BFGS-B",
-                options={
-                    "maxiter": MAX_ITERATIONS,
-                    "ftol": 1e-18,
-                    "gtol": 1e-13,
-                },
-                # the value L-BFGS-B already computed at the new iterate
-                callback=lambda intermediate_result: trace.append(intermediate_result.fun),
-            )
-            theta = res.x
-            # Gauss-Newton refinement of the same surrogate: quadratic local
-            # convergence pushes near-zero optima to machine scale
-            gn = least_squares(
-                obj.residuals,
-                theta,
-                jac=obj.residual_jacobian,
-                method="trf",
-                xtol=3e-16,
-                ftol=3e-16,
-                gtol=3e-16,
-                max_nfev=60,
-            )
-            value = obj.surrogate(theta)[0]
-            if float(gn.cost) * 2 <= value:
-                theta = gn.x
-                value = obj.surrogate(theta)[0]
-            trace.append(value)
-        surrogate_final = trace[-1]
+        start_val = float(np.sum(obj.minors(theta) ** 2))
+        res = least_squares(
+            obj.minors,
+            theta,
+            jac=obj.minors_jacobian,
+            method="trf",
+            # near-null directions along local unitaries: exact GN steps move along them by rounding
+            tr_solver="lsmr",
+            xtol=3e-16,
+            ftol=3e-16,
+            gtol=3e-16,
+            max_nfev=MINORS_MAX_NFEV,
+        )
+        theta = res.x
+        trace = (start_val, 2.0 * float(res.cost))
 
         theta, polish_trace = _polish(obj, theta)
         objective = float(np.sqrt(polish_trace[-1]))
@@ -282,12 +233,12 @@ def optimize_tps(
             RestartSummary(
                 index=r,
                 objective=objective,
-                surrogate_final=surrogate_final,
-                iterations=len(trace) - 1,
+                surrogate_final=trace[-1],
+                iterations=int(res.nfev),
             )
         )
         if best is None or objective < best[0]:
-            best = (objective, r, theta.copy(), tuple(trace), tuple(polish_trace))
+            best = (objective, r, theta.copy(), trace, tuple(polish_trace))
 
     _, r_best, theta_best, trace_best, polish_best = best
     u = nearest_unitary(obj.unitary(theta_best))

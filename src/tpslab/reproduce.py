@@ -232,7 +232,7 @@ def check_property_local_invariance():
 
 
 def check_property_gradient_agreement():
-    """Analytic optimizer gradient matches central finite differences."""
+    """Analytic optimizer Jacobian matches central finite differences."""
     sampled = sample_trig(fixtures.cnot_trajectory(), 50)
     objective = _Objective(sampled)
     rng = np.random.default_rng(505)
@@ -240,16 +240,14 @@ def check_property_gradient_agreement():
     step = 1e-6
     for _ in range(20):
         theta = rng.normal(scale=0.7, size=16)
-        _, grad = objective.surrogate(theta)
-        fd = np.empty_like(grad)
+        jac = objective.minors_jacobian(theta)
+        fd = np.empty_like(jac)
         for d in range(len(theta)):
             e = np.zeros_like(theta)
             e[d] = step
-            fd[d] = (
-                objective.surrogate(theta + e)[0] - objective.surrogate(theta - e)[0]
-            ) / (2 * step)
-        worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)))
-    return worst < 1e-5, f"max relative gradient error {worst:.2e} over 20 points (tol 1e-5)"
+            fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
+        worst = max(worst, float(np.linalg.norm(jac - fd) / np.linalg.norm(fd)))
+    return worst < 1e-5, f"max relative Jacobian error {worst:.2e} over 20 points (tol 1e-5)"
 
 
 ALL_CHECKS = (

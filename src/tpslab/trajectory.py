@@ -111,14 +111,14 @@ class SampledTrajectory:
         s = np.array(self.states, dtype=complex)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two samples")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         if s.shape != (t.size, self.dims.n):
             raise DimensionMismatch(
                 f"states have shape {s.shape}, expected ({t.size}, {self.dims.n})"
             )
         norms = np.linalg.norm(s, axis=1)
-        if np.abs(norms - 1.0).max() > SPHERE_TOL:
+        if not np.abs(norms - 1.0).max() <= SPHERE_TOL:
             raise NotNormalizable(
                 f"sampled state leaves the unit sphere by {np.abs(norms - 1.0).max():.3e}"
             )

@@ -234,6 +234,22 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "trig.constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,expected_path",
+    [
+        ('"constant": [[NaN, 0], [0, 0], [0, 0], [0, 0]], "t_max": 1', "trig.constant[0]"),
+        ('"constant": [[1, 0], [0, 0], [0, 0], [0, 0]], "t_max": Infinity', "trig.t_max"),
+    ],
+    ids=["nan-constant", "infinite-t_max"],
+)
+def test_non_finite_number_is_input_error(tmp_path, capsys, text, expected_path):
+    # Python's json module reads the NaN and Infinity literals
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [2, 2], "form": "trig", "trig": {"harmonics": [], ' + text + "}}")
+    assert main(["profile", "--input", str(path)]) == 2
+    assert expected_path in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["profile", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -10,11 +10,13 @@ from tpslab.core import (
     is_local_product_unitary,
     make_tps,
     rebase_state,
+    require_hermitian,
     reshape_coefficients,
     tps_equivalent,
 )
-from tpslab.errors import DimensionMismatch, NotUnitary
+from tpslab.errors import DimensionMismatch, NotHermitian, NotNormalizable, NotUnitary
 from tpslab.linalg import haar_unitary
+from tpslab.trajectory import SampledTrajectory
 
 from helpers import QBITS, random_local_unitary, random_state
 
@@ -67,6 +69,31 @@ def test_make_tps_rejects_rank_deficient():
     u[1] = u[0]
     with pytest.raises(NotUnitary):
         make_tps(u, QBITS)
+
+
+def _with_nan(a):
+    a = np.array(a, dtype=complex)
+    a.flat[1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "check,error",
+    [
+        (lambda: TPSpec(_with_nan(np.eye(4)), QBITS), NotUnitary),
+        (lambda: is_local_product_unitary(_with_nan(np.eye(4)), QBITS), NotUnitary),
+        (lambda: require_hermitian(_with_nan(np.eye(4))), NotHermitian),
+        (lambda: StateVector(_with_nan([1, 0, 0, 0]), QBITS), ValueError),
+        (
+            lambda: SampledTrajectory(QBITS, [0.0, 1.0], [[1, 0, 0, 0], _with_nan([1, 0, 0, 0])]),
+            NotNormalizable,
+        ),
+    ],
+    ids=["tps", "local-product", "hermitian", "state", "sampled"],
+)
+def test_validity_checks_reject_nan(check, error):
+    with pytest.raises(error):
+        check()
 
 
 def test_make_tps_rejects_wrong_shape():

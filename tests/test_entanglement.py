@@ -10,6 +10,7 @@ from tpslab.entanglement import (
     entanglement_profile,
     is_product_state,
     max_minor_modulus,
+    minor_forms,
     product_distance,
     rebased_coefficients,
     schmidt_decompose,
@@ -220,6 +221,17 @@ def test_batched_kernel_matches_per_matrix_reference(n1, n2):
         assert np.abs(mn - _loop_minors(m)).max() < 1e-14
     assert spectra[-5:, 1:].max() < 1e-14
     assert np.abs(minors[-5:]).max() < 1e-14
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_minor_forms_match_coefficient_minors(n1, n2):
+    rng = np.random.default_rng(n1 * 10 + n2)
+    dims = HilbertDims(n1, n2)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(20)])
+    forms = minor_forms(n1, n2)
+    assert np.array_equal(forms, forms.swapaxes(1, 2))
+    quadratic = np.einsum("ta,kab,tb->tk", states, forms, states)
+    assert np.abs(quadratic - coefficient_minors(states.reshape(-1, n1, n2))).max() < 1e-15
 
 
 def test_rebased_coefficients_match_rebase_state():

@@ -82,10 +82,40 @@ def test_matrix_document_roundtrip(tmp_path):
             lambda d: d["trig"]["constant"].__setitem__(2, "oops"),
             "trig.constant[2]",
         ),
+        (lambda d: d["trig"]["constant"].__setitem__(0, [float("nan"), 0]), "trig.constant[0]"),
+        (
+            lambda d: d["trig"]["harmonics"][0]["sin"][1].__setitem__(1, float("-inf")),
+            "trig.harmonics[0].sin[1]",
+        ),
+        (lambda d: d["trig"].update(t_max=float("inf")), "trig.t_max"),
     ],
 )
 def test_parse_errors_name_the_offending_path(mutate, expected_path):
     doc = dump_trajectory(fixtures.cnot_trajectory())
+    mutate(doc)
+    with pytest.raises(ParseError) as err:
+        load_trajectory(doc)
+    assert err.value.path == expected_path
+
+
+@pytest.mark.parametrize(
+    "traj,mutate,expected_path",
+    [
+        (
+            fixtures.cnot_evolution(),
+            lambda d: d["hamiltonian"].update(t_max=float("inf")),
+            "hamiltonian.t_max",
+        ),
+        (
+            sample_trig(fixtures.cnot_trajectory(), 5),
+            lambda d: d["samples"]["times"].__setitem__(1, float("nan")),
+            "samples.times",
+        ),
+    ],
+    ids=["hamiltonian-t_max", "samples-times"],
+)
+def test_non_finite_numbers_are_parse_errors(traj, mutate, expected_path):
+    doc = dump_trajectory(traj)
     mutate(doc)
     with pytest.raises(ParseError) as err:
         load_trajectory(doc)

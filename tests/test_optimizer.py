@@ -5,7 +5,7 @@ import pytest
 
 from tpslab import fixtures, optimizer
 from tpslab.core import HilbertDims, TPSpec
-from tpslab.entanglement import entanglement_profile
+from tpslab.entanglement import coefficient_minors, entanglement_profile
 from tpslab.linalg import expm_frechet, haar_unitary
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample_trig
@@ -22,6 +22,11 @@ def cnot_result():
 def test_reaches_disentangling_structure(cnot_result):
     _, result = cnot_result
     assert result.objective < 1e-6
+
+
+def test_identity_start_disentangles_on_its_own(cnot_result):
+    _, result = cnot_result
+    assert result.restarts[0].objective < 1e-10
 
 
 def test_objective_matches_profile_reevaluation(cnot_result):
@@ -74,17 +79,13 @@ def test_analytic_gradients_match_finite_differences(seed):
     theta = rng.normal(scale=0.6, size=16)
     step = 1e-6
 
-    _, grad = objective.surrogate(theta)
-    fd = np.empty_like(grad)
+    jac = objective.minors_jacobian(theta)
+    fd = np.empty_like(jac)
     for d in range(16):
         e = np.zeros(16)
         e[d] = step
-        fd[d] = (objective.surrogate(theta + e)[0] - objective.surrogate(theta - e)[0]) / (
-            2 * step
-        )
-    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
-
-    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+        fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
@@ -112,41 +113,45 @@ def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
     "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
 )
 def test_residual_jacobian_matches_finite_differences(n1, n2):
-    # non-square coefficient matrices pin the slicing of the singular vectors
+    # non-square coefficient matrices pin the layout of the minor forms
     dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(9)
     states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
     n_params = dims.n**2
     theta = rng.normal(scale=0.5, size=n_params)
-    jac = objective.residual_jacobian(theta)
-    assert jac.shape == (30 * (min(n1, n2) - 1), n_params)
+    jac = objective.minors_jacobian(theta)
+    n_minors = (n1 * (n1 - 1) // 2) * (n2 * (n2 - 1) // 2)
+    assert jac.shape == (2 * 30 * n_minors, n_params)
     step = 1e-6
     fd = np.empty_like(jac)
     for d in range(n_params):
         e = np.zeros(n_params)
         e[d] = step
-        fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (
-            2 * step
-        )
+        fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
-def _loop_residual_jacobian(objective, theta):
-    """Per-(sample, residual, direction) chain rule: the reference the batched Jacobian replaces."""
+def _loop_minors_jacobian(objective, theta):
+    """Per-(sample, direction) chain rule: the reference the batched Jacobian replaces.
+
+    Minors are bilinear, so the first-order part of minors(M + dM) is
+    minors(M + dM) - minors(M) - minors(dM), exactly.
+    """
     a = sum(coef * b for coef, b in zip(theta, objective.basis))
     u, wexp, phi = expm_frechet(a)
-    mats = (objective.states @ u.T).reshape(-1, objective.dims.n1, objective.dims.n2)
-    w, s, vh = np.linalg.svd(mats)
-    scale = 1.0 / np.sqrt(len(s))
-    rows = []
-    for t in range(len(s)):
-        for k in range(1, s.shape[1]):
-            y = np.outer(w[t, :, k], vh[t, k, :]).reshape(objective.n)
-            ghat = wexp.conj().T @ (scale * np.outer(y, np.conj(objective.states[t]))) @ wexp
-            kmat = wexp @ (np.conj(phi) * ghat) @ wexp.conj().T
-            rows.append([np.real(np.vdot(kmat, b)) for b in objective.basis])
-    return a, np.array(rows)
+    shape = (objective.dims.n1, objective.dims.n2)
+    scale = 1.0 / np.sqrt(len(objective.states))
+    cols = []
+    for b in objective.basis:
+        d_u = wexp @ (phi * (wexp.conj().T @ b @ wexp)) @ wexp.conj().T
+        col = []
+        for psi in objective.states:
+            m, dm = (u @ psi).reshape(shape), (d_u @ psi).reshape(shape)
+            col.append(coefficient_minors(m + dm) - coefficient_minors(m) - coefficient_minors(dm))
+        col = scale * np.concatenate(col)
+        cols.append(np.concatenate([col.real, col.imag]))
+    return a, np.array(cols).T
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
@@ -156,10 +161,10 @@ def test_batched_chain_rule_matches_loop_reference(n1, n2):
     states = np.array([random_state(rng, dims).amplitudes for _ in range(20)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 20), states))
     theta = rng.normal(scale=0.7, size=dims.n**2)
-    a, jac = _loop_residual_jacobian(objective, theta)
+    a, jac = _loop_minors_jacobian(objective, theta)
     assert np.array_equal(objective._theta_to_a(theta), a)
     # only the summation order differs, so agreement is at rounding level
-    assert np.abs(objective.residual_jacobian(theta) - jac).max() < 1e-14
+    assert np.abs(objective.minors_jacobian(theta) - jac).max() < 1e-14
 
 
 def test_winner_summary_objective_is_the_reported_objective(cnot_result):
