@@ -4,7 +4,7 @@ Subcommands::
 
     tpslab profile    --input traj.json [--tps tps.json] [--samples N] [--format json|csv]
     tpslab certify    --input traj.json [--samples N] [--rank-tol X]
-    tpslab construct  --input traj.json [--seed S] [--restarts R] [--tol X]
+    tpslab construct  --input traj.json [--tol X]
     tpslab hamiltonian --input op.json [--tps tps.json] [--dims n1 n2]
     tpslab optimize   --input traj.json [--seed S] [--restarts R] [--samples N]
     tpslab reproduce  [--list]
@@ -180,7 +180,7 @@ def cmd_construct(args) -> int:
     traj = load_trajectory(args.input)
     if not isinstance(traj, TrigTrajectory):
         raise UnsupportedForm("the constructive solver takes a trigonometric trajectory")
-    config = ConstructConfig(restarts=args.restarts, seed=args.seed, verify_tol=args.tol)
+    config = ConstructConfig(verify_tol=args.tol)
     result = construct_disentangler(traj, config)
     results = {
         "status": "found" if result.found else "not_found",
@@ -196,7 +196,7 @@ def cmd_construct(args) -> int:
             results["roots"] = {k: _vector_out([v])[0] for k, v in result.pairing.roots.items()}
             results["assignment"] = list(result.pairing.assignment)
             results["pairing"] = [list(p) for p in result.pairing.pairing]
-    params = {"seed": args.seed, "restarts": args.restarts, "tol": args.tol}
+    params = {"tol": args.tol}
     _emit_json(
         _report("construct", _input_digest(args, "input"), params, results, t0),
         args.output,
@@ -289,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("construct", help="solve for a disentangling TPS (2x2, frequency 1)")
+    p = sub.add_parser("construct", help="closed-form disentangling TPS (2x2, frequency 1)")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_construct)

@@ -1,23 +1,38 @@
-"""Constructive disentangler search for frequency-1 two-qbit trajectories.
+"""Closed-form disentangler for frequency-1 two-qbit trajectories.
 
-After a candidate basis change U, each trajectory component becomes
-e^{-it} P_i(e^{it}) for a quadratic polynomial P_i whose coefficients are a
-linear image of U's rows (see `tpslab.trajectory.trig_to_polynomials`).  The
-rebased state is a product state at all times exactly when the coefficient
-matrix determinant vanishes identically, i.e. when two of the P_i multiply to
-the same quartic as the other two.  Factoring that quartic into four linear
-factors A, B, C, D forces an intertwined root layout: one polynomial of each
-product pair carries {A, C} and the other {B, D}, while the complementary
-pair splits them as {A, D} and {B, C}; the fully collinear layouts would make
-U singular and are excluded a priori.
+Write z = e^{it} and v(z) = (z^2, z, 1).  Each raw component is
+e^{-it} P_j(z) for a quadratic P_j (see `tpslab.trajectory.trig_to_polynomials`),
+so psi(t) = e^{-it} m v(z) with m the 4 x 3 matrix of polynomial
+coefficients, and a basis change U rebases it to e^{-it} U m v(z).  When m
+has rank 3, that is a product state at every t exactly when
 
-The solver enumerates the three ways of pairing the four polynomials into a
-product identity, writes U's constrained part in terms of the eight unknowns
-(kappa_1..kappa_4, lambda_a..lambda_d), and solves the resulting
-orthonormality system by restarted least squares.  Candidate solutions are
-completed to a full unitary and accepted only if they pass a grid
-verification, which automatically discards pairings that satisfy a polynomial
-identity other than the vanishing minor.
+    U m = N := [a0 (x) b0,  a0 (x) b1 + a1 (x) b0,  a1 (x) b1]
+
+for some a0, a1, b0, b1 in C^2, i.e. when the rebased state is
+(a0 z + a1) (x) (b0 z + b1): a factor of degree 0 would confine the states to
+a two-dimensional span.  Both m and N have rank 3, so a unitary U with
+U m = N exists iff they share their Gram matrix, G := m^H m = N^H N.
+
+Unit norm at every t fixes three Fourier coefficients of v^H G v: tr G = 1,
+G_02 = 0 and G_12 = -G_01.  For N, G_02 = <a0,a1><b0,b1>, so one pair is
+orthogonal; then G_12 = -G_01 forces the other pair orthogonal too, and
+N^H N is diagonal with entries (p1 p2, p1 (1-p2) + (1-p1) p2, (1-p1)(1-p2))
+for p1 = |a0|^2, p2 = |b0|^2 (scaling |a0|^2 + |a1|^2 = |b0|^2 + |b1|^2 = 1).
+With g = diag G / tr G, p1 and p2 are the roots of x^2 - (1 + g0 - g2) x + g0,
+which are real iff g1^2 >= 4 g0 g2.  So a disentangler exists iff
+
+    G_01 = 0  and  g1^2 >= 4 g0 g2,
+
+and then one is read off directly: a0 = sqrt(p1) h, a1 = sqrt(1-p1) k,
+b0 = sqrt(p2) h, b1 = sqrt(1-p2) k for the orthonormal pair
+h = (1, 1)/sqrt2, k = (-1, 1)/sqrt2.  Component (i, j) of N is the quadratic
+kappa_ij (X - r_i)(X - r'_j) with kappa = a0 (x) b0, roots a, b = -a1[i]/a0[i]
+of the first factor and c, d = -b1[j]/b0[j] of the second, so the four
+components carry the root pairs ("ac", "ad", "bc", "bd") and satisfy
+P_0 P_3 = P_1 P_2, the vanishing 2x2 minor of the coefficient matrix.  The
+candidate is built whatever G is and accepted only if it passes a grid
+verification, so a `not_found` on a rank-3 input means the necessary
+condition failed; the message carries both invariants.
 
 Frequency-1 components live in the three-dimensional function space spanned
 by {1, cos t, sin t}, so the four of them are always linearly dependent and
@@ -34,10 +49,11 @@ coefficients are invariant under local unitaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .core import HilbertDims, TPSpec, operator_schmidt_values
 from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
@@ -52,30 +68,24 @@ from .trajectory import (
     _require_single_frequency,
 )
 
-# The three ways to pair the four components into a product identity
-# P_i P_j = P_k P_l.  Only the (0,3)|(1,2) pairing expresses the vanishing
-# 2x2 minor of the coefficient matrix; it is listed first, and the grid
-# verification rejects solutions of the other two.
-PAIRINGS = (((0, 3), (1, 2)), ((0, 2), (1, 3)), ((0, 1), (2, 3)))
-
 ROOT_LABELS = ("a", "b", "c", "d")
+# component (i, j) = 2 i + j carries root i of the first factor (a or b) and
+# root j of the second (c or d); P_0 P_3 = P_1 P_2 is the vanishing minor
+ASSIGNMENT = ("ac", "ad", "bc", "bd")
+PAIRING = ((0, 3), (1, 2))
 
-_GRAM_UPPER = np.triu_indices(3, 1)
+VERIFY_SAMPLES = 100
+_H = np.array([1.0, 1.0]) / np.sqrt(2)
+_K = np.array([-1.0, 1.0]) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
 class ConstructConfig:
-    restarts: int = 64
-    seed: int = 0
-    residual_bound: float = 1e-9  # accepted solve residual (orthonormality system)
-    kappa_floor: float = 1e-6  # leading coefficients below this mean degree < 2
-    verify_samples: int = 100
     verify_tol: float = 1e-8
-    max_nfev: int = 400
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        if not 0 < self.verify_tol < math.inf:
+            raise ValueError("verify_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class RootPairing:
 
     roots: dict  # label -> complex root, labels "a", "b", "c", "d"
     kappas: np.ndarray  # leading coefficients kappa_1..kappa_4
-    assignment: tuple[str, ...]  # per-component root labels, e.g. ("ac","ad","bc","bd")
+    assignment: tuple[str, ...]  # per-component root labels, ("ac","ad","bc","bd")
     pairing: tuple  # the index pairing ((i, j), (k, l)) of the product identity
 
 
@@ -105,7 +115,6 @@ class ConstructionResult:
     disentangling_residual: float
     message: str
     attempts: int = 0
-    best_solve_residual: float = float("inf")
 
 
 def verify_disentangler(
@@ -128,50 +137,6 @@ def factorization_residual(polys: PolynomialSystem, pairing) -> np.ndarray:
     (i, j), (k, l) = pairing
     c = np.asarray(polys.coeffs)
     return np.convolve(c[i], c[j]) - np.convolve(c[k], c[l])
-
-
-def _root_assignment(pairing) -> tuple[str, ...]:
-    (i, j), (k, l) = pairing
-    assignment = [""] * 4
-    assignment[i] = "ac"
-    assignment[j] = "bd"
-    assignment[k] = "ad"
-    assignment[l] = "bc"
-    return tuple(assignment)
-
-
-def _targets(kappas: np.ndarray, lam: dict, assignment) -> np.ndarray:
-    """Rows [c2, c1, c0] of the wanted polynomial coefficients."""
-    t = np.empty((4, 3), dtype=complex)
-    for m, labels in enumerate(assignment):
-        r1, r2 = lam[labels[0]], lam[labels[1]]
-        t[m] = kappas[m] * np.array([1.0, -(r1 + r2), r1 * r2])
-    return t
-
-
-def _unpack(theta: np.ndarray):
-    kappas = theta[0:4] + 1j * theta[4:8]
-    roots = theta[8:12] + 1j * theta[12:16]
-    lam = dict(zip(ROOT_LABELS, roots))
-    return kappas, lam
-
-
-def _residuals(theta, r_inv, assignment, pairing, kappa_floor):
-    kappas, lam = _unpack(theta)
-    t = _targets(kappas, lam, assignment)
-    s = t @ r_inv
-    gram = s.conj().T @ s - np.eye(3)
-    (i, j), (k, l) = pairing
-    kc = kappas[i] * kappas[j] - kappas[k] * kappas[l]
-    out = np.empty(15)
-    out[0:3] = np.real(np.diagonal(gram))
-    out[3:6] = np.real(gram[_GRAM_UPPER])
-    out[6:9] = np.imag(gram[_GRAM_UPPER])
-    out[9] = kc.real
-    out[10] = kc.imag
-    # soft barrier keeping the leading coefficients away from degree collapse
-    out[11:15] = np.clip(5 * kappa_floor - np.abs(kappas), 0.0, None)
-    return out
 
 
 def _phase_fixed_null(a: np.ndarray) -> np.ndarray:
@@ -219,17 +184,18 @@ def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.nda
 def construct_disentangler(
     traj: TrigTrajectory, config: ConstructConfig = ConstructConfig()
 ) -> ConstructionResult:
-    """Search for a TPS in which the trajectory is a product state at all times.
+    """Build the closed-form TPS in which the trajectory is a product state
+    at all times, if one exists.
 
-    A `found=False` result means the restart budget was exhausted or the
-    trajectory's coefficient structure is degenerate for this method; it is
-    *not* a proof that no disentangling TPS exists.
+    A `found=False` result on a rank-3 coefficient matrix means the Gram
+    condition of the module docstring fails.  Rank-deficient inputs are
+    declined: that is *not* a proof that no disentangling TPS exists.
     """
     if traj.dims != HilbertDims(2, 2):
         raise UnsupportedForm("the constructive solver handles 2x2 bipartitions only")
     _require_single_frequency(traj)
 
-    sampled = sample_trig(traj, config.verify_samples)
+    sampled = sample_trig(traj, VERIFY_SAMPLES)
     identity = TPSpec.identity(traj.dims)
 
     # Already a product in the reference basis: nothing to construct.
@@ -262,86 +228,49 @@ def construct_disentangler(
                 "drop below degree 2"
             ),
         )
-    r_inv = np.linalg.inv(r)
 
-    attempts = 0
-    best_residual = float("inf")
-    # Deterministic warm start: equal leading coefficients and unit-circle
-    # roots +-1, the natural first guess for frequency-1 trigonometric
-    # factors (e^{it} -+ 1 are *the* degree-1 trig building blocks).  The
-    # kappa magnitude 1/4 matches a unit-norm trajectory whose constant and
-    # oscillating parts carry equal weight.
-    warm_kappa = np.full(4, 0.25, dtype=complex)
-    warm_roots = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
+    gram = m.conj().T @ m
+    g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
+    total = 1 + g[0] - g[2]
+    root = math.sqrt(max(total * total - 4 * g[0], 0.0))
+    p1, p2 = (total + root) / 2, (total - root) / 2
+    w = np.sqrt(np.clip([p1, 1 - p1, p2, 1 - p2], 0.0, None))
+    a0, a1, b0, b1 = w[0] * _H, w[1] * _K, w[2] * _H, w[3] * _K
+    n = np.stack([np.kron(a0, b0), np.kron(a0, b1) + np.kron(a1, b0), np.kron(a1, b1)], axis=1)
+    invariants = (
+        f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {g[1] ** 2 - 4 * g[0] * g[2]:.3e}"
+    )
 
-    for restart in range(config.restarts):
-        for pat_idx, pairing in enumerate(PAIRINGS):
-            assignment = _root_assignment(pairing)
-            if restart == 0:
-                kappas0, roots0 = warm_kappa, warm_roots
-            else:
-                rng = np.random.default_rng([config.seed, pat_idx, restart])
-                kappas0 = 0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-                roots0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            theta0 = np.concatenate(
-                [kappas0.real, kappas0.imag, roots0.real, roots0.imag]
-            )
-            sol = least_squares(
-                _residuals,
-                theta0,
-                args=(r_inv, assignment, pairing, config.kappa_floor),
-                method="trf",
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=config.max_nfev,
-            )
-            attempts += 1
-            kappas, lam = _unpack(sol.x)
-            core_residual = float(np.linalg.norm(sol.fun[:11]))
-            best_residual = min(best_residual, core_residual)
-            if core_residual > config.residual_bound:
-                continue
-            if np.abs(kappas).min() <= config.kappa_floor:
-                continue
-            s = _targets(kappas, lam, assignment) @ r_inv
-            u_raw = _complete_unitary(s, q, traj.dims)
-            tps = TPSpec(nearest_unitary(u_raw), traj.dims)
-            report = verify_disentangler(tps, sampled, config.verify_tol)
-            if not report.passed:
-                continue
-            orth = float(
-                np.linalg.norm(
-                    tps.basis_change.conj().T @ tps.basis_change - np.eye(4)
-                )
-            )
-            return ConstructionResult(
-                found=True,
-                tps=tps,
-                pairing=RootPairing(
-                    roots=dict(zip(ROOT_LABELS, (lam[l] for l in ROOT_LABELS))),
-                    kappas=kappas,
-                    assignment=assignment,
-                    pairing=pairing,
-                ),
-                orthonormality_residual=orth,
-                disentangling_residual=max(report.max_sigma2, report.max_minor),
-                message=f"solved at restart {restart}, pairing {pairing}",
-                attempts=attempts,
-                best_solve_residual=core_residual,
-            )
-
+    u_raw = _complete_unitary(n @ np.linalg.inv(r), q, traj.dims)
+    tps = TPSpec(nearest_unitary(u_raw), traj.dims)
+    report = verify_disentangler(tps, sampled, config.verify_tol)
+    if not report.passed:
+        return ConstructionResult(
+            found=False,
+            tps=None,
+            pairing=None,
+            orthonormality_residual=float("inf"),
+            disentangling_residual=float("inf"),
+            message=(
+                f"no disentangling TPS: the coefficient Gram matrix has {invariants}, "
+                "and one exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the closed-form "
+                f"candidate leaves max sigma2 {report.max_sigma2:.3e})"
+            ),
+            attempts=1,
+        )
+    orth = float(np.linalg.norm(tps.basis_change.conj().T @ tps.basis_change - np.eye(4)))
+    roots = (-a1[0] / a0[0], -a1[1] / a0[1], -b1[0] / b0[0], -b1[1] / b0[1])
     return ConstructionResult(
-        found=False,
-        tps=None,
-        pairing=None,
-        orthonormality_residual=float("inf"),
-        disentangling_residual=float("inf"),
-        message=(
-            f"no unitary passed verification within {config.restarts} restarts "
-            f"(best solve residual {best_residual:.3e}); this does not prove "
-            "non-existence"
+        found=True,
+        tps=tps,
+        pairing=RootPairing(
+            roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
+            kappas=np.kron(a0, b0).astype(complex),
+            assignment=ASSIGNMENT,
+            pairing=PAIRING,
         ),
-        attempts=attempts,
-        best_solve_residual=best_residual,
+        orthonormality_residual=orth,
+        disentangling_residual=max(report.max_sigma2, report.max_minor),
+        message=f"closed form from the coefficient Gram matrix ({invariants})",
+        attempts=1,
     )

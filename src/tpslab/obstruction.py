@@ -110,6 +110,8 @@ class Certificate:
 
 
 def _numerical_rank(eigs: np.ndarray, rank_tol: float) -> int:
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
     top = eigs.max()
     if top <= 0:
         return 0

@@ -168,7 +168,8 @@ def check_optimizer_sidon_floor():
     return result.objective > 1e-3, f"best objective {result.objective:.2e} (floor 1e-3)"
 
 
-def _random_state(rng, dims=DIMS) -> StateVector:
+def random_state(rng, dims=DIMS) -> StateVector:
+    """Haar-random pure state: a normalized complex Gaussian vector."""
     z = rng.normal(size=dims.n) + 1j * rng.normal(size=dims.n)
     return StateVector.normalized(z, dims)
 
@@ -177,7 +178,7 @@ def check_property_schmidt_reconstruction():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
-        psi = _random_state(rng)
+        psi = random_state(rng)
         dec = schmidt_decompose(psi)
         worst = max(worst, float(np.abs(dec.reconstruct() - psi.amplitudes).max()))
     return worst < 1e-10, f"max reconstruction error {worst:.2e} over 200 states (tol 1e-10)"
@@ -187,7 +188,7 @@ def check_property_minor_sigma2_agreement():
     rng = np.random.default_rng(202)
     agree = True
     for _ in range(1000):
-        psi = _random_state(rng)
+        psi = random_state(rng)
         minors = max_minor_modulus(psi) < 1e-8
         sigma = schmidt_values(psi)[1] < 1e-8
         agree &= minors == sigma
@@ -213,7 +214,7 @@ def check_property_local_invariance():
     worst_inter = 0.0
     for _ in range(50):
         local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        psi = _random_state(rng)
+        psi = random_state(rng)
         rotated = StateVector.normalized(local @ psi.amplitudes, DIMS)
         worst_entropy = max(
             worst_entropy, abs(entanglement_entropy(rotated) - entanglement_entropy(psi))

@@ -13,8 +13,8 @@ Three forms are supported:
 
 Frequency-1 trigonometric components can be rewritten as e^{-it} P(e^{it})
 for a quadratic polynomial P; `trig_to_polynomials` performs that rewriting
-after a basis change.  This polynomial form is the pivot of the constructive
-disentangler search in `tpslab.construct`.
+after a basis change.  This polynomial form is the pivot of the closed-form
+disentangler in `tpslab.construct`.
 """
 
 from __future__ import annotations

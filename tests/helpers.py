@@ -4,13 +4,9 @@ import numpy as np
 
 from tpslab.core import HilbertDims, StateVector
 from tpslab.linalg import haar_unitary
+from tpslab.reproduce import random_state  # noqa: F401  (shared with the checks)
 
 QBITS = HilbertDims(2, 2)
-
-
-def random_state(rng, dims=QBITS) -> StateVector:
-    z = rng.normal(size=dims.n) + 1j * rng.normal(size=dims.n)
-    return StateVector.normalized(z, dims)
 
 
 def random_local_unitary(rng, dims=QBITS) -> np.ndarray:

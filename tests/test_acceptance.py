@@ -139,7 +139,7 @@ def test_criterion_5_obstruction_certificates():
 
 def test_criterion_6_constructor_regression():
     start = time.monotonic()
-    result = construct_disentangler(fixtures.cnot_trajectory(), ConstructConfig(restarts=64, seed=0))
+    result = construct_disentangler(fixtures.cnot_trajectory(), ConstructConfig())
     found = result.found
     verified = False
     equivalent = False

@@ -112,6 +112,19 @@ def test_certify_report_is_rerunnable(files, tmp_path):
     assert read(first)["results"] == read(second)["results"]
 
 
+@pytest.mark.parametrize("rank_tol", ["0", "-1", "nan"])
+def test_certify_rejects_rank_tol_outside_unit_interval(files, rank_tol, capsys):
+    # a threshold at or below 0 counts every eigenvalue and certifies the
+    # C-NOT evolution, which has a disentangler; NaN counts none
+    assert run(["certify", "--input", files["cnot"], f"--rank-tol={rank_tol}"]) == 2
+    assert "rank_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_construct_rejects_nonsense_tolerance(files, tol):
+    assert run(["construct", "--input", files["cnot"], f"--tol={tol}"]) == 2
+
+
 def test_construct_finds_and_reports_parameters(files, tmp_path):
     out = tmp_path / "construct.json"
     assert run(["construct", "--input", files["cnot"], "--output", str(out)]) == 0
@@ -143,7 +156,7 @@ def test_construct_not_found_is_exit_zero(files, tmp_path):
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "construct.json"
-    assert run(["construct", "--input", str(path), "--restarts", "2", "--output", str(out)]) == 0
+    assert run(["construct", "--input", str(path), "--output", str(out)]) == 0
     assert read(out)["results"]["status"] == "not_found"
 
 

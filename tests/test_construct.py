@@ -4,7 +4,6 @@ import pytest
 from tpslab import fixtures
 from tpslab.construct import (
     ConstructConfig,
-    PAIRINGS,
     construct_disentangler,
     factorization_residual,
     verify_disentangler,
@@ -35,8 +34,8 @@ def test_solution_equivalent_to_closed_form(cnot_result):
 
 
 def test_warm_seed_recovers_known_parameters(cnot_result):
-    # restart 0 starts from equal leading coefficients and roots (1,-1,1,-1);
-    # for this trajectory that seed is itself a solution and must be returned
+    # the closed form puts p1 = p2 = 1/2 here: equal leading coefficients 1/4
+    # and roots (1, -1, 1, -1), the factors e^{it} -+ 1 of the C-NOT evolution
     pairing = cnot_result.pairing
     assert pairing is not None
     assert np.allclose(pairing.kappas, 0.25, atol=1e-9)
@@ -57,12 +56,12 @@ def test_minor_pairing_is_the_one_that_survives(cnot_result):
     # minor pairs the outer components against the inner ones
     assert cnot_result.pairing.pairing == ((0, 3), (1, 2))
     polys = trig_to_polynomials(fixtures.cnot_trajectory(), cnot_result.tps)
-    for pairing in PAIRINGS[1:]:
+    for pairing in (((0, 2), (1, 3)), ((0, 1), (2, 3))):
         assert np.abs(factorization_residual(polys, pairing)).max() > 1e-3
 
 
 def test_product_trajectory_yields_identity():
-    result = construct_disentangler(fixtures.lowdim_trajectory(), ConstructConfig(restarts=2))
+    result = construct_disentangler(fixtures.lowdim_trajectory(), ConstructConfig())
     assert result.found
     assert result.pairing is None
     assert tps_equivalent(result.tps, TPSpec.identity(QBITS))
@@ -126,14 +125,14 @@ def test_degenerate_coefficient_structure_reports_not_found():
         (Harmonic(1, w1.astype(complex), w2.astype(complex)),),
         np.pi,
     )
-    result = construct_disentangler(traj, ConstructConfig(restarts=2))
+    result = construct_disentangler(traj, ConstructConfig())
     assert not result.found
     assert "degenerate" in result.message
 
 
 def test_rejects_multiple_frequencies():
     with pytest.raises(UnsupportedForm):
-        construct_disentangler(fixtures.sidon_trajectory(), ConstructConfig(restarts=1))
+        construct_disentangler(fixtures.sidon_trajectory(), ConstructConfig())
 
 
 def test_rejects_larger_bipartitions():
@@ -145,7 +144,7 @@ def test_rejects_larger_bipartitions():
         1.0,
     )
     with pytest.raises(UnsupportedForm):
-        construct_disentangler(traj, ConstructConfig(restarts=1))
+        construct_disentangler(traj, ConstructConfig())
 
 
 def test_deterministic_for_fixed_seed(cnot_result):
@@ -154,5 +153,78 @@ def test_deterministic_for_fixed_seed(cnot_result):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ConstructConfig(restarts=0)
+    for tol in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError):
+            ConstructConfig(verify_tol=tol)
+
+
+def _trig_from_coefficients(c):
+    """Trajectory e^{-it} c v(e^{it}) on [0, 2 pi], with v(z) = (z^2, z, 1)."""
+    c2, c1, c0 = c[:, 0], c[:, 1], c[:, 2]
+    return TrigTrajectory(QBITS, c1, (Harmonic(1, c2 + c0, 1j * (c2 - c0)),), 2 * np.pi)
+
+
+def _orthogonal_pair(rng):
+    w = haar_unitary(2, rng)
+    angle = rng.uniform(0.1, np.pi / 2 - 0.1)
+    return np.cos(angle) * w[:, 0], np.sin(angle) * w[:, 1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_planted_product_trajectory_is_found(seed):
+    # e^{-it} (p0 + p1 z) (x) (q0 + q1 z), p0 _|_ p1 and q0 _|_ q1 for unit
+    # norm, seen through a Haar basis change V
+    rng = np.random.default_rng(seed)
+    p0, p1 = _orthogonal_pair(rng)
+    q0, q1 = _orthogonal_pair(rng)
+    planted = np.stack(
+        [np.kron(p1, q1), np.kron(p0, q1) + np.kron(p1, q0), np.kron(p0, q0)], axis=1
+    )
+    traj = _trig_from_coefficients(haar_unitary(4, rng) @ planted)
+    result = construct_disentangler(traj, ConstructConfig())
+    assert result.found
+    assert result.attempts == 1
+    report = verify_disentangler(result.tps, sample_trig(traj, 1000), 1e-12)
+    assert report.max_sigma2 < 1e-12
+
+
+def _trajectory_with_gram(g, g01, seed):
+    # the Gram of a unit-norm trajectory has trace 1, G02 = 0 and G12 = -G01
+    gram = np.array(
+        [[g[0], g01, 0], [np.conj(g01), g[1], -g01], [0, -np.conj(g01), g[2]]], dtype=complex
+    )
+    chol = np.linalg.cholesky(gram)
+    m = haar_unitary(4, np.random.default_rng(seed)) @ np.vstack([chol.conj().T, np.zeros(3)])
+    return _trig_from_coefficients(m)
+
+
+def _gram_invariants(traj):
+    m = np.asarray(trig_to_polynomials(traj, TPSpec.identity(QBITS)).coeffs)
+    gram = m.conj().T @ m
+    g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
+    return abs(gram[0, 1]), g[1] ** 2 - 4 * g[0] * g[2]
+
+
+@pytest.mark.parametrize(
+    "g, g01",
+    [((0.25, 0.5, 0.25), 0.05), ((0.25, 0.5, 0.25), 0.01j), ((0.3, 0.4, 0.3), 0.0)],
+    ids=["G01=0.05", "G01=0.01i", "diagonal-negative-discriminant"],
+)
+def test_gram_condition_failure_is_not_found(g, g01):
+    traj = _trajectory_with_gram(g, g01, seed=7)
+    result = construct_disentangler(traj, ConstructConfig())
+    assert not result.found
+    assert result.tps is None
+    off_diagonal, discriminant = _gram_invariants(traj)
+    assert off_diagonal == pytest.approx(abs(g01), abs=1e-12)
+    assert f"{off_diagonal:.3e}" in result.message
+    assert f"{discriminant:.3e}" in result.message
+
+
+def test_diagonal_gram_with_real_roots_is_found():
+    traj = _trajectory_with_gram((0.1, 0.8, 0.1), 0.0, seed=7)
+    result = construct_disentangler(traj, ConstructConfig())
+    assert result.found
+    assert verify_disentangler(result.tps, sample_trig(traj, 1000), 1e-12).passed
+    polys = trig_to_polynomials(traj, result.tps)
+    assert np.abs(factorization_residual(polys, result.pairing.pairing)).max() < 1e-12
