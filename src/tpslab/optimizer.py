@@ -25,14 +25,14 @@ Each restart performs two stages:
 The reported objective is always the hard maximum of the chordal product
 distance on the full sample grid, recomputed through `entanglement_profile`;
 each restart's summary objective is the same cancellation-free distance at
-its minimax point.  Derivatives are exact (SVD perturbation for z_t + the
-Daleckii-Krein formula for the derivative of the matrix exponential) and are
-checked against central finite differences in the test suite.  Every
-evaluation is a few batched numpy calls with one eigh: the minors' Jacobian
-takes the n^2 directional derivatives dU_d = W (phi * (W^dag B_d W)) W^dag
-of exp along the basis directions B_d at once, and its entry for sample t,
-minor k and direction d is 2 (E_k x_t)^T dU_d psi_t / sqrt(T); the gradients
-of z_t are pulled back through the adjoint of the same formula.
+its minimax point.  Derivatives are exact (first-order perturbation of
+sigma_1 + the Daleckii-Krein formula for the derivative of exp) and are
+checked against central finite differences in the test suite.  No evaluation
+runs an SVD: each distinct theta costs one eigh, which gives U = exp(A) and
+its n^2 directional derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along
+the basis directions B_d.  They are kept for the last theta, so a Jacobian
+at the point just evaluated reuses them, and both the minors' Jacobian and
+the gradients of z_t are one gemm against the flattened dU_d.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .core import TPSpec
-from .entanglement import _distances, coefficient_minors, entanglement_profile, minor_forms
-from .linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, nearest_unitary
+from .entanglement import coefficient_minors, entanglement_profile, minor_forms
+from .linalg import anti_hermitian_basis, expm_frechet, nearest_unitary
 from .trajectory import SampledTrajectory
 
 
@@ -61,6 +61,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts <= 0:
             raise ValueError("restarts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -82,33 +84,37 @@ class OptimizationResult:
 
 
 class _Objective:
-    """Shared state for one trajectory: batched minors, SVDs and the chain rule."""
+    """Shared state for one trajectory: batched minors and Schmidt top pairs
+    on one derivative stack of exp(A), kept for the last theta."""
 
     def __init__(self, traj: SampledTrajectory):
         self.dims = traj.dims
         self.states = traj.states  # (T, n)
         self.n = traj.dims.n
         self.basis = anti_hermitian_basis(self.n)  # (n^2, n, n)
-        self._basis_conj = self.basis.conj()
         self._forms = minor_forms(traj.dims.n1, traj.dims.n2)  # (K, n, n)
         self._scale = 1.0 / np.sqrt(len(self.states))  # residuals are minors / sqrt(T)
+        self._memo = {}  # the last theta's bytes, u, d_u and, once asked for, z
 
     def _theta_to_a(self, theta: np.ndarray) -> np.ndarray:
         return np.tensordot(theta, self.basis, axes=1)
 
+    def _frechet(self, theta: np.ndarray) -> dict:
+        """The memo of theta: u = exp(A) and its directional derivatives d_u
+        along the basis, flattened to (n^2, n * n), from one eigh."""
+        key = theta.tobytes()
+        if self._memo.get("key") != key:
+            u, wexp, phi = expm_frechet(self._theta_to_a(theta))
+            d_u = wexp @ (phi * (wexp.conj().T @ self.basis @ wexp)) @ wexp.conj().T
+            self._memo = {"key": key, "u": u, "d_u": d_u.reshape(len(self.basis), -1)}
+        return self._memo
+
     def unitary(self, theta: np.ndarray) -> np.ndarray:
-        return expm_antihermitian(self._theta_to_a(theta))
+        return self._frechet(theta)["u"]
 
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
         rebased = self.states @ u.T  # (T, n)
         return rebased.reshape(-1, self.dims.n1, self.dims.n2)
-
-    def _grad_theta_from_grad_u(self, grad_u: np.ndarray, wexp, phi) -> np.ndarray:
-        """Pull a Frobenius gradient on U, or a (T, n, n) stack of them, back
-        to the exp(A) parameters."""
-        ghat = wexp.conj().T @ grad_u @ wexp
-        k = wexp @ (np.conj(phi) * ghat) @ wexp.conj().T
-        return np.einsum("dij,...ij->...d", self._basis_conj, k).real
 
     def minors(self, theta: np.ndarray) -> np.ndarray:
         """Real, then imaginary parts of every 2x2 coefficient minor of
@@ -120,60 +126,61 @@ class _Objective:
         """d minors / d theta, shape (2 * T * K, n^2).
 
         Minor k at sample t is x_t^T E_k x_t with x_t = U psi_t, so along
-        dU_d = W (phi * (W^dag B_d W)) W^dag it moves by
-        2 (E_k x_t)^T dU_d psi_t / sqrt(T).
+        dU_d it moves by 2 (E_k x_t)^T dU_d psi_t / sqrt(T).
         """
-        u, wexp, phi = expm_frechet(self._theta_to_a(theta))
-        d_u = wexp @ (phi * (wexp.conj().T @ self.basis @ wexp)) @ wexp.conj().T
+        memo = self._frechet(theta)
         # x_t^T E_k is (E_k x_t)^T, as E_k is symmetric
-        ex = (self.states @ u.T @ self._forms).swapaxes(0, 1)
+        ex = (self.states @ memo["u"].T @ self._forms).swapaxes(0, 1)
         # rows 2 E_k x_t (x) psi_t, one per (t, k), against the flattened dU_d
         g = 2.0 * np.einsum("tka,tb->tkab", ex, self.states).reshape(-1, self.n**2)
-        jac = g @ d_u.reshape(len(self.basis), -1).T
+        jac = g @ memo["d_u"].T
         return self._scale * np.concatenate([jac.real, jac.imag])
 
     def sq_distances(self, theta: np.ndarray):
-        """Squared distances z_t = 2 sum_{k>=2} sigma_k^2 / (1 + sigma_1) and
-        their theta-gradients, shapes (T,) and (T, n^2).
+        """Squared distances z_t = 2 - 2 sigma_1 and their theta-gradients,
+        shapes (T,) and (T, n^2), with no SVD.
 
-        z_t equals 2 - 2 sigma_1 on unit states, so its gradient on U is
-        -2 y_t psi_t^dag with y_t the top singular pair's outer product.
+        w is the top eigenvector of the smaller Gram matrix M M^dag (M
+        transposed if taller than wide) and h = w^dag M, so sigma_1 = |h|
+        and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full precision near
+        product states.  The gradient on U is -2 y_t psi_t^dag, y_t = w h / sigma_1.
         """
-        u, wexp, phi = expm_frechet(self._theta_to_a(theta))
-        w, s, vh = np.linalg.svd(self._coefficients(u))
-        y = np.einsum("ti,tj->tij", w[:, :, 0], vh[:, 0, :]).reshape(len(s), self.n)
-        grad_u = -2.0 * np.einsum("ti,tj->tij", y, np.conj(self.states))
-        return _distances(s) ** 2, self._grad_theta_from_grad_u(grad_u, wexp, phi)
+        memo = self._frechet(theta)
+        if "z" not in memo:
+            flip = self.dims.n1 > self.dims.n2
+            m = self._coefficients(memo["u"])
+            m = m.swapaxes(1, 2) if flip else m
+            w = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
+            h = np.einsum("ti,tij->tj", w.conj(), m)
+            sigma1 = np.linalg.norm(h, axis=1)
+            wh = w[:, :, None] * h[:, None, :]
+            r = m - wh
+            tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
+            y = (wh.swapaxes(1, 2) if flip else wh).reshape(len(wh), -1) / sigma1[:, None]
+            # rows conj(y_t) (x) psi_t against the flattened dU_d
+            rows = (y.conj()[:, :, None] * self.states[:, None, :]).reshape(len(y), -1)
+            memo["z"] = (2.0 * tail / (1.0 + sigma1), -2.0 * (rows @ memo["d_u"].T).real)
+        return memo["z"]
 
 
 def _polish(obj: _Objective, theta: np.ndarray):
     """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SLSQP.
 
     Returns the best iterate seen and the trace of best max_t z_t values (the
-    start, then each improvement).
+    start, then each improvement).  The constraint, its Jacobian and the
+    callback at one iterate share one evaluation through the objective's memo.
     """
-    memo = {}  # one entry, so the constraint, its Jacobian and the callback share one SVD
-
-    def sq_distances(x):
-        key = x[:-1].tobytes()
-        if key not in memo:
-            memo.clear()
-            memo[key] = obj.sq_distances(x[:-1])
-        return memo[key]
-
-    x0 = np.append(theta, 0.0)
-    x0[-1] = sq_distances(x0)[0].max()  # s0 = max z(theta0)
+    x0 = np.append(theta, obj.sq_distances(theta)[0].max())  # s0 = max z(theta0)
     best_theta, trace = theta.copy(), [float(x0[-1])]
 
     def keep_best(xk):
         nonlocal best_theta
-        zmax = float(sq_distances(xk)[0].max())
+        zmax = float(obj.sq_distances(xk[:-1])[0].max())
         if zmax < trace[-1]:
             best_theta = xk[:-1].copy()
             trace.append(zmax)
 
-    e_last = np.zeros(len(theta) + 1)
-    e_last[-1] = 1.0
+    e_last, ones = np.eye(len(theta) + 1)[-1], np.ones((len(obj.states), 1))
     minimize(
         lambda x: x[-1],
         x0,
@@ -181,8 +188,8 @@ def _polish(obj: _Objective, theta: np.ndarray):
         method="SLSQP",
         constraints={
             "type": "ineq",
-            "fun": lambda x: x[-1] - sq_distances(x)[0],
-            "jac": lambda x: np.hstack([-sq_distances(x)[1], np.ones((len(obj.states), 1))]),
+            "fun": lambda x: x[-1] - obj.sq_distances(x[:-1])[0],
+            "jac": lambda x: np.hstack([-obj.sq_distances(x[:-1])[1], ones]),
         },
         options={"maxiter": EPIGRAPH_MAXITER, "ftol": EPIGRAPH_FTOL},
         callback=keep_best,
@@ -229,14 +236,7 @@ def optimize_tps(
 
         theta, polish_trace = _polish(obj, theta)
         objective = float(np.sqrt(polish_trace[-1]))
-        summaries.append(
-            RestartSummary(
-                index=r,
-                objective=objective,
-                surrogate_final=trace[-1],
-                iterations=int(res.nfev),
-            )
-        )
+        summaries.append(RestartSummary(r, objective, trace[-1], int(res.nfev)))
         if best is None or objective < best[0]:
             best = (objective, r, theta.copy(), trace, tuple(polish_trace))
 

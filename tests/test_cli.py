@@ -218,6 +218,18 @@ def test_optimize_rejects_zero_restarts(files):
     assert run(["optimize", "--input", files["cnot"], "--restarts", "0"]) == 2
 
 
+@pytest.mark.parametrize("restarts", ["1", "2"])
+def test_optimize_rejects_negative_seed_before_solving(files, monkeypatch, capsys, restarts):
+    # restart 0 starts at the identity and never draws from the seed, so
+    # "--restarts 1" used to succeed and "--restarts 2" failed after restart 0
+    solves = []
+    monkeypatch.setattr(tpslab.cli, "optimize_tps", lambda *a: solves.append(a))
+    code = run(["optimize", "--input", files["cnot"], "--seed", "-1", "--restarts", restarts])
+    assert code == 2
+    assert solves == []
+    assert "seed" in capsys.readouterr().err
+
+
 def test_optimize_report(files, tmp_path):
     out = tmp_path / "opt.json"
     code = run(

@@ -5,8 +5,13 @@ import pytest
 
 from tpslab import fixtures, optimizer
 from tpslab.core import HilbertDims, TPSpec
-from tpslab.entanglement import coefficient_minors, entanglement_profile
-from tpslab.linalg import expm_frechet, haar_unitary
+from tpslab.entanglement import (
+    _distances,
+    coefficient_minors,
+    entanglement_profile,
+    schmidt_spectra,
+)
+from tpslab.linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, haar_unitary
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample_trig
 
@@ -88,9 +93,12 @@ def test_analytic_gradients_match_finite_differences(seed):
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
-@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
 def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
-    # rows of G are the constraint Jacobian of the epigraph minimax stage
+    # rows of G are the constraint Jacobian of the epigraph minimax stage; 3x2
+    # takes the top pair from the Gram of the transposed coefficients
     dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(6)
     states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
@@ -167,6 +175,94 @@ def test_batched_chain_rule_matches_loop_reference(n1, n2):
     assert np.abs(objective.minors_jacobian(theta) - jac).max() < 1e-14
 
 
+def _svd_distances(objective, theta):
+    """The cancellation-free distance from the SVD Schmidt spectra."""
+    return _distances(schmidt_spectra(objective._coefficients(objective.unitary(theta))))
+
+
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_gram_top_pair_distance_matches_svd_spectra(n1, n2):
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(12)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(200)])
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 200), states))
+    theta = rng.normal(scale=0.6, size=dims.n**2)
+    z = objective.sq_distances(theta)[0]
+    assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
+
+
+def _theta_of(u):
+    """Coordinates of the anti-Hermitian log of a unitary in the exp(A) basis."""
+    lam, v = np.linalg.eig(u)
+    a = (v * (1j * np.angle(lam))) @ np.linalg.inv(v)
+    return np.array([np.vdot(b, a).real for b in anti_hermitian_basis(len(u))])
+
+
+def test_gram_top_pair_is_exact_at_the_cnot_disentangler():
+    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    objective = _Objective(sampled)
+    theta = _theta_of(fixtures.cnot_disentangler().basis_change)
+    z = objective.sq_distances(theta)[0]
+    reference = _svd_distances(objective, theta)
+    assert reference.max() < 1e-14  # the point is a disentangler
+    assert np.abs(np.sqrt(z) - reference).max() <= 1e-15
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
+    # U psi_t = a_t (x) b_t + size * noise, so d_t is of order size or rounding
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(31)
+    theta = rng.normal(scale=0.6, size=dims.n**2)
+    u = expm_antihermitian(np.tensordot(theta, anti_hermitian_basis(dims.n), axes=1))
+    a, b = (rng.normal(size=(50, k)) + 1j * rng.normal(size=(50, k)) for k in (n1, n2))
+    products = np.einsum("ti,tj->tij", a, b).reshape(50, dims.n)
+    products /= np.linalg.norm(products, axis=1)[:, None]
+    products += size * (rng.normal(size=products.shape) + 1j * rng.normal(size=products.shape))
+    products /= np.linalg.norm(products, axis=1)[:, None]
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 50), products @ u.conj()))
+    z = objective.sq_distances(theta)[0]
+    assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
+
+
+def test_equal_top_schmidt_values_give_finite_distance_and_gradient():
+    # at theta = 0 the C-NOT fixture ends in the Bell state, sigma_1 = sigma_2
+    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    assert sampled.times[-1] == np.pi / 2
+    z, grad = _Objective(sampled).sq_distances(np.zeros(16))
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(grad))
+    assert abs(z[-1] - (2 - np.sqrt(2))) <= 1e-15
+
+
+def test_derivative_stack_memo_is_invisible():
+    dims = HilbertDims(2, 3)
+    rng = np.random.default_rng(8)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
+
+    def fresh_objective():
+        return _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
+
+    objective = fresh_objective()
+    theta1, theta2 = rng.normal(scale=0.6, size=(2, dims.n**2))
+
+    def evaluate(obj, theta):
+        z, grad = obj.sq_distances(theta)
+        return [obj.minors(theta), z, obj.minors_jacobian(theta), grad]
+
+    interleaved = [evaluate(objective, th) for th in (theta1, theta2, theta1)]
+    for theta, got in zip((theta1, theta2, theta1), interleaved):
+        fresh = evaluate(fresh_objective(), theta)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+    u = expm_antihermitian(objective._theta_to_a(theta1))
+    m = coefficient_minors(objective._coefficients(u)).ravel() / np.sqrt(30)
+    assert np.array_equal(objective.minors(theta1), np.concatenate([m.real, m.imag]))
+
+
 def test_winner_summary_objective_is_the_reported_objective(cnot_result):
     # both are the cancellation-free distance, so they agree far below 2 - 2 sigma_1's ~1e-8 steps
     _, result = cnot_result
@@ -184,6 +280,10 @@ def test_best_tps_is_valid(cnot_result):
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(restarts=1, seed=-1)
     assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "seed"]
 
 

@@ -40,7 +40,9 @@ def test_search_demo_runs(tmp_path):
     assert "sidon" in proc.stdout
 
 
-@pytest.mark.parametrize("name", ["make_inputs.py", "entanglement_sweep.py", "search_demo.py"])
+@pytest.mark.parametrize(
+    "name", ["make_inputs.py", "entanglement_sweep.py", "search_demo.py", "bench_snapshot.py"]
+)
 def test_help_writes_nothing(name, tmp_path):
     proc = run_script(name, ["--help"], tmp_path)
     assert proc.returncode == 0, proc.stderr
