@@ -9,19 +9,21 @@ Subcommands::
     tpslab optimize   --input traj.json [--seed S] [--restarts R] [--samples N]
     tpslab reproduce  [--list]
 
-Every command emits a self-describing JSON report (inputs digest, parameter
-block, results payload, versions, wall time) unless a different format is
-selected.  Exit codes: 0 success, 1 reproduction-check failure, 2 input or
-configuration error, 3 dimension or validity error, 4 unsupported form.
+Each `cmd_*` handler maps the parsed arguments to its results; `report` wraps
+them in the JSON report every command but `reproduce` emits (the sha256 of the
+--input and --tps files, `parameters` = every option but --input and --output,
+results, versions, wall time), or emits the CSV of `profile --format csv`.
+Exit codes: 0 success, 1 reproduction-check failure, 2 input or configuration
+error, 3 dimension or validity error, 4 unsupported form.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -69,45 +71,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_VALIDITY_ERROR = 3
 EXIT_UNSUPPORTED = 4
 
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _report(command: str, inputs: dict, parameters: dict, results: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "parameters": parameters,
-        "results": results,
-        "versions": {
-            "tpslab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
-        "wall_time_s": round(time.monotonic() - t0, 6),
-    }
-
-
-def _emit(text: str, output) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        print(text)
-
-
-def _emit_json(doc: dict, output) -> None:
-    _emit(json.dumps(doc, indent=1), output)
-
-
-def _input_digest(args, *names) -> dict:
-    digest = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value and value != "identity":
-            digest[name] = {"path": str(value), "sha256": _sha256(value)}
-    return digest
+# parsed-argument names that are not recorded as report parameters
+_NOT_PARAMETERS = ("command", "handler", "input", "output")
 
 
 def _as_sampled(traj, num_samples: int) -> SampledTrajectory:
@@ -132,15 +97,12 @@ def _load_tps_arg(arg: str, dims: HilbertDims) -> TPSpec:
     return tps
 
 
-def cmd_profile(args) -> int:
-    t0 = time.monotonic()
+def cmd_profile(args) -> dict | str:
     sampled = _as_sampled(load_trajectory(args.input), args.samples)
-    tps = _load_tps_arg(args.tps, sampled.dims)
-    profile = entanglement_profile(sampled, tps)
+    profile = entanglement_profile(sampled, _load_tps_arg(args.tps, sampled.dims))
     if args.format == "csv":
-        _emit(profile_to_csv(profile), args.output)
-        return EXIT_OK
-    results = {
+        return profile_to_csv(profile)
+    return {
         "times": [float(t) for t in profile.times],
         "entropy": [float(x) for x in profile.entropy],
         "product_distance": [float(x) for x in profile.product_distance],
@@ -149,39 +111,18 @@ def cmd_profile(args) -> int:
         "distance_measure": "chordal sqrt(2 - 2 sigma_1) to the product manifold, evaluated"
         " without cancellation as sqrt(2 sum_{k>=2} sigma_k^2 / (1 + sigma_1))",
     }
-    params = {"tps": args.tps, "samples": args.samples, "format": args.format}
-    _emit_json(
-        _report("profile", _input_digest(args, "input", "tps"), params, results, t0),
-        args.output,
-    )
-    return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    t0 = time.monotonic()
+def cmd_certify(args) -> dict:
     sampled = _as_sampled(load_trajectory(args.input), args.samples)
-    certificate = certify_no_disentangling(sampled, rank_tol=args.rank_tol)
-    params = {"samples": args.samples, "rank_tol": args.rank_tol}
-    _emit_json(
-        _report(
-            "certify",
-            _input_digest(args, "input"),
-            params,
-            certificate.to_dict(),
-            t0,
-        ),
-        args.output,
-    )
-    return EXIT_OK
+    return certify_no_disentangling(sampled, rank_tol=args.rank_tol).to_dict()
 
 
-def cmd_construct(args) -> int:
-    t0 = time.monotonic()
+def cmd_construct(args) -> dict:
     traj = load_trajectory(args.input)
     if not isinstance(traj, TrigTrajectory):
         raise UnsupportedForm("the constructive solver takes a trigonometric trajectory")
-    config = ConstructConfig(verify_tol=args.tol)
-    result = construct_disentangler(traj, config)
+    result = construct_disentangler(traj, ConstructConfig(verify_tol=args.tol))
     results = {
         "status": "found" if result.found else "not_found",
         "message": result.message,
@@ -196,46 +137,31 @@ def cmd_construct(args) -> int:
             results["roots"] = {k: _vector_out([v])[0] for k, v in result.pairing.roots.items()}
             results["assignment"] = list(result.pairing.assignment)
             results["pairing"] = [list(p) for p in result.pairing.pairing]
-    params = {"tol": args.tol}
-    _emit_json(
-        _report("construct", _input_digest(args, "input"), params, results, t0),
-        args.output,
-    )
-    return EXIT_OK
+    return results
 
 
-def cmd_hamiltonian(args) -> int:
-    t0 = time.monotonic()
+def cmd_hamiltonian(args) -> dict:
     matrix, dims = load_matrix_document(args.input)
     if args.dims is not None and tuple(args.dims) != (dims.n1, dims.n2):
         raise DimensionMismatch(
             f"--dims {tuple(args.dims)} contradicts the file's dims ({dims.n1},{dims.n2})"
         )
-    tps = _load_tps_arg(args.tps, dims)
-    rebased = rebase_operator(tps, matrix)
+    args.dims = [dims.n1, dims.n2]  # the report records the dims the file declares
+    rebased = rebase_operator(_load_tps_arg(args.tps, dims), matrix)
     decomposition = separable_projection(rebased, dims)
-    gradient = stationarity_gradient(rebased, dims)
-    results = {
+    return {
         "h1": _matrix_out(decomposition.h1),
         "h2": _matrix_out(decomposition.h2),
         "trace_part": decomposition.trace_part,
         "interaction_norm": decomposition.interaction_norm,
-        "stationarity_gradient": gradient,
+        "stationarity_gradient": stationarity_gradient(rebased, dims),
     }
-    params = {"tps": args.tps, "dims": [dims.n1, dims.n2]}
-    _emit_json(
-        _report("hamiltonian", _input_digest(args, "input", "tps"), params, results, t0),
-        args.output,
-    )
-    return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    t0 = time.monotonic()
+def cmd_optimize(args) -> dict:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    sampled = _as_sampled(load_trajectory(args.input), args.samples)
-    result = optimize_tps(sampled, config)
-    results = {
+    result = optimize_tps(_as_sampled(load_trajectory(args.input), args.samples), config)
+    return {
         "objective": result.objective,
         "restart_index": result.restart_index,
         "basis_change": _matrix_out(result.best_tps.basis_change),
@@ -249,12 +175,6 @@ def cmd_optimize(args) -> int:
             for s in result.restarts
         ],
     }
-    params = {"seed": args.seed, "restarts": args.restarts, "samples": args.samples}
-    _emit_json(
-        _report("optimize", _input_digest(args, "input"), params, results, t0),
-        args.output,
-    )
-    return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
@@ -264,6 +184,42 @@ def cmd_reproduce(args) -> int:
         return EXIT_OK
     ok = reproduce.run_all()
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def report(args) -> None:
+    """Run the subcommand's handler and write its report to --output or stdout.
+
+    A handler returning text (CSV) is written as is.  Otherwise its dict is
+    the `results` of a JSON report whose `parameters` are every parsed option
+    but --input and --output, so a rerun with them reproduces `results`.
+    """
+    t0 = time.monotonic()
+    results = args.handler(args)
+    text = results
+    if not isinstance(results, str):
+        inputs = {}
+        for name in ("input", "tps"):
+            path = getattr(args, name, "identity")
+            if path != "identity":
+                inputs[name] = {"path": path, "sha256": sha256(Path(path).read_bytes()).hexdigest()}
+        doc = {
+            "command": args.command,
+            "inputs": inputs,
+            "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+            "results": results,
+            "versions": {
+                "tpslab": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "python": sys.version.split()[0],
+            },
+            "wall_time_s": round(time.monotonic() - t0, 6),
+        }
+        text = json.dumps(doc, indent=1)
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        print(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the bundled reference checks")
     p.add_argument("--list", action="store_true", help="list checks without running")
-    p.set_defaults(handler=cmd_reproduce)
 
     return parser
 
@@ -320,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "reproduce":
+            return cmd_reproduce(args)
+        report(args)
+        return EXIT_OK
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

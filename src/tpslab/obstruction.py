@@ -42,13 +42,16 @@ class ProductGram:
     """L2 Gram matrix of the pairwise component products.
 
     `pair_index[p]` names the unordered component pair ((i, j), (k, l)) whose
-    product function f_p = a_{i,j} a_{k,l} sits at row/column p; products are
-    symmetric, so only p <= q pairs appear, nm(nm+1)/2 of them in total.
+    product function f_p sits at row/column p; products are symmetric, so
+    only p <= q pairs appear, nm(nm+1)/2 of them in total.  Products of two
+    distinct components carry a factor sqrt(2): the f_p are then the
+    coordinates of psi(t) (x) psi(t) in an orthonormal basis of Sym^2, a
+    basis change U acts on them by the unitary Sym^2(U), and the spectrum of
+    the Gram matrix does not depend on the reference basis.
     """
 
     pair_index: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     gram: np.ndarray
-    quadrature_nodes: int
 
     @property
     def size(self) -> int:
@@ -56,33 +59,28 @@ class ProductGram:
 
 
 def component_pairs(dims) -> tuple:
-    pairs = []
-    for p in range(dims.n):
-        for q in range(p, dims.n):
-            pairs.append((dims.pair_index(p), dims.pair_index(q)))
-    return tuple(pairs)
+    return tuple(
+        (dims.pair_index(int(p)), dims.pair_index(int(q))) for p, q in zip(*np.triu_indices(dims.n))
+    )
+
+
+def _trapezoid_gram(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Hermitian L2 Gram matrix of sampled functions, one per row."""
+    gram = (rows * trapezoid_weights(times)) @ rows.conj().T
+    return (gram + gram.conj().T) / 2  # enforce exact Hermiticity
 
 
 def build_product_gram(traj: SampledTrajectory) -> ProductGram:
     """Assemble G[p, q] = integral of f_p conj(f_q) dt by trapezoid quadrature."""
-    n = traj.dims.n
-    n_pairs = n * (n + 1) // 2
-    if len(traj) < OVERSAMPLING_FACTOR * n_pairs:
+    p, q = np.triu_indices(traj.dims.n)
+    if len(traj) < OVERSAMPLING_FACTOR * p.size:
         raise TooFewSamples(
-            f"need at least {OVERSAMPLING_FACTOR * n_pairs} samples for a "
-            f"{n_pairs}-pair Gram matrix, got {len(traj)}"
+            f"need at least {OVERSAMPLING_FACTOR * p.size} samples for a "
+            f"{p.size}-pair Gram matrix, got {len(traj)}"
         )
     a = traj.states.T  # (n, K) component samples
-    rows = np.empty((n_pairs, len(traj)), dtype=complex)
-    r = 0
-    for p in range(n):
-        for q in range(p, n):
-            rows[r] = a[p] * a[q]
-            r += 1
-    w = trapezoid_weights(traj.times)
-    gram = (rows * w) @ rows.conj().T
-    gram = (gram + gram.conj().T) / 2  # enforce exact Hermiticity
-    return ProductGram(component_pairs(traj.dims), gram, len(traj))
+    rows = np.where(p == q, 1.0, np.sqrt(2.0))[:, None] * a[p] * a[q]
+    return ProductGram(component_pairs(traj.dims), _trapezoid_gram(rows, traj.times))
 
 
 @dataclass(frozen=True)
@@ -120,11 +118,7 @@ def _numerical_rank(eigs: np.ndarray, rank_tol: float) -> int:
 
 def trajectory_span_dimension(traj: SampledTrajectory, rank_tol: float) -> int:
     """Numerical dimension of span{psi(t)} via the component Gram matrix."""
-    w = trapezoid_weights(traj.times)
-    a = traj.states.T
-    gram = (a * w) @ a.conj().T
-    gram = (gram + gram.conj().T) / 2
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(_trapezoid_gram(traj.states.T, traj.times))
     return _numerical_rank(eigs, rank_tol)
 
 

@@ -140,23 +140,21 @@ class _Objective:
         """Squared distances z_t = 2 - 2 sigma_1 and their theta-gradients,
         shapes (T,) and (T, n^2), with no SVD.
 
-        w is the top eigenvector of the smaller Gram matrix M M^dag (M
-        transposed if taller than wide) and h = w^dag M, so sigma_1 = |h|
-        and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full precision near
-        product states.  The gradient on U is -2 y_t psi_t^dag, y_t = w h / sigma_1.
+        w is the top eigenvector of the Gram matrix M M^dag and h = w^dag M,
+        so sigma_1 = |h| and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full
+        precision near product states.  The gradient on U is -2 y_t psi_t^dag,
+        y_t = w h / sigma_1.
         """
         memo = self._frechet(theta)
         if "z" not in memo:
-            flip = self.dims.n1 > self.dims.n2
             m = self._coefficients(memo["u"])
-            m = m.swapaxes(1, 2) if flip else m
             w = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
             h = np.einsum("ti,tij->tj", w.conj(), m)
             sigma1 = np.linalg.norm(h, axis=1)
             wh = w[:, :, None] * h[:, None, :]
             r = m - wh
             tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
-            y = (wh.swapaxes(1, 2) if flip else wh).reshape(len(wh), -1) / sigma1[:, None]
+            y = wh.reshape(len(wh), -1) / sigma1[:, None]
             # rows conj(y_t) (x) psi_t against the flattened dU_d
             rows = (y.conj()[:, :, None] * self.states[:, None, :]).reshape(len(y), -1)
             memo["z"] = (2.0 * tail / (1.0 + sigma1), -2.0 * (rows @ memo["d_u"].T).real)

@@ -92,24 +92,31 @@ def test_certify_verdicts(files, tmp_path):
 
 
 def test_certify_report_is_rerunnable(files, tmp_path):
+    # every JSON report, not only certify's: the flags rebuilt from
+    # `parameters` reproduce `results`
+    cases = [
+        ("certify", "cnot", [], {"samples", "rank_tol"}),
+        ("profile", "cnot", ["--tps", files["disentangler"]], {"tps", "samples", "format"}),
+        ("construct", "cnot", [], {"tol"}),
+        ("hamiltonian", "h_cnot", ["--tps", files["disentangler"]], {"tps", "dims"}),
+        ("optimize", "lowdim", ["--restarts", "2", "--samples", "60"],
+         {"seed", "restarts", "samples"}),
+    ]
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["certify", "--input", files["cnot"], "--output", str(first)]) == 0
-    params = read(first)["parameters"]
-    code = run(
-        [
-            "certify",
-            "--input",
-            files["cnot"],
-            "--samples",
-            str(params["samples"]),
-            "--rank-tol",
-            str(params["rank_tol"]),
-            "--output",
-            str(second),
+    for command, name, flags, options in cases:
+        head = [command, "--input", files[name]]
+        assert run(head + flags + ["--output", str(first)]) == 0
+        report = read(first)
+        assert list(report) == [
+            "command", "inputs", "parameters", "results", "versions", "wall_time_s"
         ]
-    )
-    assert code == 0
-    assert read(first)["results"] == read(second)["results"]
+        assert set(report["parameters"]) == options
+        rebuilt = []
+        for key, value in report["parameters"].items():
+            values = value if isinstance(value, list) else [value]
+            rebuilt += ["--" + key.replace("_", "-")] + [str(v) for v in values]
+        assert run(head + rebuilt + ["--output", str(second)]) == 0
+        assert read(second)["results"] == report["results"], command
 
 
 @pytest.mark.parametrize("rank_tol", ["0", "-1", "nan"])

@@ -3,6 +3,7 @@ import pytest
 
 from tpslab import fixtures
 from tpslab.errors import TooFewSamples
+from tpslab.linalg import haar_unitary
 from tpslab.obstruction import (
     Verdict,
     build_product_gram,
@@ -42,9 +43,24 @@ def test_gram_constant_state_single_entry():
 
 
 def test_gram_sidon_is_scaled_identity():
+    # the sqrt(2) on products of distinct components doubles their norm
     sampled = sample_trig(fixtures.sidon_trajectory(), 400)
-    gram = build_product_gram(sampled).gram
-    assert np.abs(gram - (2 * np.pi / 16) * np.eye(10)).max() < 1e-12
+    product_gram = build_product_gram(sampled)
+    scale = [1.0 if p == q else 2.0 for p, q in product_gram.pair_index]
+    assert np.abs(product_gram.gram - (2 * np.pi / 16) * np.diag(scale)).max() < 1e-12
+
+
+@pytest.mark.parametrize("factory", [fixtures.sidon_trajectory, fixtures.cnot_trajectory])
+def test_gram_spectrum_is_independent_of_reference_basis(factory):
+    # products in orthonormal Sym^2 coordinates: a basis change acts unitarily
+    sampled = sample_trig(factory(), 400)
+    eigs = np.linalg.eigvalsh(build_product_gram(sampled).gram)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = haar_unitary(sampled.dims.n, rng)
+        rotated = SampledTrajectory(sampled.dims, sampled.times, sampled.states @ u.T)
+        moved = np.linalg.eigvalsh(build_product_gram(rotated).gram)
+        assert np.abs(moved - eigs).max() <= 1e-12 * eigs.max()
 
 
 def test_gram_too_few_samples():
