@@ -135,7 +135,8 @@ def certify_no_disentangling(
     dependencies); anything else is inconclusive.
     """
     gram = build_product_gram(traj)
-    eigs = np.linalg.eigvalsh(gram.gram)
+    # the Gram is positive semidefinite: its zero eigenvalues come back as signed rounding
+    eigs = np.maximum(np.linalg.eigvalsh(gram.gram), 0.0)
     rank = _numerical_rank(eigs, rank_tol)
     full = gram.size
     span_dim = trajectory_span_dimension(traj, rank_tol)

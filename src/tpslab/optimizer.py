@@ -12,10 +12,10 @@ Each restart performs two stages:
    matrices, scaled by 1/sqrt(T), which all vanish exactly when U
    disentangles every sample.  Minor k is the quadratic form x_t^T E_k x_t in
    x_t = U psi_t (E_k from `minor_forms`), so it is smooth everywhere and
-   needs no SVD.  It is solved by trust-region least squares with the exact
-   Jacobian and an iterative (lsmr) subproblem solver: the Jacobian has
-   near-null directions along local unitaries, and an exact Gauss-Newton
-   step moves along them by amounts set by rounding;
+   needs no SVD.  It is solved by Levenberg-Marquardt with the exact
+   Jacobian and one eigh of J^T J per accepted step: the Jacobian has
+   near-null directions along local unitaries, and the damping keeps steps
+   off them, where a Gauss-Newton step would move by amounts set by rounding;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
    z_t the cancellation-free squared product distance, solved by SLSQP with
    the per-sample gradients of z_t as the constraint Jacobian.  SLSQP is not
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import minimize
 
 from .core import TPSpec
 from .entanglement import coefficient_minors, entanglement_profile, minor_forms
@@ -49,6 +49,7 @@ from .trajectory import SampledTrajectory
 
 
 MINORS_MAX_NFEV = 100  # evaluation cap of the least-squares stage per restart
+MINORS_TOL = 3e-16  # its gradient, step and relative cost-decrease tolerance
 EPIGRAPH_MAXITER = 100  # SLSQP iteration cap of the minimax stage
 EPIGRAPH_FTOL = 1e-15
 
@@ -161,6 +162,42 @@ class _Objective:
         return memo["z"]
 
 
+def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
+    """Minimize |fun(x)|^2 by Levenberg-Marquardt with Nielsen's damping update
+    (Madsen, Nielsen & Tingleff 2004).  Returns the last accepted x, the start
+    and final |fun|^2 and the fun call count; jac is asked only at the point
+    fun last evaluated, and each trial damping costs one solve and one fun."""
+    r = fun(x)
+    start = cost = float(r @ r)
+    nfev, mu, nu = 1, None, 2.0
+    while nfev < max_nfev:
+        j = jac(x)
+        g = j.T @ r
+        if np.abs(g).max() <= MINORS_TOL:
+            break
+        lam, v = np.linalg.eigh(j.T @ j)
+        mu = 1e-3 * lam[-1] if mu is None else mu
+        while nfev < max_nfev:
+            h = -v @ ((v.T @ g) / (lam + mu))
+            x_new = x + h
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = float(r_new @ r_new)
+            rho = (cost - cost_new) / (h @ (mu * h - g))  # against the model's full decrease
+            if rho > 0:
+                break
+            mu, nu = mu * nu, 2.0 * nu
+        else:
+            break
+        small_step = np.linalg.norm(h) <= MINORS_TOL * (MINORS_TOL + np.linalg.norm(x))
+        small_decrease = cost - cost_new <= MINORS_TOL * cost
+        x, r, cost = x_new, r_new, cost_new
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        if small_step or small_decrease:
+            break
+    return x, start, cost, nfev
+
+
 def _polish(obj: _Objective, theta: np.ndarray):
     """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SLSQP.
 
@@ -216,27 +253,15 @@ def optimize_tps(
             rng = np.random.default_rng([config.seed, r])
             theta = rng.normal(scale=np.pi / 4, size=n_params)
 
-        start_val = float(np.sum(obj.minors(theta) ** 2))
-        res = least_squares(
-            obj.minors,
-            theta,
-            jac=obj.minors_jacobian,
-            method="trf",
-            # near-null directions along local unitaries: exact GN steps move along them by rounding
-            tr_solver="lsmr",
-            xtol=3e-16,
-            ftol=3e-16,
-            gtol=3e-16,
-            max_nfev=MINORS_MAX_NFEV,
+        theta, *trace, nfev = _levenberg_marquardt(
+            obj.minors, obj.minors_jacobian, theta, MINORS_MAX_NFEV
         )
-        theta = res.x
-        trace = (start_val, 2.0 * float(res.cost))
 
         theta, polish_trace = _polish(obj, theta)
         objective = float(np.sqrt(polish_trace[-1]))
-        summaries.append(RestartSummary(r, objective, trace[-1], int(res.nfev)))
+        summaries.append(RestartSummary(r, objective, trace[-1], nfev))
         if best is None or objective < best[0]:
-            best = (objective, r, theta.copy(), trace, tuple(polish_trace))
+            best = (objective, r, theta.copy(), tuple(trace), tuple(polish_trace))
 
     _, r_best, theta_best, trace_best, polish_best = best
     u = nearest_unitary(obj.unitary(theta_best))

@@ -133,6 +133,14 @@ def test_certificate_diagnostics():
     assert cert.gram_eigenvalues.min() > -1e-10
 
 
+def test_rank_deficient_gram_reports_no_negative_eigenvalue():
+    # the five zero eigenvalues of C-NOT's positive semidefinite Gram are rounding
+    cert = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 200))
+    assert cert.numerical_rank == 5
+    assert cert.min_max_eig_ratio >= 0
+    assert np.all(cert.gram_eigenvalues >= 0)
+
+
 def test_span_dimension_of_constant_state():
     states = np.tile(np.array([1, 0, 0, 0], dtype=complex), (80, 1))
     sampled = SampledTrajectory(QBITS, np.linspace(0, 1, 80), states)

@@ -34,6 +34,11 @@ def test_identity_start_disentangles_on_its_own(cnot_result):
     assert result.restarts[0].objective < 1e-10
 
 
+def test_every_restart_disentangles_on_its_own(cnot_result):
+    _, result = cnot_result
+    assert all(s.objective < 1e-11 for s in result.restarts)
+
+
 def test_objective_matches_profile_reevaluation(cnot_result):
     sampled, result = cnot_result
     profile = entanglement_profile(sampled, result.best_tps)
@@ -74,6 +79,57 @@ def test_restart_summaries_cover_all_restarts(cnot_result):
     assert [s.index for s in result.restarts] == list(range(6))
     winner = result.restarts[result.restart_index]
     assert winner.objective == min(s.objective for s in result.restarts)
+
+
+def _recorded_levenberg_marquardt(objective, theta):
+    """Run the least-squares stage on the minors, logging each fun and jac point."""
+    calls = []
+
+    def fun(x):
+        calls.append(("fun", x.copy()))
+        return objective.minors(x)
+
+    def jac(x):
+        calls.append(("jac", x.copy()))
+        return objective.minors_jacobian(x)
+
+    return optimizer._levenberg_marquardt(fun, jac, theta, optimizer.MINORS_MAX_NFEV), calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "factory", [fixtures.cnot_trajectory, fixtures.sidon_trajectory], ids=["cnot", "sidon"]
+)
+def test_levenberg_marquardt_contract(factory, seed):
+    objective = _Objective(sample_trig(factory(), 100))
+    theta = np.random.default_rng(seed).normal(scale=np.pi / 4, size=16)
+    (x, start, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    assert abs(start - np.sum(objective.minors(theta) ** 2)) <= 1e-12 * start
+    assert abs(cost - np.sum(objective.minors(x) ** 2)) <= 1e-12 * cost
+    assert cost <= start
+    assert nfev == sum(kind == "fun" for kind, _ in calls) <= optimizer.MINORS_MAX_NFEV
+    last_fun = None
+    for kind, point in calls:
+        if kind == "fun":
+            last_fun = point
+        else:
+            assert np.array_equal(point, last_fun)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_levenberg_marquardt_stops_at_a_zero_residual_start(n1, n2):
+    # U = 1 disentangles a planted product trajectory, so the minors vanish to rounding
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(40, k)) + 1j * rng.normal(size=(40, k)) for k in (n1, n2))
+    products = np.einsum("ti,tj->tij", a, b).reshape(40, dims.n)
+    products /= np.linalg.norm(products, axis=1)[:, None]
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 40), products))
+    theta = np.zeros(dims.n**2)
+    (x, start, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    assert nfev == 1 and [kind for kind, _ in calls] == ["fun", "jac"]
+    assert np.array_equal(x, theta)
+    assert cost == start < 1e-30
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
