@@ -55,6 +55,7 @@ from .hamiltonian import (
     separable_projection,
     stationarity_gradient,
 )
+from .linalg import pin_blas_threads
 from .obstruction import DEFAULT_RANK_TOL, certify_no_disentangling
 from .optimizer import OptimizerConfig, optimize_tps
 from .trajectory import (
@@ -274,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_threads()  # the work is small products, which BLAS threads slow down
     try:
         if args.command == "reproduce":
             return cmd_reproduce(args)

@@ -14,6 +14,7 @@ helpers call the same functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,16 +89,24 @@ def _distances(spectra: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * tail / (1.0 + spectra[..., 0]))
 
 
+@lru_cache(maxsize=None)
+def _minor_indices(n1: int, n2: int) -> np.ndarray:
+    """Flat indices (ij, kl, il, kj) of every minor m_ij m_kl - m_il m_kj, (4, K)."""
+    i, k = (a[:, None] for a in np.triu_indices(n1, 1))
+    j, l = np.triu_indices(n2, 1)
+    flat = np.stack([np.ravel(a * n2 + b) for a, b in ((i, j), (k, l), (i, l), (k, j))])
+    flat.setflags(write=False)  # shared by every caller
+    return flat
+
+
 def coefficient_minors(m: np.ndarray) -> np.ndarray:
     """All 2x2 minors of a coefficient matrix, or of a stack of them.
 
     Shape (..., n1, n2) -> (..., C(n1, 2) * C(n2, 2)), row pairs outermost.
     """
-    n1, n2 = m.shape[-2:]
-    i, k = (a[:, None] for a in np.triu_indices(n1, 1))
-    j, l = np.triu_indices(n2, 1)
-    out = m[..., i, j] * m[..., k, l] - m[..., i, l] * m[..., k, j]
-    return out.reshape(*m.shape[:-2], -1)
+    ij, kl, il, kj = _minor_indices(*m.shape[-2:])
+    x = m.reshape(*m.shape[:-2], -1)
+    return x[..., ij] * x[..., kl] - x[..., il] * x[..., kj]
 
 
 def minor_forms(n1: int, n2: int) -> np.ndarray:
@@ -106,14 +115,27 @@ def minor_forms(n1: int, n2: int) -> np.ndarray:
     Shape (C(n1, 2) * C(n2, 2), n1 * n2, n1 * n2), in the layout of
     `coefficient_minors`.
     """
-    i, k = (a[:, None] for a in np.triu_indices(n1, 1))
-    j, l = np.triu_indices(n2, 1)
-    ij, kl, il, kj = (np.ravel(a * n2 + b) for a, b in ((i, j), (k, l), (i, l), (k, j)))
+    ij, kl, il, kj = _minor_indices(n1, n2)
     forms = np.zeros((len(ij), n1 * n2, n1 * n2))
     rows = np.arange(len(ij))
     forms[rows, ij, kl] = forms[rows, kl, ij] = 0.5
     forms[rows, il, kj] = forms[rows, kj, il] = -0.5
     return forms
+
+
+def gram_top_vectors(m: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of each Gram matrix M M^dag of a stack (T, n1, n2); for
+    n1 = 2 closed form and cancellation-free: with G = [[a, b], [conj(b), c]] and
+    s = |a - c|/2 + hypot((a - c)/2, |b|), (s, conj(b)) if a >= c, else (b, s)."""
+    if m.shape[1] != 2:
+        return np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
+    a, c = np.sum(m.real**2 + m.imag**2, axis=2).T
+    b = np.sum(m[:, 0] * m[:, 1].conj(), axis=1)
+    s = 0.5 * np.abs(a - c) + np.hypot(0.5 * (a - c), np.abs(b))
+    w = np.where((a >= c)[:, None], np.stack([s, b.conj()], 1), np.stack([b, s], 1))
+    norm = np.hypot(s, np.abs(b))  # sqrt(s^2 + |b|^2) would underflow at |b| ~ 1e-300
+    w[norm == 0, 0], norm[norm == 0] = 1.0, 1.0  # G = aI: any unit vector, take e_0
+    return w / norm[:, None]
 
 
 def schmidt_values(psi: StateVector) -> np.ndarray:

@@ -6,7 +6,30 @@ no attempt is made at sparse or structured representations.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
+import scipy
+
+
+def _bundled_openblas(name: str):
+    """`scipy_openblas_<name>` of each OpenBLAS bundled with numpy and scipy that has it."""
+    for package, pattern, suffix in (
+        (np, "libscipy_openblas64_*.so", "64_"), (scipy, "libscipy_openblas-*.so", "")
+    ):
+        for path in (Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob(pattern):
+            if function := getattr(ctypes.CDLL(str(path)), f"scipy_openblas_{name}{suffix}", None):
+                yield function
+
+
+def pin_blas_threads() -> None:
+    """Pin the bundled OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set."""
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        for set_threads in _bundled_openblas("set_num_threads"):
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
 
 
 def frozen_complex(a, shape=None) -> np.ndarray:
@@ -53,12 +76,10 @@ def anti_hermitian_basis(n: int) -> np.ndarray:
     diag = np.arange(n)
     basis[diag, diag, diag] = 1j
     r = 1.0 / np.sqrt(2)
-    d = n
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis[d, k, l], basis[d, l, k] = r, -r
-            basis[d + 1, k, l] = basis[d + 1, l, k] = 1j * r
-            d += 2
+    k, l = np.triu_indices(n, 1)
+    re = n + 2 * np.arange(len(k))
+    basis[re, k, l], basis[re, l, k] = r, -r
+    basis[re + 1, k, l] = basis[re + 1, l, k] = 1j * r
     return basis
 
 

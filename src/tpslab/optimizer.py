@@ -1,38 +1,32 @@
 """Numerical search for the TPS minimizing worst-case distance to product states.
 
-The search runs over the full unitary group, parameterized as U = exp(A) with
-A anti-Hermitian (n^2 real parameters).  The group is deliberately *not*
-quotiented by local unitaries: the redundancy (dimension n1^2 + n2^2 - 1) is
-harmless for descent and repeated equivalent minima are expected.
-
-Each restart performs two stages:
+The search runs over the full unitary group, U = exp(A) with A anti-Hermitian
+(n^2 real parameters), deliberately not quotiented by local unitaries: the
+redundancy (dimension n1^2 + n2^2 - 1) is harmless for descent.  Each restart
+performs two stages:
 
 1. a least-squares stage on the paper's disentangling criterion: the real and
-   imaginary parts of every 2x2 minor m_k(t) of the rebased coefficient
-   matrices, scaled by 1/sqrt(T), which all vanish exactly when U
-   disentangles every sample.  Minor k is the quadratic form x_t^T E_k x_t in
-   x_t = U psi_t (E_k from `minor_forms`), so it is smooth everywhere and
-   needs no SVD.  It is solved by Levenberg-Marquardt with the exact
-   Jacobian and one eigh of J^T J per accepted step: the Jacobian has
-   near-null directions along local unitaries, and the damping keeps steps
-   off them, where a Gauss-Newton step would move by amounts set by rounding;
+   imaginary parts of every 2x2 minor m_k(t) = x_t^T E_k x_t of the rebased
+   coefficients x_t = U psi_t (E_k from `minor_forms`), scaled by 1/sqrt(T),
+   which all vanish exactly when U disentangles every sample.  It is solved by
+   Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
+   accepted step: the damping keeps steps off the Jacobian's near-null
+   directions along local unitaries, where a Gauss-Newton step would move by
+   amounts set by rounding;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
-   z_t the cancellation-free squared product distance, solved by SLSQP with
-   the per-sample gradients of z_t as the constraint Jacobian.  SLSQP is not
-   monotone, so the stage keeps the best max_t z_t it has seen and never ends
-   above its start.
+   z_t the cancellation-free squared product distance, solved by SLSQP.  SLSQP
+   is not monotone, so the stage keeps the best max_t z_t it has seen.
 
-The reported objective is always the hard maximum of the chordal product
-distance on the full sample grid, recomputed through `entanglement_profile`;
-each restart's summary objective is the same cancellation-free distance at
-its minimax point.  Derivatives are exact (first-order perturbation of
-sigma_1 + the Daleckii-Krein formula for the derivative of exp) and are
-checked against central finite differences in the test suite.  No evaluation
-runs an SVD: each distinct theta costs one eigh, which gives U = exp(A) and
-its n^2 directional derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along
-the basis directions B_d.  They are kept for the last theta, so a Jacobian
-at the point just evaluated reuses them, and both the minors' Jacobian and
-the gradients of z_t are one gemm against the flattened dU_d.
+The reported objective is the hard maximum of the chordal product distance on
+the sample grid, recomputed through `entanglement_profile`; each restart's
+summary objective is the same distance at its minimax point.  Derivatives are
+exact (first-order perturbation of sigma_1, the Daleckii-Krein formula for
+exp) and checked against finite differences in the tests.  No evaluation runs
+an SVD.  A distinct theta costs one n x n eigh, giving U and, by two n^2 x n^2
+products, its derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
+B_d; z_t adds a batched eigh of the Gram matrices M M^dag only when n1 >= 3,
+as their top eigenvectors are closed form for n1 = 2.  The dU_d are kept for
+the last theta, and both Jacobians are one gemm against them.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import TPSpec
-from .entanglement import coefficient_minors, entanglement_profile, minor_forms
+from .entanglement import coefficient_minors, entanglement_profile, gram_top_vectors, minor_forms
 from .linalg import anti_hermitian_basis, expm_frechet, nearest_unitary
 from .trajectory import SampledTrajectory
 
@@ -93,29 +87,30 @@ class _Objective:
         self.states = traj.states  # (T, n)
         self.n = traj.dims.n
         self.basis = anti_hermitian_basis(self.n)  # (n^2, n, n)
+        self._basis_flat = self.basis.reshape(self.n**2, -1)
         self._forms = minor_forms(traj.dims.n1, traj.dims.n2)  # (K, n, n)
         self._scale = 1.0 / np.sqrt(len(self.states))  # residuals are minors / sqrt(T)
         self._memo = {}  # the last theta's bytes, u, d_u and, once asked for, z
 
     def _theta_to_a(self, theta: np.ndarray) -> np.ndarray:
-        return np.tensordot(theta, self.basis, axes=1)
+        return (theta @ self._basis_flat).reshape(self.n, self.n)
 
     def _frechet(self, theta: np.ndarray) -> dict:
-        """The memo of theta: u = exp(A) and its directional derivatives d_u
-        along the basis, flattened to (n^2, n * n), from one eigh."""
+        """The memo of theta: u = exp(A) from one eigh, and d_u, its derivatives along
+        the basis, flattened: W^dag B W = B P, W X W^dag = X P^dag, P = kron(conj(W), W)."""
         key = theta.tobytes()
         if self._memo.get("key") != key:
-            u, wexp, phi = expm_frechet(self._theta_to_a(theta))
-            d_u = wexp @ (phi * (wexp.conj().T @ self.basis @ wexp)) @ wexp.conj().T
-            self._memo = {"key": key, "u": u, "d_u": d_u.reshape(len(self.basis), -1)}
+            u, w, phi = expm_frechet(self._theta_to_a(theta))
+            p = (w.conj()[:, None, :, None] * w[None, :, None, :]).reshape(self.n**2, -1)
+            d_u = ((self._basis_flat @ p) * phi.ravel()) @ p.conj().T
+            self._memo = {"key": key, "u": u, "d_u": d_u}
         return self._memo
 
     def unitary(self, theta: np.ndarray) -> np.ndarray:
         return self._frechet(theta)["u"]
 
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
-        rebased = self.states @ u.T  # (T, n)
-        return rebased.reshape(-1, self.dims.n1, self.dims.n2)
+        return (self.states @ u.T).reshape(-1, self.dims.n1, self.dims.n2)
 
     def minors(self, theta: np.ndarray) -> np.ndarray:
         """Real, then imaginary parts of every 2x2 coefficient minor of
@@ -133,7 +128,7 @@ class _Objective:
         # x_t^T E_k is (E_k x_t)^T, as E_k is symmetric
         ex = (self.states @ memo["u"].T @ self._forms).swapaxes(0, 1)
         # rows 2 E_k x_t (x) psi_t, one per (t, k), against the flattened dU_d
-        g = 2.0 * np.einsum("tka,tb->tkab", ex, self.states).reshape(-1, self.n**2)
+        g = 2.0 * (ex[:, :, :, None] * self.states[:, None, None, :]).reshape(-1, self.n**2)
         jac = g @ memo["d_u"].T
         return self._scale * np.concatenate([jac.real, jac.imag])
 
@@ -149,7 +144,7 @@ class _Objective:
         memo = self._frechet(theta)
         if "z" not in memo:
             m = self._coefficients(memo["u"])
-            w = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
+            w = gram_top_vectors(m)
             h = np.einsum("ti,tij->tj", w.conj(), m)
             sigma1 = np.linalg.norm(h, axis=1)
             wh = w[:, :, None] * h[:, None, :]

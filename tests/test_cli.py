@@ -312,3 +312,36 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "cnot-disentangling" in proc.stdout
+
+
+_BLAS_THREADS = """
+import ctypes, json
+from tpslab import cli, linalg
+
+def counts():
+    getters = list(linalg._bundled_openblas("get_num_threads"))
+    for get in getters:
+        get.argtypes, get.restype = [], ctypes.c_int
+    return [get() for get in getters]
+
+before = counts()
+cli.main(["reproduce", "--list"])
+print(json.dumps([before, counts()]))
+"""
+
+
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "set"])
+def test_main_pins_bundled_blas_to_one_thread_unless_set(setting):
+    src = str(Path(tpslab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    if not before:
+        pytest.skip("no bundled OpenBLAS with thread-count symbols")
+    assert after == ([1] * len(before) if setting is None else before)

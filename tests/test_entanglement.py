@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from tpslab import fixtures
 from tpslab.core import HilbertDims, StateVector, TPSpec, rebase_state
 from tpslab.entanglement import (
+    _minor_indices,
     coefficient_minors,
     entanglement_entropy,
     entanglement_profile,
+    gram_top_vectors,
     is_product_state,
     max_minor_modulus,
     minor_forms,
@@ -232,6 +234,62 @@ def test_minor_forms_match_coefficient_minors(n1, n2):
     assert np.array_equal(forms, forms.swapaxes(1, 2))
     quadratic = np.einsum("ta,kab,tb->tk", states, forms, states)
     assert np.abs(quadratic - coefficient_minors(states.reshape(-1, n1, n2))).max() < 1e-15
+
+
+def test_minor_index_tables_are_shared_and_read_only():
+    tables = _minor_indices(2, 3)
+    assert _minor_indices(2, 3) is tables
+    ij, kl, il, kj = tables
+    assert not any(a.flags.writeable for a in (tables, ij, kl, il, kj))
+    with pytest.raises(ValueError):
+        ij[0] = 1
+
+
+def _eigh_top_vectors(m):
+    """Reference: the last eigenvector of a batched eigh of the Grams M M^dag."""
+    return np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
+
+
+def _top_pair_sq_distances(m, w):
+    """z = 2 |M - w h|^2 / (1 + |h|) with h = w^dag M, as the optimizer evaluates it."""
+    h = np.einsum("ti,tij->tj", w.conj(), m)
+    r = m - w[:, :, None] * h[:, None, :]
+    return 2.0 * np.sum(np.abs(r) ** 2, axis=(1, 2)) / (1.0 + np.linalg.norm(h, axis=1))
+
+
+def _phase_free_gap(w, ref):
+    """max_t | 1 - |<ref_t, w_t>| |: zero when the vectors agree up to a phase."""
+    return np.abs(1.0 - np.abs(np.sum(ref.conj() * w, axis=1))).max()
+
+
+@pytest.mark.parametrize("n2", [2, 3])
+def test_closed_form_qubit_top_vectors_match_eigh(n2):
+    rng = np.random.default_rng(40 + n2)
+    m = rng.normal(size=(500, 2, n2)) + 1j * rng.normal(size=(500, 2, n2))
+    m /= np.linalg.norm(m, axis=(1, 2))[:, None, None]
+    w, ref = gram_top_vectors(m), _eigh_top_vectors(m)
+    assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() <= 1e-15
+    assert _phase_free_gap(w, ref) <= 1e-14
+    assert np.abs(_top_pair_sq_distances(m, w) - _top_pair_sq_distances(m, ref)).max() <= 1e-15
+
+
+def test_closed_form_qubit_top_vectors_on_degenerate_grams():
+    m = np.array(
+        [
+            np.eye(2) / S2,  # G = I/2: every unit vector is a top eigenvector
+            np.diag([0.6, 0.8]),  # b = 0 with a < c
+            np.array([[1.0, 0.0], [1e-300, 1.0]]) / S2,  # |b| ~ 1e-300 with a = c
+            np.array([[0.6, 0.0], [1e-300, 0.8]]),  # |b| ~ 1e-300 with a < c
+        ],
+        dtype=complex,
+    )
+    w, ref = gram_top_vectors(m), _eigh_top_vectors(m)
+    assert np.array_equal(w[0], [1.0, 0.0])
+    # s^2 + |b|^2 underflows to 0 in the third case, hypot does not
+    assert np.abs(w[2] - np.array([1.0, 1.0]) / S2).max() <= 1e-16
+    assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() <= 1e-15
+    assert _phase_free_gap(w[[1, 3]], ref[[1, 3]]) <= 1e-15
+    assert np.abs(_top_pair_sq_distances(m, w) - _top_pair_sq_distances(m, ref)).max() <= 1e-15
 
 
 def test_rebased_coefficients_match_rebase_state():

@@ -218,7 +218,9 @@ def _loop_minors_jacobian(objective, theta):
     return a, np.array(cols).T
 
 
-@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
 def test_batched_chain_rule_matches_loop_reference(n1, n2):
     dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(4)
