@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Write one flat JSON snapshot of the benchmark workloads and the test suite.
+"""Write one flat JSON snapshot of the benchmark workloads, the tests and the optimizer layers.
 
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
-process, then the tier-1 test suite once, and writes their metric lines,
-with nproc, the git HEAD and the Python/numpy/scipy versions, to the file
-named on the command line.  The file has no gate: it is a record to set
-beside the snapshot of another commit.  Run it from a full checkout.
+process, then the tier-1 test suite once, then times the optimizer's layers
+in this process, and writes their metric lines, with nproc, the git HEAD and
+the Python/numpy/scipy versions, to the file named on the command line.  The
+file has no gate: it is a record to set beside the snapshot of another
+commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -22,6 +23,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("search-disentanglable", "search-obstructed", "analyze")
+LAYER_DIMS = ((2, 2), (2, 3))
+LAYER_SAMPLES = 200
+LAYER_THETAS = 16
+LAYER_REPEATS = 20
 
 
 def run(argv, env=None):
@@ -54,6 +59,73 @@ def tier1_metrics() -> dict:
     return flat
 
 
+def layer_metrics() -> dict:
+    """Per-theta medians, in microseconds, of the optimizer's layers.
+
+    Fixed seeded random states (T = LAYER_SAMPLES) and theta, BLAS pinned to
+    one thread as in `bench/run.py`.  `_frechet` (U from one eigh) and
+    `lm_step` (residuals, Jacobian, J^T r and the eigh of J^T J) start from an
+    empty memo; every other layer runs on its theta's full memo less its own
+    entries, so that each time is that layer's alone.  Next to the times: the
+    residual count and the largest relative gap between |residuals|^2 and
+    sum_{t,k} |m_k(t)|^2 / T from the raw minors.
+    """
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from tpslab.core import HilbertDims
+    from tpslab.entanglement import coefficient_minors
+    from tpslab.linalg import pin_blas_threads
+    from tpslab.optimizer import _Objective
+    from tpslab.trajectory import SampledTrajectory
+
+    pin_blas_threads()
+    flat = {}
+    for n1, n2 in LAYER_DIMS:
+        n, rng = n1 * n2, np.random.default_rng(0)
+        states = rng.normal(size=(LAYER_SAMPLES, n)) + 1j * rng.normal(size=(LAYER_SAMPLES, n))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        times = np.linspace(0, 1, LAYER_SAMPLES)
+        obj = _Objective(SampledTrajectory(HilbertDims(n1, n2), times, states))
+
+        def lm_step(theta):
+            r, j = obj.residuals(theta), obj.residual_jacobian(theta)
+            np.linalg.eigh(j.T @ j)
+            return j.T @ r
+
+        # layer -> (call, memo entries dropped before it; None drops them all)
+        layers = {
+            "_frechet": (obj._frechet, None),
+            "derivative_stack": (obj._derivatives, ("d_u",)),
+            "residuals": (obj.residuals, ()),
+            "residual_jacobian": (obj.residual_jacobian, ()),
+            "sq_distances": (obj.sq_distances, ("z", "y")),
+            "lm_step": (lm_step, None),
+        }
+        elapsed = {name: [] for name in layers}
+        gap = 0.0
+        for theta in rng.normal(scale=0.6, size=(LAYER_THETAS, n * n)):
+            obj.residual_jacobian(theta)
+            obj.sq_distances(theta)
+            full = dict(obj._memo)
+            for _ in range(LAYER_REPEATS):
+                for name, (call, drop) in layers.items():
+                    kept = {} if drop is None else {k: v for k, v in full.items() if k not in drop}
+                    obj._memo = kept
+                    start = time.perf_counter()
+                    call(theta)
+                    elapsed[name].append(time.perf_counter() - start)
+            r = obj.residuals(theta)
+            m = coefficient_minors(obj._coefficients(obj.unitary(theta)))
+            raw = np.sum(m.real**2 + m.imag**2) / LAYER_SAMPLES
+            gap = max(gap, abs(r @ r - raw) / raw)
+        key = f"layers.{n1}x{n2}"
+        flat.update({f"{key}.{name}_us": 1e6 * float(np.median(t)) for name, t in elapsed.items()})
+        flat[f"{key}.residuals.count"] = len(r)
+        flat[f"{key}.cost_rel_gap"] = gap
+    return flat
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -81,6 +153,7 @@ def main():
     for workload in WORKLOADS:
         snapshot.update(bench_metrics(workload, args.seed, args.seconds))
     snapshot.update(tier1_metrics())
+    snapshot.update(layer_metrics())
     Path(args.output).write_text(json.dumps(snapshot, indent=1) + "\n")
 
 

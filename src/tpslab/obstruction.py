@@ -70,16 +70,28 @@ def _trapezoid_gram(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2  # enforce exact Hermiticity
 
 
+def sym2_coordinates(n: int):
+    """Pairs p <= q of the orthonormal Sym^2(C^n) coordinates, in `component_pairs`
+    order, and their weights: 1 for p = q, sqrt(2) for p < q."""
+    p, q = np.triu_indices(n)
+    return p, q, np.where(p == q, 1.0, np.sqrt(2.0))
+
+
+def sym2_products(states: np.ndarray) -> np.ndarray:
+    """Sym^2 coordinates of psi_t (x) psi_t, one row per pair, shape (n(n+1)/2, T)."""
+    p, q, weights = sym2_coordinates(states.shape[1])
+    a = states.T  # (n, T) component samples
+    return weights[:, None] * a[p] * a[q]
+
+
 def build_product_gram(traj: SampledTrajectory) -> ProductGram:
     """Assemble G[p, q] = integral of f_p conj(f_q) dt by trapezoid quadrature."""
-    p, q = np.triu_indices(traj.dims.n)
-    if len(traj) < OVERSAMPLING_FACTOR * p.size:
+    rows = sym2_products(traj.states)
+    if len(traj) < OVERSAMPLING_FACTOR * len(rows):
         raise TooFewSamples(
-            f"need at least {OVERSAMPLING_FACTOR * p.size} samples for a "
-            f"{p.size}-pair Gram matrix, got {len(traj)}"
+            f"need at least {OVERSAMPLING_FACTOR * len(rows)} samples for a "
+            f"{len(rows)}-pair Gram matrix, got {len(traj)}"
         )
-    a = traj.states.T  # (n, K) component samples
-    rows = np.where(p == q, 1.0, np.sqrt(2.0))[:, None] * a[p] * a[q]
     return ProductGram(component_pairs(traj.dims), _trapezoid_gram(rows, traj.times))
 
 

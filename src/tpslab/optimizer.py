@@ -5,10 +5,15 @@ The search runs over the full unitary group, U = exp(A) with A anti-Hermitian
 redundancy (dimension n1^2 + n2^2 - 1) is harmless for descent.  Each restart
 performs two stages:
 
-1. a least-squares stage on the paper's disentangling criterion: the real and
-   imaginary parts of every 2x2 minor m_k(t) = x_t^T E_k x_t of the rebased
-   coefficients x_t = U psi_t (E_k from `minor_forms`), scaled by 1/sqrt(T),
-   which all vanish exactly when U disentangles every sample.  It is solved by
+1. a least-squares stage on the paper's disentangling criterion: every 2x2
+   minor m_k(t) = x_t^T E_k x_t of the rebased coefficients x_t = U psi_t (E_k
+   from `minor_forms`) vanishes exactly when U disentangles every sample.  The
+   minors are linear in the Sym^2 products of psi_t, m_tk = Phi_t . c_k(U) with
+   Phi the (T, n(n+1)/2) sample matrix of `obstruction.sym2_products` and c_k
+   the Sym^2 coordinates of U^T E_k U, so sum_{t,k} |m_k(t)|^2 / T = |R c|^2
+   with R the triangular factor of one QR of Phi / sqrt(T).  The residuals are
+   the real and imaginary parts of R c_k, 2 K min(T, n(n+1)/2) of them, and a
+   step costs the same for any sample count.  It is solved by
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
    accepted step: the damping keeps steps off the Jacobian's near-null
    directions along local unitaries, where a Gauss-Newton step would move by
@@ -22,11 +27,15 @@ the sample grid, recomputed through `entanglement_profile`; each restart's
 summary objective is the same distance at its minimax point.  Derivatives are
 exact (first-order perturbation of sigma_1, the Daleckii-Krein formula for
 exp) and checked against finite differences in the tests.  No evaluation runs
-an SVD.  A distinct theta costs one n x n eigh, giving U and, by two n^2 x n^2
-products, its derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
-B_d; z_t adds a batched eigh of the Gram matrices M M^dag only when n1 >= 3,
-as their top eigenvectors are closed form for n1 = 2.  The dU_d are kept for
-the last theta, and both Jacobians are one gemm against them.
+an SVD.  A distinct theta costs one n x n eigh, giving U; z_t adds a batched
+eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
+eigenvectors are closed form for n1 = 2.  Only a Jacobian builds, once per
+theta, the derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
+B_d by two n^2 x n^2 products, so rejected steps and line-search points pay
+for values only.  Both Jacobians are real, with one column per basis
+direction d, and each is one product against the flattened dU_d.  The
+least-squares one has the residuals' rows: real parts, then imaginary parts,
+each ordered by R's row, then by minor.  The minimax one has one row per sample.
 """
 
 from __future__ import annotations
@@ -37,8 +46,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import TPSpec
-from .entanglement import coefficient_minors, entanglement_profile, gram_top_vectors, minor_forms
+from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
 from .linalg import anti_hermitian_basis, expm_frechet, nearest_unitary
+from .obstruction import sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory
 
 
@@ -79,8 +89,8 @@ class OptimizationResult:
 
 
 class _Objective:
-    """Shared state for one trajectory: batched minors and Schmidt top pairs
-    on one derivative stack of exp(A), kept for the last theta."""
+    """Shared state for one trajectory: the QR-compressed minors and the Schmidt
+    top pairs, on one memo of exp(A) and, once asked for, its derivative stack."""
 
     def __init__(self, traj: SampledTrajectory):
         self.dims = traj.dims
@@ -89,22 +99,38 @@ class _Objective:
         self.basis = anti_hermitian_basis(self.n)  # (n^2, n, n)
         self._basis_flat = self.basis.reshape(self.n**2, -1)
         self._forms = minor_forms(traj.dims.n1, traj.dims.n2)  # (K, n, n)
-        self._scale = 1.0 / np.sqrt(len(self.states))  # residuals are minors / sqrt(T)
-        self._memo = {}  # the last theta's bytes, u, d_u and, once asked for, z
+        # the minors are Phi c with Phi = QR, so only R / sqrt(T) is kept, row j
+        # as the symmetric form H_j with <H_j, S> = (R c(S))_j
+        r = np.linalg.qr(sym2_products(self.states).T, mode="r") / np.sqrt(len(self.states))
+        p, q, weights = sym2_coordinates(self.n)
+        h = np.zeros((len(r), self.n, self.n), dtype=complex)
+        h[:, p, q] += 0.5 * weights * r
+        h[:, q, p] += 0.5 * weights * r
+        self._h = h.reshape(len(r), -1)  # (min(T, N), n^2)
+        self._2h_cols = 2.0 * h.transpose(1, 0, 2).reshape(self.n, -1)  # 2 H_j side by side
+        self._memo = {}  # the last theta's bytes, u, its eigh and, once asked for, d_u and z
 
     def _theta_to_a(self, theta: np.ndarray) -> np.ndarray:
         return (theta @ self._basis_flat).reshape(self.n, self.n)
 
     def _frechet(self, theta: np.ndarray) -> dict:
-        """The memo of theta: u = exp(A) from one eigh, and d_u, its derivatives along
-        the basis, flattened: W^dag B W = B P, W X W^dag = X P^dag, P = kron(conj(W), W)."""
+        """The memo of theta: u = exp(A) and the factors of its one eigh."""
         key = theta.tobytes()
         if self._memo.get("key") != key:
             u, w, phi = expm_frechet(self._theta_to_a(theta))
-            p = (w.conj()[:, None, :, None] * w[None, :, None, :]).reshape(self.n**2, -1)
-            d_u = ((self._basis_flat @ p) * phi.ravel()) @ p.conj().T
-            self._memo = {"key": key, "u": u, "d_u": d_u}
+            self._memo = {"key": key, "u": u, "w": w, "phi": phi}
         return self._memo
+
+    def _derivatives(self, theta: np.ndarray) -> np.ndarray:
+        """d_u, the derivatives of u along the basis, flattened, (n^2, n^2); built
+        once per theta, for a Jacobian only: W^dag B W = B P, W X W^dag = X P^dag,
+        P = kron(conj(W), W)."""
+        memo = self._frechet(theta)
+        if "d_u" not in memo:
+            w = memo["w"]
+            p = (w.conj()[:, None, :, None] * w[None, :, None, :]).reshape(self.n**2, -1)
+            memo["d_u"] = ((self._basis_flat @ p) * memo["phi"].ravel()) @ p.conj().T
+        return memo["d_u"]
 
     def unitary(self, theta: np.ndarray) -> np.ndarray:
         return self._frechet(theta)["u"]
@@ -112,34 +138,37 @@ class _Objective:
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
         return (self.states @ u.T).reshape(-1, self.dims.n1, self.dims.n2)
 
-    def minors(self, theta: np.ndarray) -> np.ndarray:
-        """Real, then imaginary parts of every 2x2 coefficient minor of
-        U psi_t, scaled by 1/sqrt(T), shape (2 * T * K,)."""
-        m = coefficient_minors(self._coefficients(self.unitary(theta))).ravel()
-        return self._scale * np.concatenate([m.real, m.imag])
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        """Real, then imaginary parts of R c_k(U), shape (2 * min(T, N) * K,).
 
-    def minors_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """d minors / d theta, shape (2 * T * K, n^2).
-
-        Minor k at sample t is x_t^T E_k x_t with x_t = U psi_t, so along
-        dU_d it moves by 2 (E_k x_t)^T dU_d psi_t / sqrt(T).
+        Minor k at sample t is x_t^T E_k x_t = psi_t^T S_k psi_t with S_k =
+        U^T E_k U, so it is Phi_t . c_k, c_k the Sym^2 coordinates of S_k, and
+        |R c|^2 = |Phi c|^2 / T = sum_{t,k} |m_k(t)|^2 / T.
         """
-        memo = self._frechet(theta)
-        # x_t^T E_k is (E_k x_t)^T, as E_k is symmetric
-        ex = (self.states @ memo["u"].T @ self._forms).swapaxes(0, 1)
-        # rows 2 E_k x_t (x) psi_t, one per (t, k), against the flattened dU_d
-        g = 2.0 * (ex[:, :, :, None] * self.states[:, None, None, :]).reshape(-1, self.n**2)
-        jac = g @ memo["d_u"].T
-        return self._scale * np.concatenate([jac.real, jac.imag])
+        u = self.unitary(theta)
+        s = u.T @ self._forms @ u  # (K, n, n)
+        rc = (self._h @ s.reshape(len(s), -1).T).ravel()  # <H_j, S_k>, (j, k) row-major
+        return np.concatenate([rc.real, rc.imag])
 
-    def sq_distances(self, theta: np.ndarray):
-        """Squared distances z_t = 2 - 2 sigma_1 and their theta-gradients,
-        shapes (T,) and (T, n^2), with no SVD.
+    def residual_jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """d residuals / d theta, shape (2 * min(T, N) * K, n^2).
+
+        Along dU_d, <H_j, S_k> moves by 2 <H_j, U^T E_k dU_d> = 2 <E_k U H_j, dU_d>,
+        as H_j is symmetric: the forms 2 E_k U H_j are one (K n, n) x (n, n min(T, N))
+        product, and the Jacobian one product of them against the stack.
+        """
+        n, u, k = self.n, self.unitary(theta), len(self._forms)
+        v = (self._forms.reshape(-1, n) @ u) @ self._2h_cols  # [(k, a), (j, q)]
+        v = v.reshape(k, n, -1, n).transpose(2, 0, 1, 3).reshape(-1, n * n)  # [(j, k), (a, q)]
+        jac = v @ self._derivatives(theta).T
+        return np.concatenate([jac.real, jac.imag])
+
+    def sq_distances(self, theta: np.ndarray) -> np.ndarray:
+        """Squared distances z_t = 2 - 2 sigma_1, shape (T,), with no SVD.
 
         w is the top eigenvector of the Gram matrix M M^dag and h = w^dag M,
         so sigma_1 = |h| and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full
-        precision near product states.  The gradient on U is -2 y_t psi_t^dag,
-        y_t = w h / sigma_1.
+        precision near product states.
         """
         memo = self._frechet(theta)
         if "z" not in memo:
@@ -150,11 +179,18 @@ class _Objective:
             wh = w[:, :, None] * h[:, None, :]
             r = m - wh
             tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
-            y = wh.reshape(len(wh), -1) / sigma1[:, None]
-            # rows conj(y_t) (x) psi_t against the flattened dU_d
-            rows = (y.conj()[:, :, None] * self.states[:, None, :]).reshape(len(y), -1)
-            memo["z"] = (2.0 * tail / (1.0 + sigma1), -2.0 * (rows @ memo["d_u"].T).real)
+            memo["z"] = 2.0 * tail / (1.0 + sigma1)
+            memo["y"] = wh.reshape(len(wh), -1) / sigma1[:, None]
         return memo["z"]
+
+    def sq_distance_jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """dz_t / dtheta, shape (T, n^2): the gradient on U is -2 y_t psi_t^dag,
+        y_t = w h / sigma_1."""
+        self.sq_distances(theta)
+        y = self._memo["y"]
+        # rows conj(y_t) (x) psi_t against the flattened dU_d
+        rows = (y.conj()[:, :, None] * self.states[:, None, :]).reshape(len(y), -1)
+        return -2.0 * (rows @ self._derivatives(theta).T).real
 
 
 def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
@@ -200,12 +236,12 @@ def _polish(obj: _Objective, theta: np.ndarray):
     start, then each improvement).  The constraint, its Jacobian and the
     callback at one iterate share one evaluation through the objective's memo.
     """
-    x0 = np.append(theta, obj.sq_distances(theta)[0].max())  # s0 = max z(theta0)
+    x0 = np.append(theta, obj.sq_distances(theta).max())  # s0 = max z(theta0)
     best_theta, trace = theta.copy(), [float(x0[-1])]
 
     def keep_best(xk):
         nonlocal best_theta
-        zmax = float(obj.sq_distances(xk[:-1])[0].max())
+        zmax = float(obj.sq_distances(xk[:-1]).max())
         if zmax < trace[-1]:
             best_theta = xk[:-1].copy()
             trace.append(zmax)
@@ -218,8 +254,8 @@ def _polish(obj: _Objective, theta: np.ndarray):
         method="SLSQP",
         constraints={
             "type": "ineq",
-            "fun": lambda x: x[-1] - obj.sq_distances(x[:-1])[0],
-            "jac": lambda x: np.hstack([-obj.sq_distances(x[:-1])[1], ones]),
+            "fun": lambda x: x[-1] - obj.sq_distances(x[:-1]),
+            "jac": lambda x: np.hstack([-obj.sq_distance_jacobian(x[:-1]), ones]),
         },
         options={"maxiter": EPIGRAPH_MAXITER, "ftol": EPIGRAPH_FTOL},
         callback=keep_best,
@@ -249,7 +285,7 @@ def optimize_tps(
             theta = rng.normal(scale=np.pi / 4, size=n_params)
 
         theta, *trace, nfev = _levenberg_marquardt(
-            obj.minors, obj.minors_jacobian, theta, MINORS_MAX_NFEV
+            obj.residuals, obj.residual_jacobian, theta, MINORS_MAX_NFEV
         )
 
         theta, polish_trace = _polish(obj, theta)

@@ -241,12 +241,13 @@ def check_property_gradient_agreement():
     step = 1e-6
     for _ in range(20):
         theta = rng.normal(scale=0.7, size=16)
-        jac = objective.minors_jacobian(theta)
+        jac = objective.residual_jacobian(theta)
         fd = np.empty_like(jac)
         for d in range(len(theta)):
             e = np.zeros_like(theta)
             e[d] = step
-            fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
+            plus, minus = objective.residuals(theta + e), objective.residuals(theta - e)
+            fd[:, d] = (plus - minus) / (2 * step)
         worst = max(worst, float(np.linalg.norm(jac - fd) / np.linalg.norm(fd)))
     return worst < 1e-5, f"max relative Jacobian error {worst:.2e} over 20 points (tol 1e-5)"
 

@@ -82,16 +82,16 @@ def test_restart_summaries_cover_all_restarts(cnot_result):
 
 
 def _recorded_levenberg_marquardt(objective, theta):
-    """Run the least-squares stage on the minors, logging each fun and jac point."""
+    """Run the least-squares stage on the residuals, logging each fun and jac point."""
     calls = []
 
     def fun(x):
         calls.append(("fun", x.copy()))
-        return objective.minors(x)
+        return objective.residuals(x)
 
     def jac(x):
         calls.append(("jac", x.copy()))
-        return objective.minors_jacobian(x)
+        return objective.residual_jacobian(x)
 
     return optimizer._levenberg_marquardt(fun, jac, theta, optimizer.MINORS_MAX_NFEV), calls
 
@@ -104,8 +104,8 @@ def test_levenberg_marquardt_contract(factory, seed):
     objective = _Objective(sample_trig(factory(), 100))
     theta = np.random.default_rng(seed).normal(scale=np.pi / 4, size=16)
     (x, start, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
-    assert abs(start - np.sum(objective.minors(theta) ** 2)) <= 1e-12 * start
-    assert abs(cost - np.sum(objective.minors(x) ** 2)) <= 1e-12 * cost
+    assert abs(start - np.sum(objective.residuals(theta) ** 2)) <= 1e-12 * start
+    assert abs(cost - np.sum(objective.residuals(x) ** 2)) <= 1e-12 * cost
     assert cost <= start
     assert nfev == sum(kind == "fun" for kind, _ in calls) <= optimizer.MINORS_MAX_NFEV
     last_fun = None
@@ -140,12 +140,12 @@ def test_analytic_gradients_match_finite_differences(seed):
     theta = rng.normal(scale=0.6, size=16)
     step = 1e-6
 
-    jac = objective.minors_jacobian(theta)
+    jac = objective.residual_jacobian(theta)
     fd = np.empty_like(jac)
     for d in range(16):
         e = np.zeros(16)
         e[d] = step
-        fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
+        fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (2 * step)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -161,16 +161,45 @@ def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
     n_params = dims.n**2
     theta = rng.normal(scale=0.6, size=n_params)
-    z, jac = objective.sq_distances(theta)
+    z, jac = objective.sq_distances(theta), objective.sq_distance_jacobian(theta)
     assert z.shape == (30,) and jac.shape == (30, n_params)
     step = 1e-6
     fd = np.empty_like(jac)
     for d in range(n_params):
         e = np.zeros(n_params)
         e[d] = step
-        plus, minus = objective.sq_distances(theta + e)[0], objective.sq_distances(theta - e)[0]
+        plus, minus = objective.sq_distances(theta + e), objective.sq_distances(theta - e)
         fd[:, d] = (plus - minus) / (2 * step)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _random_objective(n1, n2, samples, seed):
+    dims = HilbertDims(n1, n2)
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state(rng, dims).amplitudes for _ in range(samples)])
+    return _Objective(SampledTrajectory(dims, np.linspace(0, 1, samples), states)), rng
+
+
+def _residual_length(n1, n2, samples):
+    """2 K min(T, N): K minors, each compressed to the rows of R, N = n(n+1)/2."""
+    n, n_minors = n1 * n2, (n1 * (n1 - 1) // 2) * (n2 * (n2 - 1) // 2)
+    return 2 * n_minors * min(samples, n * (n + 1) // 2)
+
+
+def _fd_residual_jacobian(objective, theta, step=1e-6):
+    fd = np.empty((len(objective.residuals(theta)), len(theta)))
+    for d in range(len(theta)):
+        e = np.zeros(len(theta))
+        e[d] = step
+        fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (2 * step)
+    return fd
+
+
+def _raw_minor_cost(objective, theta):
+    """sum_{t,k} |m_k(t)|^2 / T from the coefficient minors of U psi_t."""
+    u = expm_antihermitian(objective._theta_to_a(theta))
+    m = coefficient_minors(objective._coefficients(u))
+    return np.sum(m.real**2 + m.imag**2) / len(objective.states)
 
 
 @pytest.mark.parametrize(
@@ -178,26 +207,40 @@ def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
 )
 def test_residual_jacobian_matches_finite_differences(n1, n2):
     # non-square coefficient matrices pin the layout of the minor forms
-    dims = HilbertDims(n1, n2)
-    rng = np.random.default_rng(9)
-    states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
-    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
-    n_params = dims.n**2
-    theta = rng.normal(scale=0.5, size=n_params)
-    jac = objective.minors_jacobian(theta)
-    n_minors = (n1 * (n1 - 1) // 2) * (n2 * (n2 - 1) // 2)
-    assert jac.shape == (2 * 30 * n_minors, n_params)
-    step = 1e-6
-    fd = np.empty_like(jac)
-    for d in range(n_params):
-        e = np.zeros(n_params)
-        e[d] = step
-        fd[:, d] = (objective.minors(theta + e) - objective.minors(theta - e)) / (2 * step)
+    objective, rng = _random_objective(n1, n2, 30, 9)
+    theta = rng.normal(scale=0.5, size=(n1 * n2) ** 2)
+    jac = objective.residual_jacobian(theta)
+    assert jac.shape == (_residual_length(n1, n2, 30), len(theta))
+    fd = _fd_residual_jacobian(objective, theta)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
+def test_residual_length_does_not_grow_with_samples():
+    lengths = set()
+    for samples in (30, 400):
+        objective, rng = _random_objective(2, 3, samples, 10)
+        theta = rng.normal(scale=0.5, size=36)
+        r, jac = objective.residuals(theta), objective.residual_jacobian(theta)
+        assert r.shape == (_residual_length(2, 3, samples),) and jac.shape == (len(r), 36)
+        lengths.add(len(r))
+    assert lengths == {2 * 3 * 21}
+
+
+def test_residuals_with_fewer_samples_than_sym2_coordinates():
+    # 3x3 at T = 20 < N = 45: R is 20 x 45, upper trapezoidal
+    objective, rng = _random_objective(3, 3, 20, 11)
+    theta = rng.normal(scale=0.5, size=81)
+    r, jac = objective.residuals(theta), objective.residual_jacobian(theta)
+    assert r.shape == (_residual_length(3, 3, 20),) == (2 * 9 * 20,)
+    fd = _fd_residual_jacobian(objective, theta)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
+    raw = _raw_minor_cost(objective, theta)
+    assert abs(r @ r - raw) <= 1e-12 * raw
+
+
 def _loop_minors_jacobian(objective, theta):
-    """Per-(sample, direction) chain rule: the reference the batched Jacobian replaces.
+    """Per-(sample, direction) chain rule on the raw minors / sqrt(T), (Re, Im)
+    stacked: the reference for what the compressed residuals must reproduce.
 
     Minors are bilinear, so the first-order part of minors(M + dM) is
     minors(M + dM) - minors(M) - minors(dM), exactly.
@@ -206,6 +249,12 @@ def _loop_minors_jacobian(objective, theta):
     u, wexp, phi = expm_frechet(a)
     shape = (objective.dims.n1, objective.dims.n2)
     scale = 1.0 / np.sqrt(len(objective.states))
+
+    def real_stack(rows):
+        flat = scale * np.concatenate(rows)
+        return np.concatenate([flat.real, flat.imag])
+
+    minors = real_stack([coefficient_minors((u @ psi).reshape(shape)) for psi in objective.states])
     cols = []
     for b in objective.basis:
         d_u = wexp @ (phi * (wexp.conj().T @ b @ wexp)) @ wexp.conj().T
@@ -213,24 +262,22 @@ def _loop_minors_jacobian(objective, theta):
         for psi in objective.states:
             m, dm = (u @ psi).reshape(shape), (d_u @ psi).reshape(shape)
             col.append(coefficient_minors(m + dm) - coefficient_minors(m) - coefficient_minors(dm))
-        col = scale * np.concatenate(col)
-        cols.append(np.concatenate([col.real, col.imag]))
-    return a, np.array(cols).T
+        cols.append(real_stack(col))
+    return a, minors, np.array(cols).T
 
 
 @pytest.mark.parametrize(
     "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
 )
 def test_batched_chain_rule_matches_loop_reference(n1, n2):
-    dims = HilbertDims(n1, n2)
-    rng = np.random.default_rng(4)
-    states = np.array([random_state(rng, dims).amplitudes for _ in range(20)])
-    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 20), states))
-    theta = rng.normal(scale=0.7, size=dims.n**2)
-    a, jac = _loop_minors_jacobian(objective, theta)
+    # Levenberg-Marquardt reads the residuals only through |r|^2, J^T r and J^T J
+    objective, rng = _random_objective(n1, n2, 20, 4)
+    theta = rng.normal(scale=0.7, size=(n1 * n2) ** 2)
+    a, minors, jac = _loop_minors_jacobian(objective, theta)
     assert np.array_equal(objective._theta_to_a(theta), a)
-    # only the summation order differs, so agreement is at rounding level
-    assert np.abs(objective.minors_jacobian(theta) - jac).max() < 1e-14
+    r, j = objective.residuals(theta), objective.residual_jacobian(theta)
+    for got, want in [(r @ r, minors @ minors), (j.T @ r, jac.T @ minors), (j.T @ j, jac.T @ jac)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _svd_distances(objective, theta):
@@ -247,7 +294,7 @@ def test_gram_top_pair_distance_matches_svd_spectra(n1, n2):
     states = np.array([random_state(rng, dims).amplitudes for _ in range(200)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 200), states))
     theta = rng.normal(scale=0.6, size=dims.n**2)
-    z = objective.sq_distances(theta)[0]
+    z = objective.sq_distances(theta)
     assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
 
 
@@ -262,7 +309,7 @@ def test_gram_top_pair_is_exact_at_the_cnot_disentangler():
     sampled = sample_trig(fixtures.cnot_trajectory(), 200)
     objective = _Objective(sampled)
     theta = _theta_of(fixtures.cnot_disentangler().basis_change)
-    z = objective.sq_distances(theta)[0]
+    z = objective.sq_distances(theta)
     reference = _svd_distances(objective, theta)
     assert reference.max() < 1e-14  # the point is a disentangler
     assert np.abs(np.sqrt(z) - reference).max() <= 1e-15
@@ -284,7 +331,7 @@ def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
     products += size * (rng.normal(size=products.shape) + 1j * rng.normal(size=products.shape))
     products /= np.linalg.norm(products, axis=1)[:, None]
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 50), products @ u.conj()))
-    z = objective.sq_distances(theta)[0]
+    z = objective.sq_distances(theta)
     assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
 
 
@@ -292,7 +339,8 @@ def test_equal_top_schmidt_values_give_finite_distance_and_gradient():
     # at theta = 0 the C-NOT fixture ends in the Bell state, sigma_1 = sigma_2
     sampled = sample_trig(fixtures.cnot_trajectory(), 200)
     assert sampled.times[-1] == np.pi / 2
-    z, grad = _Objective(sampled).sq_distances(np.zeros(16))
+    objective = _Objective(sampled)
+    z, grad = objective.sq_distances(np.zeros(16)), objective.sq_distance_jacobian(np.zeros(16))
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(grad))
     assert abs(z[-1] - (2 - np.sqrt(2))) <= 1e-15
 
@@ -309,16 +357,28 @@ def test_derivative_stack_memo_is_invisible():
     theta1, theta2 = rng.normal(scale=0.6, size=(2, dims.n**2))
 
     def evaluate(obj, theta):
-        z, grad = obj.sq_distances(theta)
-        return [obj.minors(theta), z, obj.minors_jacobian(theta), grad]
+        r, z = obj.residuals(theta), obj.sq_distances(theta)
+        return [r, z, obj.residual_jacobian(theta), obj.sq_distance_jacobian(theta)]
 
     interleaved = [evaluate(objective, th) for th in (theta1, theta2, theta1)]
     for theta, got in zip((theta1, theta2, theta1), interleaved):
         fresh = evaluate(fresh_objective(), theta)
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-    u = expm_antihermitian(objective._theta_to_a(theta1))
-    m = coefficient_minors(objective._coefficients(u)).ravel() / np.sqrt(30)
-    assert np.array_equal(objective.minors(theta1), np.concatenate([m.real, m.imag]))
+    # the Levenberg-Marquardt cost is the raw minors' sum_{t,k} |m_k(t)|^2 / T
+    r, raw = objective.residuals(theta1), _raw_minor_cost(objective, theta1)
+    assert abs(r @ r - raw) <= 1e-12 * raw
+
+
+def test_derivative_stack_is_built_only_for_a_jacobian():
+    objective, rng = _random_objective(2, 3, 30, 8)
+    theta = rng.normal(scale=0.6, size=36)
+    objective.residuals(theta)
+    objective.sq_distances(theta)
+    assert "d_u" not in objective._memo
+    objective.residual_jacobian(theta)
+    d_u = objective._memo["d_u"]
+    objective.sq_distance_jacobian(theta)
+    assert objective._memo["d_u"] is d_u  # one stack per theta, shared by both Jacobians
 
 
 def test_winner_summary_objective_is_the_reported_objective(cnot_result):
@@ -379,7 +439,7 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
         assert trace[-1] <= trace[0]
         assert np.all(np.diff(trace) < 0)
         # the trace's last entry is the max squared distance at the returned point
-        zmax = obj.sq_distances(best_theta)[0].max()
+        zmax = obj.sq_distances(best_theta).max()
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
     assert result.polish_trace == tuple(runs[result.restart_index][2])
     assert abs(result.polish_trace[-1] - result.objective**2) <= 1e-12 * result.objective**2

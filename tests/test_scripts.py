@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs end to end as a subprocess."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +39,24 @@ def test_search_demo_runs(tmp_path):
     proc = run_script("search_demo.py", ["--restarts", "2"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "sidon" in proc.stdout
+
+
+def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
+    # the layers section alone, in its own process: the section pins BLAS threads
+    code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.layer_metrics()))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    snapshot = json.loads(proc.stdout)
+    layers = [
+        "_frechet", "derivative_stack", "residuals", "residual_jacobian", "sq_distances", "lm_step"
+    ]
+    # 2 K min(T, n(n+1)/2) residuals at T = 200: K = 1 and 3 minors
+    for dims, count in [("2x2", 2 * 1 * 10), ("2x3", 2 * 3 * 21)]:
+        assert all(snapshot[f"layers.{dims}.{name}_us"] > 0 for name in layers)
+        assert snapshot[f"layers.{dims}.residuals.count"] == count
+        assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
 
 
 @pytest.mark.parametrize(
