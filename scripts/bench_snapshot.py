@@ -2,11 +2,11 @@
 """Write one flat JSON snapshot of the benchmark workloads, the tests and the optimizer layers.
 
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
-process, then the tier-1 test suite once, then times the optimizer's layers
-in this process, and writes their metric lines, with nproc, the git HEAD and
-the Python/numpy/scipy versions, to the file named on the command line.  The
-file has no gate: it is a record to set beside the snapshot of another
-commit.  Run it from a full checkout.
+process, then the tier-1 test suite once and counts the package's source
+lines, then times the optimizer's layers in this process, and writes their
+metric lines, with nproc, the git HEAD and the Python/numpy/scipy versions,
+to the file named on the command line.  The file has no gate: it is a record
+to set beside the snapshot of another commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -46,7 +46,8 @@ def bench_metrics(workload: str, seed: int, seconds: float) -> dict:
 
 
 def tier1_metrics() -> dict:
-    """Outcome counts and wall time of one pass of the tier-1 suite."""
+    """Outcome counts and wall time of one pass of the tier-1 suite, next to
+    `src.lines`, the total that `wc -l src/tpslab/*.py` prints."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     argv = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -56,6 +57,7 @@ def tier1_metrics() -> dict:
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     for count, outcome in re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary):
         flat[f"tier1.{outcome.rstrip('s')}"] = int(count)
+    flat["src.lines"] = sum(p.read_bytes().count(b"\n") for p in ROOT.glob("src/tpslab/*.py"))
     return flat
 
 

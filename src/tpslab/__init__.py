@@ -4,8 +4,6 @@ from .core import (
     HilbertDims,
     StateVector,
     TPSpec,
-    CoefficientMatrix,
-    make_tps,
     reshape_coefficients,
     rebase_state,
     is_local_product_unitary,

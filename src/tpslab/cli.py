@@ -5,7 +5,7 @@ Subcommands::
     tpslab profile    --input traj.json [--tps tps.json] [--samples N] [--format json|csv]
     tpslab certify    --input traj.json [--samples N] [--rank-tol X]
     tpslab construct  --input traj.json [--tol X]
-    tpslab hamiltonian --input op.json [--tps tps.json] [--dims n1 n2]
+    tpslab hamiltonian --input op.json [--tps tps.json]
     tpslab optimize   --input traj.json [--seed S] [--restarts R] [--samples N]
     tpslab reproduce  [--list]
 
@@ -136,18 +136,11 @@ def cmd_construct(args) -> dict:
         if result.pairing is not None:
             results["kappas"] = _vector_out(result.pairing.kappas)
             results["roots"] = {k: _vector_out([v])[0] for k, v in result.pairing.roots.items()}
-            results["assignment"] = list(result.pairing.assignment)
-            results["pairing"] = [list(p) for p in result.pairing.pairing]
     return results
 
 
 def cmd_hamiltonian(args) -> dict:
     matrix, dims = load_matrix_document(args.input)
-    if args.dims is not None and tuple(args.dims) != (dims.n1, dims.n2):
-        raise DimensionMismatch(
-            f"--dims {tuple(args.dims)} contradicts the file's dims ({dims.n1},{dims.n2})"
-        )
-    args.dims = [dims.n1, dims.n2]  # the report records the dims the file declares
     rebased = rebase_operator(_load_tps_arg(args.tps, dims), matrix)
     decomposition = separable_projection(rebased, dims)
     return {
@@ -220,7 +213,7 @@ def report(args) -> None:
     if args.output:
         Path(args.output).write_text(text)
     else:
-        print(text)
+        print(text, end="" if text.endswith("\n") else "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hamiltonian", help="separable decomposition of an operator under a TPS")
     p.add_argument("--input", required=True, help="operator file (JSON)")
     p.add_argument("--tps", default="identity")
-    p.add_argument("--dims", type=int, nargs=2, default=None, metavar=("N1", "N2"))
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_hamiltonian)
 

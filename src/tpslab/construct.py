@@ -70,8 +70,7 @@ from .trajectory import (
 
 ROOT_LABELS = ("a", "b", "c", "d")
 # component (i, j) = 2 i + j carries root i of the first factor (a or b) and
-# root j of the second (c or d); P_0 P_3 = P_1 P_2 is the vanishing minor
-ASSIGNMENT = ("ac", "ad", "bc", "bd")
+# root j of the second (c or d), so P_0 P_3 = P_1 P_2 is the vanishing minor
 PAIRING = ((0, 3), (1, 2))
 
 VERIFY_SAMPLES = 100
@@ -90,12 +89,11 @@ class ConstructConfig:
 
 @dataclass(frozen=True)
 class RootPairing:
-    """Solved factorization data: which pair of roots each polynomial carries."""
+    """Solved factorization data: the roots and leading coefficients of the
+    four components (see ROOT_LABELS)."""
 
     roots: dict  # label -> complex root, labels "a", "b", "c", "d"
     kappas: np.ndarray  # leading coefficients kappa_1..kappa_4
-    assignment: tuple[str, ...]  # per-component root labels, ("ac","ad","bc","bd")
-    pairing: tuple  # the index pairing ((i, j), (k, l)) of the product identity
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,11 @@ class VerificationReport:
 @dataclass(frozen=True)
 class ConstructionResult:
     found: bool
-    tps: TPSpec | None
-    pairing: RootPairing | None
-    orthonormality_residual: float
-    disentangling_residual: float
     message: str
+    tps: TPSpec | None = None
+    pairing: RootPairing | None = None
+    orthonormality_residual: float = math.inf
+    disentangling_residual: float = math.inf
     attempts: int = 0
 
 
@@ -204,7 +202,6 @@ def construct_disentangler(
         return ConstructionResult(
             found=True,
             tps=identity,
-            pairing=None,
             orthonormality_residual=0.0,
             disentangling_residual=max(report.max_sigma2, report.max_minor),
             message="trajectory is already a product in the reference basis",
@@ -218,10 +215,6 @@ def construct_disentangler(
     if scale == 0 or np.abs(np.diagonal(r)).min() < 1e-12 * scale:
         return ConstructionResult(
             found=False,
-            tps=None,
-            pairing=None,
-            orthonormality_residual=float("inf"),
-            disentangling_residual=float("inf"),
             message=(
                 "degenerate coefficient structure: the component functions span "
                 "fewer than three polynomial degrees, so every candidate would "
@@ -247,10 +240,6 @@ def construct_disentangler(
     if not report.passed:
         return ConstructionResult(
             found=False,
-            tps=None,
-            pairing=None,
-            orthonormality_residual=float("inf"),
-            disentangling_residual=float("inf"),
             message=(
                 f"no disentangling TPS: the coefficient Gram matrix has {invariants}, "
                 "and one exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the closed-form "
@@ -266,8 +255,6 @@ def construct_disentangler(
         pairing=RootPairing(
             roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
             kappas=np.kron(a0, b0).astype(complex),
-            assignment=ASSIGNMENT,
-            pairing=PAIRING,
         ),
         orthonormality_residual=orth,
         disentangling_residual=max(report.max_sigma2, report.max_minor),

@@ -93,26 +93,6 @@ class TPSpec:
         return TPSpec(np.eye(dims.n, dtype=complex), dims)
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """n1 x n2 matrix of state amplitudes; M[i, j] is the weight of |i j>."""
-
-    entries: np.ndarray
-    dims: HilbertDims
-
-    def __post_init__(self):
-        m = frozen_complex(self.entries, (self.dims.n1, self.dims.n2))
-        object.__setattr__(self, "entries", m)
-
-    def flatten(self) -> np.ndarray:
-        return np.asarray(self.entries).ravel()
-
-
-def make_tps(basis_change, dims: HilbertDims) -> TPSpec:
-    """Validate and wrap a unitary basis change as a TPS representative."""
-    return TPSpec(basis_change, dims)
-
-
 def require_unitary(u: np.ndarray) -> None:
     """Raise NotUnitary if the square matrix u is not unitary to UNITARITY_TOL
     (NaN and inf entries fail too)."""
@@ -129,10 +109,10 @@ def require_hermitian(h: np.ndarray) -> None:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
 
 
-def reshape_coefficients(psi: StateVector) -> CoefficientMatrix:
-    """Row-major reshape of the amplitudes into the n1 x n2 coefficient matrix."""
-    m = psi.amplitudes.reshape(psi.dims.n1, psi.dims.n2)
-    return CoefficientMatrix(m, psi.dims)
+def reshape_coefficients(psi: StateVector) -> np.ndarray:
+    """The n1 x n2 coefficient matrix M, M[i, j] the amplitude of |i j>: a
+    read-only row-major view of the amplitudes."""
+    return psi.amplitudes.reshape(psi.dims.n1, psi.dims.n2)
 
 
 def rebase_state(tps: TPSpec, psi: StateVector) -> StateVector:

@@ -49,7 +49,7 @@ class SchmidtDecomposition:
 
 def schmidt_decompose(psi: StateVector) -> SchmidtDecomposition:
     """SVD of the reshaped coefficient matrix."""
-    m = reshape_coefficients(psi).entries
+    m = reshape_coefficients(psi)
     u, s, vh = np.linalg.svd(m)
     k = min(psi.dims.n1, psi.dims.n2)
     return SchmidtDecomposition(
@@ -140,7 +140,7 @@ def gram_top_vectors(m: np.ndarray) -> np.ndarray:
 
 def schmidt_values(psi: StateVector) -> np.ndarray:
     """Schmidt coefficients only (cheaper than the full decomposition)."""
-    return schmidt_spectra(reshape_coefficients(psi).entries)
+    return schmidt_spectra(reshape_coefficients(psi))
 
 
 def entanglement_entropy(psi: StateVector) -> float:
@@ -155,7 +155,7 @@ def product_distance(psi: StateVector) -> float:
 
 
 def max_minor_modulus(psi: StateVector) -> float:
-    return float(np.abs(coefficient_minors(reshape_coefficients(psi).entries)).max())
+    return float(np.abs(coefficient_minors(reshape_coefficients(psi))).max())
 
 
 def is_product_state(psi: StateVector, tol: float) -> bool:

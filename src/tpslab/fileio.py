@@ -67,6 +67,11 @@ def _get(mapping, key, path: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_in(value, path: str) -> complex:
     _expect(
         isinstance(value, (list, tuple)) and len(value) == 2,
@@ -74,17 +79,13 @@ def _complex_in(value, path: str) -> complex:
         "complex numbers are [re, im] pairs",
     )
     re, im = value
-    _expect(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
-        path,
-        "complex parts must be numbers",
-    )
+    _expect(_is_number(re) and _is_number(im), path, "complex parts must be numbers")
     _expect(math.isfinite(re) and math.isfinite(im), path, "complex parts must be finite")
     return complex(re, im)
 
 
 def _positive_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    return _is_number(value) and math.isfinite(value) and value > 0
 
 
 def _vector_in(value, n: int, path: str) -> np.ndarray:
@@ -150,7 +151,8 @@ def _trig_in(node, dims: HilbertDims) -> TrigTrajectory:
     for k, h in enumerate(raw_harm):
         base = f"trig.harmonics[{k}]"
         freq = _get(h, "freq", base)
-        _expect(isinstance(freq, int) and freq >= 1, f"{base}.freq", "expected a positive integer")
+        # not isinstance: JSON true parses to True, which is an int
+        _expect(type(freq) is int and freq >= 1, f"{base}.freq", "expected a positive integer")
         harmonics.append(
             Harmonic(
                 frequency=freq,
@@ -182,7 +184,7 @@ def _samples_in(node, dims: HilbertDims) -> SampledTrajectory:
     times = _get(node, "times", "samples")
     _expect(isinstance(times, list) and len(times) >= 2, "samples.times", "expected >= 2 times")
     _expect(
-        all(isinstance(t, (int, float)) and math.isfinite(t) for t in times),
+        all(_is_number(t) and math.isfinite(t) for t in times),
         "samples.times",
         "times must be finite numbers",
     )

@@ -46,6 +46,11 @@ def partial_trace_first(h: np.ndarray, dims: HilbertDims) -> np.ndarray:
     return h.reshape(dims.n1, dims.n2, dims.n1, dims.n2).trace(axis1=0, axis2=2)
 
 
+def _separable_sum(h1, h2, trace_part, dims: HilbertDims) -> np.ndarray:
+    """h1 (x) 1 + 1 (x) h2 + trace_part * 1."""
+    return np.kron(h1, np.eye(dims.n2)) + np.kron(np.eye(dims.n1), h2) + trace_part * np.eye(dims.n)
+
+
 @dataclass(frozen=True)
 class SeparableDecomposition:
     """H = h1 (x) 1 + 1 (x) h2 + trace_part * 1 + interaction.
@@ -64,12 +69,7 @@ class SeparableDecomposition:
     dims: HilbertDims
 
     def separable_part(self) -> np.ndarray:
-        n1, n2 = self.dims.n1, self.dims.n2
-        return (
-            np.kron(self.h1, np.eye(n2))
-            + np.kron(np.eye(n1), self.h2)
-            + self.trace_part * np.eye(self.dims.n)
-        )
+        return _separable_sum(self.h1, self.h2, self.trace_part, self.dims)
 
 
 def separable_projection(h, dims: HilbertDims) -> SeparableDecomposition:
@@ -84,17 +84,12 @@ def separable_projection(h, dims: HilbertDims) -> SeparableDecomposition:
     h1 = (h1 + h1.conj().T) / 2
     h2 = partial_trace_first(h, dims) / dims.n1 - (tr / dims.n) * np.eye(dims.n2)
     h2 = (h2 + h2.conj().T) / 2
-    trace_part = tr / dims.n
-    separable = (
-        np.kron(h1, np.eye(dims.n2))
-        + np.kron(np.eye(dims.n1), h2)
-        + trace_part * np.eye(dims.n)
-    )
-    interaction = h - separable
+    trace_part = float(tr / dims.n)
+    interaction = h - _separable_sum(h1, h2, trace_part, dims)
     return SeparableDecomposition(
         h1=h1,
         h2=h2,
-        trace_part=float(trace_part),
+        trace_part=trace_part,
         interaction=interaction,
         interaction_norm=float(np.linalg.norm(interaction)),
         dims=dims,

@@ -82,8 +82,6 @@ class RestartSummary:
 class OptimizationResult:
     best_tps: TPSpec
     objective: float  # max over samples of the chordal product distance
-    surrogate_trace: tuple  # sum_k |m_k|^2 / T of the winning restart, at start and end of stage 1
-    polish_trace: tuple  # best-so-far max squared distance in the winning minimax stage
     restart_index: int
     restarts: tuple  # per-restart summaries
 
@@ -195,11 +193,11 @@ class _Objective:
 
 def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
     """Minimize |fun(x)|^2 by Levenberg-Marquardt with Nielsen's damping update
-    (Madsen, Nielsen & Tingleff 2004).  Returns the last accepted x, the start
-    and final |fun|^2 and the fun call count; jac is asked only at the point
-    fun last evaluated, and each trial damping costs one solve and one fun."""
+    (Madsen, Nielsen & Tingleff 2004).  Returns the last accepted x, its
+    |fun|^2 and the fun call count; jac is asked only at the point fun last
+    evaluated, and each trial damping costs one solve and one fun."""
     r = fun(x)
-    start = cost = float(r @ r)
+    cost = float(r @ r)
     nfev, mu, nu = 1, None, 2.0
     while nfev < max_nfev:
         j = jac(x)
@@ -226,7 +224,7 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         if small_step or small_decrease:
             break
-    return x, start, cost, nfev
+    return x, cost, nfev
 
 
 def _polish(obj: _Objective, theta: np.ndarray):
@@ -276,7 +274,7 @@ def optimize_tps(
     n_params = traj.dims.n**2
 
     summaries = []
-    best = None  # (objective, index, theta, trace)
+    best = None  # (objective, index, theta)
     for r in range(config.restarts):
         if r == 0:
             theta = np.zeros(n_params)
@@ -284,17 +282,17 @@ def optimize_tps(
             rng = np.random.default_rng([config.seed, r])
             theta = rng.normal(scale=np.pi / 4, size=n_params)
 
-        theta, *trace, nfev = _levenberg_marquardt(
+        theta, surrogate, nfev = _levenberg_marquardt(
             obj.residuals, obj.residual_jacobian, theta, MINORS_MAX_NFEV
         )
 
         theta, polish_trace = _polish(obj, theta)
         objective = float(np.sqrt(polish_trace[-1]))
-        summaries.append(RestartSummary(r, objective, trace[-1], nfev))
+        summaries.append(RestartSummary(r, objective, surrogate, nfev))
         if best is None or objective < best[0]:
-            best = (objective, r, theta.copy(), tuple(trace), tuple(polish_trace))
+            best = (objective, r, theta.copy())
 
-    _, r_best, theta_best, trace_best, polish_best = best
+    _, r_best, theta_best = best
     u = nearest_unitary(obj.unitary(theta_best))
     tps = TPSpec(u, traj.dims)
     # report the objective through the same code path users would take
@@ -302,8 +300,6 @@ def optimize_tps(
     return OptimizationResult(
         best_tps=tps,
         objective=float(profile.max_distance),
-        surrogate_trace=trace_best,
-        polish_trace=polish_best,
         restart_index=r_best,
         restarts=tuple(summaries),
     )

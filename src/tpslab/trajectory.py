@@ -188,23 +188,16 @@ class PolynomialSystem:
         return np.exp(-1j * t)[:, None] * (c[:, 0] * z * z + c[:, 1] * z + c[:, 2])
 
 
-def coefficient_triples(traj: TrigTrajectory, tps: TPSpec) -> np.ndarray:
-    """Rebased (alpha, beta, gamma) coefficient vectors, shape (n, 3)."""
-    if tps.dims != traj.dims:
-        raise DimensionMismatch("TPS and trajectory dimensions differ")
-    _require_single_frequency(traj)
-    h = traj.harmonics[0]
-    u = tps.basis_change
-    return np.stack([u @ traj.constant, u @ h.cos_coeffs, u @ h.sin_coeffs], axis=1)
-
-
 def trig_to_polynomials(traj: TrigTrajectory, tps: TPSpec) -> PolynomialSystem:
     """Rewrite each rebased component alpha + beta cos t + gamma sin t as
     e^{-it} P(e^{it}) with P = (beta - i gamma)/2 X^2 + alpha X + (beta + i gamma)/2."""
     if traj.dims != HilbertDims(2, 2):
         raise UnsupportedForm("polynomial form is implemented for 2x2 bipartitions")
-    triples = coefficient_triples(traj, tps)
-    alpha, beta, gamma = triples[:, 0], triples[:, 1], triples[:, 2]
+    if tps.dims != traj.dims:
+        raise DimensionMismatch("TPS and trajectory dimensions differ")
+    _require_single_frequency(traj)
+    u, h = tps.basis_change, traj.harmonics[0]
+    alpha, beta, gamma = u @ traj.constant, u @ h.cos_coeffs, u @ h.sin_coeffs
     coeffs = np.stack([(beta - 1j * gamma) / 2, alpha, (beta + 1j * gamma) / 2], axis=1)
     return PolynomialSystem(coeffs, traj.dims)
 

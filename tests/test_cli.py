@@ -64,15 +64,16 @@ def test_profile_with_disentangler_is_flat(files, tmp_path):
     assert read(out)["results"]["max_entropy"] < 1e-10
 
 
-def test_profile_csv_output(files, tmp_path):
+def test_profile_csv_output(files, tmp_path, capsysbinary):
     out = tmp_path / "profile.csv"
-    code = run(
-        ["profile", "--input", files["cnot"], "--format", "csv", "--samples", "7", "--output", str(out)]
-    )
-    assert code == 0
+    head = ["profile", "--input", files["cnot"], "--format", "csv", "--samples", "7"]
+    assert run(head + ["--output", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,entropy,product_distance"
     assert len(lines) == 8
+    # stdout carries the same bytes, with no empty record after the last row
+    assert run(head) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_certify_verdicts(files, tmp_path):
@@ -98,7 +99,7 @@ def test_certify_report_is_rerunnable(files, tmp_path):
         ("certify", "cnot", [], {"samples", "rank_tol"}),
         ("profile", "cnot", ["--tps", files["disentangler"]], {"tps", "samples", "format"}),
         ("construct", "cnot", [], {"tol"}),
-        ("hamiltonian", "h_cnot", ["--tps", files["disentangler"]], {"tps", "dims"}),
+        ("hamiltonian", "h_cnot", ["--tps", files["disentangler"]], {"tps"}),
         ("optimize", "lowdim", ["--restarts", "2", "--samples", "60"],
          {"seed", "restarts", "samples"}),
     ]
@@ -141,6 +142,16 @@ def test_construct_finds_and_reports_parameters(files, tmp_path):
     kappas = np.array([complex(re, im) for re, im in results["kappas"]])
     assert np.allclose(kappas, 0.25, atol=1e-8)
     assert len(results["basis_change"]) == 4
+    assert list(results) == [
+        "status",
+        "message",
+        "orthonormality_residual",
+        "disentangling_residual",
+        "attempts",
+        "basis_change",
+        "kappas",
+        "roots",
+    ]
 
 
 def test_construct_not_found_is_exit_zero(files, tmp_path):
@@ -215,10 +226,6 @@ def test_hamiltonian_rejects_non_hermitian(files, tmp_path):
     path = tmp_path / "bad_op.json"
     path.write_text(json.dumps(doc))
     assert run(["hamiltonian", "--input", str(path)]) == 3
-
-
-def test_hamiltonian_dims_flag_must_match(files):
-    assert run(["hamiltonian", "--input", files["h_cnot"], "--dims", "4", "2"]) == 3
 
 
 def test_optimize_rejects_zero_restarts(files):

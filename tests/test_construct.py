@@ -3,6 +3,7 @@ import pytest
 
 from tpslab import fixtures
 from tpslab.construct import (
+    PAIRING,
     ConstructConfig,
     construct_disentangler,
     factorization_residual,
@@ -47,14 +48,14 @@ def test_warm_seed_recovers_known_parameters(cnot_result):
 
 def test_factorization_identity_of_solution(cnot_result):
     polys = trig_to_polynomials(fixtures.cnot_trajectory(), cnot_result.tps)
-    residual = factorization_residual(polys, cnot_result.pairing.pairing)
+    residual = factorization_residual(polys, PAIRING)
     assert np.abs(residual).max() < 1e-9
 
 
 def test_minor_pairing_is_the_one_that_survives(cnot_result):
     # the product identity that expresses the vanishing coefficient-matrix
     # minor pairs the outer components against the inner ones
-    assert cnot_result.pairing.pairing == ((0, 3), (1, 2))
+    assert PAIRING == ((0, 3), (1, 2))
     polys = trig_to_polynomials(fixtures.cnot_trajectory(), cnot_result.tps)
     for pairing in (((0, 2), (1, 3)), ((0, 1), (2, 3))):
         assert np.abs(factorization_residual(polys, pairing)).max() > 1e-3
@@ -227,4 +228,4 @@ def test_diagonal_gram_with_real_roots_is_found():
     assert result.found
     assert verify_disentangler(result.tps, sample_trig(traj, 1000), 1e-12).passed
     polys = trig_to_polynomials(traj, result.tps)
-    assert np.abs(factorization_residual(polys, result.pairing.pairing)).max() < 1e-12
+    assert np.abs(factorization_residual(polys, PAIRING)).max() < 1e-12

@@ -8,7 +8,6 @@ from tpslab.core import (
     StateVector,
     TPSpec,
     is_local_product_unitary,
-    make_tps,
     rebase_state,
     require_hermitian,
     reshape_coefficients,
@@ -52,7 +51,7 @@ def test_state_is_immutable():
 
 
 def test_make_tps_identity():
-    tps = make_tps(np.eye(4), QBITS)
+    tps = TPSpec(np.eye(4), QBITS)
     assert np.allclose(tps.basis_change, np.eye(4))
 
 
@@ -67,7 +66,7 @@ def test_make_tps_rejects_rank_deficient():
     u = fixtures.cnot_disentangler().basis_change.copy()
     u[1] = u[0]
     with pytest.raises(NotUnitary):
-        make_tps(u, QBITS)
+        TPSpec(u, QBITS)
 
 
 def _with_nan(a):
@@ -97,35 +96,39 @@ def test_validity_checks_reject_nan(check, error):
 
 def test_make_tps_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
-        make_tps(np.eye(3), QBITS)
+        TPSpec(np.eye(3), QBITS)
 
 
 def test_reshape_basis_state():
     psi = StateVector(np.array([1, 0, 0, 0], dtype=complex), QBITS)
-    assert np.array_equal(
-        reshape_coefficients(psi).entries, np.array([[1, 0], [0, 0]], dtype=complex)
-    )
+    assert np.array_equal(reshape_coefficients(psi), np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 def test_reshape_bell():
     psi = StateVector(np.array([1, 0, 0, 1]) / S2, QBITS)
-    assert np.allclose(
-        reshape_coefficients(psi).entries, np.array([[1, 0], [0, 1]]) / S2
-    )
+    assert np.allclose(reshape_coefficients(psi), np.array([[1, 0], [0, 1]]) / S2)
 
 
 def test_reshape_cnot_sample():
     t = np.pi / 3
     psi = StateVector(np.array([1, 0, np.cos(t), np.sin(t)]) / S2, QBITS)
     expected = np.array([[1, 0], [0.5, np.sqrt(3) / 2]]) / S2
-    assert np.allclose(reshape_coefficients(psi).entries, expected, atol=1e-15)
+    assert np.allclose(reshape_coefficients(psi), expected, atol=1e-15)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_reshape_flatten_roundtrip(seed):
     psi = random_state(np.random.default_rng(seed), HilbertDims(2, 3))
-    assert np.array_equal(reshape_coefficients(psi).flatten(), psi.amplitudes)
+    assert np.array_equal(reshape_coefficients(psi).ravel(), psi.amplitudes)
+
+
+def test_reshape_is_a_read_only_matrix():
+    psi = random_state(np.random.default_rng(0), HilbertDims(2, 3))
+    m = reshape_coefficients(psi)
+    assert isinstance(m, np.ndarray) and m.shape == (2, 3)
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
 
 
 def test_rebase_reference_disentangler_at_zero():

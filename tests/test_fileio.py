@@ -88,6 +88,9 @@ def test_matrix_document_roundtrip(tmp_path):
             "trig.harmonics[0].sin[1]",
         ),
         (lambda d: d["trig"].update(t_max=float("inf")), "trig.t_max"),
+        # JSON booleans are not numbers, though Python's bool is an int
+        (lambda d: d["trig"]["constant"].__setitem__(1, [True, False]), "trig.constant[1]"),
+        (lambda d: d["trig"].update(t_max=True), "trig.t_max"),
     ],
 )
 def test_parse_errors_name_the_offending_path(mutate, expected_path):
@@ -111,8 +114,18 @@ def test_parse_errors_name_the_offending_path(mutate, expected_path):
             lambda d: d["samples"]["times"].__setitem__(1, float("nan")),
             "samples.times",
         ),
+        (
+            fixtures.cnot_trajectory(),
+            lambda d: d["trig"]["harmonics"][0].update(freq=True),
+            "trig.harmonics[0].freq",
+        ),
+        (
+            sample_trig(fixtures.cnot_trajectory(), 5),
+            lambda d: d["samples"].update(times=[False, True, True, True, True]),
+            "samples.times",
+        ),
     ],
-    ids=["hamiltonian-t_max", "samples-times"],
+    ids=["hamiltonian-t_max", "samples-times", "boolean-freq", "boolean-times"],
 )
 def test_non_finite_numbers_are_parse_errors(traj, mutate, expected_path):
     doc = dump_trajectory(traj)

@@ -45,12 +45,6 @@ def test_objective_matches_profile_reevaluation(cnot_result):
     assert abs(result.objective - profile.max_distance) <= 1e-9
 
 
-def test_polish_trace_is_monotone(cnot_result):
-    _, result = cnot_result
-    trace = np.asarray(result.polish_trace)
-    assert np.all(np.diff(trace) <= 1e-15)
-
-
 def test_deterministic_given_seed(cnot_result):
     sampled, result = cnot_result
     again = optimize_tps(sampled, OptimizerConfig(restarts=6, seed=0))
@@ -64,7 +58,7 @@ def test_constant_product_trajectory_is_solved_at_start():
     result = optimize_tps(sampled, OptimizerConfig(restarts=3, seed=0))
     assert result.objective < 1e-10
     assert result.restart_index == 0
-    assert result.surrogate_trace[0] < 1e-10  # identity start is already optimal
+    assert result.restarts[0].surrogate_final < 1e-10  # identity start is already optimal
 
 
 def test_certified_trajectory_keeps_distance_floor():
@@ -103,8 +97,10 @@ def _recorded_levenberg_marquardt(objective, theta):
 def test_levenberg_marquardt_contract(factory, seed):
     objective = _Objective(sample_trig(factory(), 100))
     theta = np.random.default_rng(seed).normal(scale=np.pi / 4, size=16)
-    (x, start, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
-    assert abs(start - np.sum(objective.residuals(theta) ** 2)) <= 1e-12 * start
+    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    # the start cost, at the first fun call
+    assert calls[0][0] == "fun" and np.array_equal(calls[0][1], theta)
+    start = np.sum(objective.residuals(theta) ** 2)
     assert abs(cost - np.sum(objective.residuals(x) ** 2)) <= 1e-12 * cost
     assert cost <= start
     assert nfev == sum(kind == "fun" for kind, _ in calls) <= optimizer.MINORS_MAX_NFEV
@@ -126,10 +122,11 @@ def test_levenberg_marquardt_stops_at_a_zero_residual_start(n1, n2):
     products /= np.linalg.norm(products, axis=1)[:, None]
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 40), products))
     theta = np.zeros(dims.n**2)
-    (x, start, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
     assert nfev == 1 and [kind for kind, _ in calls] == ["fun", "jac"]
     assert np.array_equal(x, theta)
-    assert cost == start < 1e-30
+    r = objective.residuals(theta)
+    assert cost == r @ r < 1e-30
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -441,5 +438,5 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
         # the trace's last entry is the max squared distance at the returned point
         zmax = obj.sq_distances(best_theta).max()
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
-    assert result.polish_trace == tuple(runs[result.restart_index][2])
-    assert abs(result.polish_trace[-1] - result.objective**2) <= 1e-12 * result.objective**2
+    winner = runs[result.restart_index][2]
+    assert abs(winner[-1] - result.objective**2) <= 1e-12 * result.objective**2

@@ -59,6 +59,25 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
 
 
+def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
+    # the suite itself is not run: its subprocess is replaced by a canned summary
+    code = (
+        "import json, subprocess, bench_snapshot\n"
+        "bench_snapshot.run = lambda argv, env=None: subprocess.CompletedProcess(\n"
+        "    argv, 0, stdout='...\\n3 passed, 1 failed in 0.5s\\n', stderr='')\n"
+        "print(json.dumps(bench_snapshot.tier1_metrics()))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    snapshot = json.loads(proc.stdout)
+    assert snapshot["tier1.passed"] == 3 and snapshot["tier1.failed"] == 1
+    sources = sorted(str(p) for p in (ROOT / "src" / "tpslab").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
+    assert snapshot["src.lines"] == int(wc.stdout.split()[-2])
+
+
 @pytest.mark.parametrize(
     "name", ["make_inputs.py", "entanglement_sweep.py", "search_demo.py", "bench_snapshot.py"]
 )

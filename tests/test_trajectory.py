@@ -11,7 +11,6 @@ from tpslab.trajectory import (
     HamiltonianTrajectory,
     Harmonic,
     TrigTrajectory,
-    coefficient_triples,
     evolve_under_hamiltonian,
     sample_trig,
     trig_to_polynomials,
@@ -151,9 +150,9 @@ def test_rebase_commutes_with_coefficient_rebasing(seed):
     rng = np.random.default_rng(seed)
     tps = TPSpec(haar_unitary(4, rng), QBITS)
     traj = fixtures.cnot_trajectory()
-    triples = coefficient_triples(traj, tps)
+    polys = trig_to_polynomials(traj, tps)
     for t in np.linspace(0.0, traj.t_max, 7):
-        via_coeffs = triples[:, 0] + triples[:, 1] * np.cos(t) + triples[:, 2] * np.sin(t)
+        via_coeffs = polys.evaluate_components(t)[0]
         state = StateVector(traj.evaluate(t)[0], QBITS)
         assert np.abs(rebase_state(tps, state).amplitudes - via_coeffs).max() < 1e-12
 
