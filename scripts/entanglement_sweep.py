@@ -18,7 +18,7 @@ from tpslab.core import TPSpec
 from tpslab.entanglement import entanglement_profile
 from tpslab.fileio import profile_to_csv
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import sample_trig
+from tpslab.trajectory import sample
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     outdir = parser.parse_args().outdir
     outdir.mkdir(parents=True, exist_ok=True)
     dims = fixtures.QBIT_PAIR
-    sampled = sample_trig(fixtures.cnot_trajectory(), 400)
+    sampled = sample(fixtures.cnot_trajectory(), 400)
 
     bases = {
         "computational": TPSpec.identity(dims),

@@ -14,7 +14,7 @@ import argparse
 from tpslab import fixtures
 from tpslab.obstruction import certify_no_disentangling
 from tpslab.optimizer import OptimizerConfig, optimize_tps
-from tpslab.trajectory import sample_trig
+from tpslab.trajectory import sample
 
 
 def main():
@@ -30,9 +30,9 @@ def main():
     }
     print(f"{'trajectory':10s} {'verdict':30s} {'gram rank':>9s} {'search objective':>17s}")
     for name, traj in trajectories.items():
-        cert = certify_no_disentangling(sample_trig(traj, 400))
+        cert = certify_no_disentangling(sample(traj, 400))
         result = optimize_tps(
-            sample_trig(traj, 200),
+            sample(traj, 200),
             OptimizerConfig(restarts=args.restarts, seed=args.seed),
         )
         rank = f"{cert.numerical_rank}/{cert.full_rank}"

@@ -14,10 +14,7 @@ from .trajectory import (
     TrigTrajectory,
     HamiltonianTrajectory,
     SampledTrajectory,
-    PolynomialSystem,
-    sample_trig,
-    evolve_under_hamiltonian,
-    trig_to_polynomials,
+    sample,
 )
 from .entanglement import (
     SchmidtDecomposition,

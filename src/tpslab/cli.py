@@ -58,13 +58,7 @@ from .hamiltonian import (
 from .linalg import pin_blas_threads
 from .obstruction import DEFAULT_RANK_TOL, certify_no_disentangling
 from .optimizer import OptimizerConfig, optimize_tps
-from .trajectory import (
-    HamiltonianTrajectory,
-    SampledTrajectory,
-    TrigTrajectory,
-    evolve_under_hamiltonian,
-    sample_trig,
-)
+from .trajectory import TrigTrajectory, sample
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,16 +68,6 @@ EXIT_UNSUPPORTED = 4
 
 # parsed-argument names that are not recorded as report parameters
 _NOT_PARAMETERS = ("command", "handler", "input", "output")
-
-
-def _as_sampled(traj, num_samples: int) -> SampledTrajectory:
-    if isinstance(traj, SampledTrajectory):
-        return traj
-    if isinstance(traj, TrigTrajectory):
-        return sample_trig(traj, num_samples)
-    if isinstance(traj, HamiltonianTrajectory):
-        return evolve_under_hamiltonian(traj, num_samples)
-    raise TypeError(f"not a trajectory: {type(traj)!r}")
 
 
 def _load_tps_arg(arg: str, dims: HilbertDims) -> TPSpec:
@@ -99,7 +83,7 @@ def _load_tps_arg(arg: str, dims: HilbertDims) -> TPSpec:
 
 
 def cmd_profile(args) -> dict | str:
-    sampled = _as_sampled(load_trajectory(args.input), args.samples)
+    sampled = sample(load_trajectory(args.input), args.samples)
     profile = entanglement_profile(sampled, _load_tps_arg(args.tps, sampled.dims))
     if args.format == "csv":
         return profile_to_csv(profile)
@@ -115,7 +99,7 @@ def cmd_profile(args) -> dict | str:
 
 
 def cmd_certify(args) -> dict:
-    sampled = _as_sampled(load_trajectory(args.input), args.samples)
+    sampled = sample(load_trajectory(args.input), args.samples)
     return certify_no_disentangling(sampled, rank_tol=args.rank_tol).to_dict()
 
 
@@ -154,7 +138,7 @@ def cmd_hamiltonian(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    result = optimize_tps(_as_sampled(load_trajectory(args.input), args.samples), config)
+    result = optimize_tps(sample(load_trajectory(args.input), args.samples), config)
     return {
         "objective": result.objective,
         "restart_index": result.restart_index,

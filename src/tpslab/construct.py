@@ -1,10 +1,12 @@
 """Closed-form disentangler for frequency-1 two-qbit trajectories.
 
-Write z = e^{it} and v(z) = (z^2, z, 1).  Each raw component is
-e^{-it} P_j(z) for a quadratic P_j (see `tpslab.trajectory.trig_to_polynomials`),
-so psi(t) = e^{-it} m v(z) with m the 4 x 3 matrix of polynomial
-coefficients, and a basis change U rebases it to e^{-it} U m v(z).  When m
-has rank 3, that is a product state at every t exactly when
+Write z = e^{it} and v(z) = (z^2, z, 1).  A frequency-1 trajectory is the
+exponential sum e^{it} a_{+1} + a_0 + e^{-it} a_{-1} of
+`TrigTrajectory.exponentials`, so psi(t) = e^{-it} m v(z) for the 4 x 3
+coefficient map m = [a_{+1}, a_0, a_{-1}]: row j of m holds the coefficients
+of the quadratic P_j with raw component j equal to e^{-it} P_j(z).  A basis
+change U rebases it to e^{-it} U m v(z).  When m has rank 3, that is a
+product state at every t exactly when
 
     U m = N := [a0 (x) b0,  a0 (x) b1 + a1 (x) b0,  a1 (x) b1]
 
@@ -59,19 +61,11 @@ from .core import HilbertDims, TPSpec, operator_schmidt_values
 from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
 from .errors import UnsupportedForm
 from .linalg import nearest_unitary
-from .trajectory import (
-    PolynomialSystem,
-    SampledTrajectory,
-    TrigTrajectory,
-    sample_trig,
-    trig_to_polynomials,
-    _require_single_frequency,
-)
+from .trajectory import SampledTrajectory, TrigTrajectory, sample
 
-ROOT_LABELS = ("a", "b", "c", "d")
 # component (i, j) = 2 i + j carries root i of the first factor (a or b) and
 # root j of the second (c or d), so P_0 P_3 = P_1 P_2 is the vanishing minor
-PAIRING = ((0, 3), (1, 2))
+ROOT_LABELS = ("a", "b", "c", "d")
 
 VERIFY_SAMPLES = 100
 _H = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -130,11 +124,15 @@ def verify_disentangler(
     )
 
 
-def factorization_residual(polys: PolynomialSystem, pairing) -> np.ndarray:
-    """Coefficients of P_i P_j - P_k P_l (degree-4, five entries)."""
-    (i, j), (k, l) = pairing
-    c = np.asarray(polys.coeffs)
-    return np.convolve(c[i], c[j]) - np.convolve(c[k], c[l])
+def _coefficient_map(traj: TrigTrajectory) -> np.ndarray:
+    """The 4 x 3 map m = [a_{+1}, a_0, a_{-1}] with psi(t) = e^{-it} m (z^2, z, 1)."""
+    if len(traj.harmonics) != 1 or traj.harmonics[0].frequency != 1:
+        raise UnsupportedForm(
+            "this operation needs a single frequency-1 harmonic; got frequencies "
+            f"{[h.frequency for h in traj.harmonics]}"
+        )
+    freqs, rows = traj.exponentials()
+    return np.stack([rows[list(freqs).index(w)] for w in (1, 0, -1)], axis=1)
 
 
 def _phase_fixed_null(a: np.ndarray) -> np.ndarray:
@@ -191,9 +189,9 @@ def construct_disentangler(
     """
     if traj.dims != HilbertDims(2, 2):
         raise UnsupportedForm("the constructive solver handles 2x2 bipartitions only")
-    _require_single_frequency(traj)
+    m = _coefficient_map(traj)
 
-    sampled = sample_trig(traj, VERIFY_SAMPLES)
+    sampled = sample(traj, VERIFY_SAMPLES)
     identity = TPSpec.identity(traj.dims)
 
     # Already a product in the reference basis: nothing to construct.
@@ -207,9 +205,6 @@ def construct_disentangler(
             message="trajectory is already a product in the reference basis",
         )
 
-    # Coefficient map M: row j holds the polynomial coefficients of the j-th
-    # raw component, so a candidate U produces polynomial rows U @ M.
-    m = np.asarray(trig_to_polynomials(traj, identity).coeffs)
     q, r = np.linalg.qr(m)
     scale = np.abs(np.diagonal(r)).max()
     if scale == 0 or np.abs(np.diagonal(r)).min() < 1e-12 * scale:

@@ -36,12 +36,13 @@ import numpy as np
 
 from .core import HilbertDims, StateVector, TPSpec
 from .entanglement import EntanglementProfile
-from .errors import NotNormalizable, TpslabError
+from .errors import TpslabError
 from .trajectory import (
     HamiltonianTrajectory,
     Harmonic,
     SampledTrajectory,
     TrigTrajectory,
+    sample,
 )
 
 PROFILE_COLUMNS = ("t", "entropy", "product_distance")
@@ -163,12 +164,7 @@ def _trig_in(node, dims: HilbertDims) -> TrigTrajectory:
     t_max = _get(node, "t_max", "trig")
     _expect(_positive_number(t_max), "trig.t_max", "expected a finite positive number")
     traj = TrigTrajectory(dims, constant, tuple(harmonics), float(t_max))
-    # catch off-sphere component functions at load time
-    probe = np.linalg.norm(traj.evaluate(np.linspace(0.0, traj.t_max, 17)), axis=1)
-    if not np.abs(probe - 1.0).max() <= 1e-9:
-        raise NotNormalizable(
-            f"trig components leave the unit sphere by {np.abs(probe - 1.0).max():.3e}"
-        )
+    sample(traj, 17)  # raises NotNormalizable on off-sphere component functions
     return traj
 
 

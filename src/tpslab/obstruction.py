@@ -8,17 +8,24 @@ decided through the L2 Gram matrix of the products on the sample grid: L2
 independence implies C^0 independence for continuous functions, so a
 full-rank Gram matrix is a sound certificate.
 
-Rank deficiency proves nothing in either direction (the C-NOT evolution is
-rank-deficient *and* admits a disentangling TPS), so the verdict in that case
-is `INCONCLUSIVE` -- never upgraded.  One cheap sufficient condition for
-existence is checked first: when the states span a subspace of dimension at
-most max(n1, n2), a disentangling TPS always exists (send a basis of the
-span to |1 1>, |2 1>, ...), and the verdict is `EXISTS_BY_LOW_DIMENSION`.
+A small rank deficiency certifies too.  The 2x2 minors of the rebased state
+are linear in the products, m_tk = Phi_t . c_k(U) with Phi_t the products at
+time t, and the K = C(n1, 2) C(n2, 2) vectors c_k(U) (the Sym^2 coordinates
+of U^T E_k U for the minor forms E_k) are orthonormal.  A disentangling U
+makes every minor vanish, which puts K orthonormal vectors into the Gram
+kernel, so any rank above N - K certifies (N the Gram size).  A rank of
+N - K or less proves nothing in either direction (the C-NOT evolution has
+rank 5 of 10 *and* admits a disentangling TPS), so the verdict in that case
+is `INCONCLUSIVE`.  One cheap sufficient condition for existence is checked
+first: when the states span a subspace of dimension at most max(n1, n2), a
+disentangling TPS always exists (send a basis of the span to |1 1>, |2 1>,
+...), and the verdict is `EXISTS_BY_LOW_DIMENSION`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +147,12 @@ def certify_no_disentangling(
     """Run the obstruction test on a sampled trajectory.
 
     The eigenvalues of the product Gram matrix are thresholded at
-    `rank_tol` times the largest one.  Full rank certifies that no
-    disentangling TPS exists; a trajectory span of dimension at most
-    max(n1, n2) certifies that one does (and takes precedence -- the two
-    can never fire together, since a low-dimensional span forces product
-    dependencies); anything else is inconclusive.
+    `rank_tol` times the largest one.  A rank above N - K (N the Gram size,
+    K = C(n1, 2) C(n2, 2) the minor count) certifies that no disentangling
+    TPS exists; a trajectory span of dimension at most max(n1, n2)
+    certifies that one does (and takes precedence -- the two can never fire
+    together, since a low-dimensional span forces product dependencies);
+    anything else is inconclusive.
     """
     gram = build_product_gram(traj)
     # the Gram is positive semidefinite: its zero eigenvalues come back as signed rounding
@@ -155,7 +163,7 @@ def certify_no_disentangling(
 
     if span_dim <= max(traj.dims.n1, traj.dims.n2):
         verdict = Verdict.EXISTS_LOW_DIM
-    elif rank == full:
+    elif rank > full - math.comb(traj.dims.n1, 2) * math.comb(traj.dims.n2, 2):
         verdict = Verdict.CERTIFIED_NO
     else:
         verdict = Verdict.INCONCLUSIVE

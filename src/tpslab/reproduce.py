@@ -28,7 +28,7 @@ from .hamiltonian import (
 from .linalg import haar_unitary
 from .obstruction import Verdict, certify_no_disentangling
 from .optimizer import OptimizerConfig, _Objective, optimize_tps
-from .trajectory import evolve_under_hamiltonian, sample_trig
+from .trajectory import sample
 
 DIMS = HilbertDims(2, 2)
 
@@ -36,14 +36,14 @@ DIMS = HilbertDims(2, 2)
 def check_cnot_disentangling(tps: TPSpec | None = None):
     """Rebased C-NOT evolution is a product state on a 1000-point grid."""
     tps = tps or fixtures.cnot_disentangler()
-    r = verify_disentangler(tps, sample_trig(fixtures.cnot_trajectory(), 1000), 1e-10)
+    r = verify_disentangler(tps, sample(fixtures.cnot_trajectory(), 1000), 1e-10)
     return r.passed, f"max minor {r.max_minor:.2e}, max sigma2 {r.max_sigma2:.2e} (tol 1e-10)"
 
 
 def check_closed_form_factorization():
     """Rebased state matches (e^{-it}/4) [(z-1), (z+1)] (x) [(z-1), (z+1)]."""
     tps = fixtures.cnot_disentangler()
-    sampled = sample_trig(fixtures.cnot_trajectory(), 1000)
+    sampled = sample(fixtures.cnot_trajectory(), 1000)
     t = sampled.times
     z = np.exp(1j * t)[:, None]
     factor = np.concatenate([z - 1, z + 1], axis=1)
@@ -55,8 +55,8 @@ def check_closed_form_factorization():
 
 def check_hamiltonian_evolution():
     """exp(+iHt) reproduces the closed-form trajectory on 1000 samples."""
-    evolved = evolve_under_hamiltonian(fixtures.cnot_evolution(), 1000)
-    reference = sample_trig(fixtures.cnot_trajectory(), 1000)
+    evolved = sample(fixtures.cnot_evolution(), 1000)
+    reference = sample(fixtures.cnot_trajectory(), 1000)
     worst = float(np.abs(evolved.states - reference.states).max())
     return worst < 1e-10, f"max state deviation {worst:.2e} (tol 1e-10)"
 
@@ -115,15 +115,15 @@ def check_obstruction_certificates():
     details = []
     ok = True
 
-    sidon = certify_no_disentangling(sample_trig(fixtures.sidon_trajectory(), 400))
+    sidon = certify_no_disentangling(sample(fixtures.sidon_trajectory(), 400))
     ok &= sidon.verdict is Verdict.CERTIFIED_NO and sidon.numerical_rank == 10
     details.append(f"sidon {sidon.verdict.value} {sidon.numerical_rank}/{sidon.full_rank}")
 
-    cnot = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 400))
+    cnot = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 400))
     ok &= cnot.verdict is Verdict.INCONCLUSIVE and cnot.numerical_rank == 5
     details.append(f"cnot {cnot.verdict.value} {cnot.numerical_rank}/{cnot.full_rank}")
 
-    low = certify_no_disentangling(sample_trig(fixtures.lowdim_trajectory(), 400))
+    low = certify_no_disentangling(sample(fixtures.lowdim_trajectory(), 400))
     ok &= low.verdict is Verdict.EXISTS_LOW_DIM
     details.append(f"lowdim {low.verdict.value} span {low.trajectory_span_dim}")
 
@@ -132,8 +132,8 @@ def check_obstruction_certificates():
         ("cnot", fixtures.cnot_trajectory()),
         ("lowdim", fixtures.lowdim_trajectory()),
     ):
-        v400 = certify_no_disentangling(sample_trig(traj, 400)).verdict
-        v800 = certify_no_disentangling(sample_trig(traj, 800)).verdict
+        v400 = certify_no_disentangling(sample(traj, 400)).verdict
+        v800 = certify_no_disentangling(sample(traj, 800)).verdict
         ok &= v400 is v800
     details.append("verdicts stable under doubling")
     return bool(ok), "; ".join(details)
@@ -144,7 +144,7 @@ def check_constructor_regression():
     result = construct_disentangler(fixtures.cnot_trajectory(), ConstructConfig())
     if not result.found:
         return False, result.message
-    sampled = sample_trig(fixtures.cnot_trajectory(), 1000)
+    sampled = sample(fixtures.cnot_trajectory(), 1000)
     report = verify_disentangler(result.tps, sampled, 1e-8)
     equivalent = tps_equivalent(result.tps, fixtures.cnot_disentangler())
     ok = report.passed and equivalent
@@ -156,14 +156,14 @@ def check_constructor_regression():
 
 def check_optimizer_cnot():
     """Numerical search reaches a near-disentangling TPS where one exists."""
-    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    sampled = sample(fixtures.cnot_trajectory(), 200)
     result = optimize_tps(sampled, OptimizerConfig(restarts=32, seed=0))
     return result.objective < 1e-6, f"objective {result.objective:.2e} (tol 1e-6)"
 
 
 def check_optimizer_sidon_floor():
     """The certified-obstructed trajectory keeps a macroscopic distance floor."""
-    sampled = sample_trig(fixtures.sidon_trajectory(), 200)
+    sampled = sample(fixtures.sidon_trajectory(), 200)
     result = optimize_tps(sampled, OptimizerConfig(restarts=32, seed=0))
     return result.objective > 1e-3, f"best objective {result.objective:.2e} (floor 1e-3)"
 
@@ -234,7 +234,7 @@ def check_property_local_invariance():
 
 def check_property_gradient_agreement():
     """Analytic optimizer Jacobian matches central finite differences."""
-    sampled = sample_trig(fixtures.cnot_trajectory(), 50)
+    sampled = sample(fixtures.cnot_trajectory(), 50)
     objective = _Objective(sampled)
     rng = np.random.default_rng(505)
     worst = 0.0

@@ -11,10 +11,13 @@ Three forms are supported:
 * `SampledTrajectory` -- a discrete surrogate: states tabulated on an
   increasing time grid.
 
-Frequency-1 trigonometric components can be rewritten as e^{-it} P(e^{it})
-for a quadratic polynomial P; `trig_to_polynomials` performs that rewriting
-after a basis change.  This polynomial form is the pivot of the closed-form
-disentangler in `tpslab.construct`.
+Both closed forms are exponential sums psi(t) = sum_w e^{iwt} a_w, and their
+`exponentials()` method returns that form as (frequencies w, rows a_w).  A
+trigonometric trajectory has w = 0 with a_0 = alpha and w = +-f with
+a_{+-f} = (beta -+ i gamma)/2; a Hamiltonian trajectory has the energies E_k
+of one eigendecomposition H = sum_k E_k |v_k><v_k| with a_k = <v_k|psi(0)> v_k.
+`sample` is the one place a closed form becomes samples: it evaluates the sum
+on a uniform, endpoint-inclusive grid.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertDims, StateVector, TPSpec, require_hermitian
-from .errors import (
-    DimensionMismatch,
-    NotNormalizable,
-    UnsupportedForm,
-)
+from .core import HilbertDims, StateVector, require_hermitian
+from .errors import DimensionMismatch, NotNormalizable
 from .linalg import frozen_complex
 
 SPHERE_TOL = 1e-9
@@ -68,14 +67,16 @@ class TrigTrajectory:
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
 
-    def evaluate(self, times) -> np.ndarray:
-        """Raw (un-renormalized) component values; shape (len(times), n)."""
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.tile(self.constant, (t.size, 1))
+    def exponentials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies (0, f1, -f1, f2, -f2, ...) and the rows a_w, shape (len(w), n)."""
+        freqs, rows = [0.0], [self.constant]
         for h in self.harmonics:
-            out += np.cos(h.frequency * t)[:, None] * h.cos_coeffs
-            out += np.sin(h.frequency * t)[:, None] * h.sin_coeffs
-        return out
+            freqs += [h.frequency, -h.frequency]
+            rows += [
+                (h.cos_coeffs - 1j * h.sin_coeffs) / 2,
+                (h.cos_coeffs + 1j * h.sin_coeffs) / 2,
+            ]
+        return np.array(freqs), np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,12 @@ class HamiltonianTrajectory:
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
         object.__setattr__(self, "hamiltonian", h)
+
+    def exponentials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Energies E_k and the rows a_k = <v_k|psi(0)> v_k, shape (n, n)."""
+        energies, vecs = np.linalg.eigh(self.hamiltonian)
+        weights = vecs.conj().T @ self.initial.amplitudes
+        return energies, weights[:, None] * vecs.T
 
 
 @dataclass(frozen=True)
@@ -135,76 +142,18 @@ class SampledTrajectory:
         return StateVector(self.states[k], self.dims)
 
 
-def sample_trig(traj: TrigTrajectory, num_samples: int) -> SampledTrajectory:
-    """Evaluate a trigonometric trajectory on a uniform, endpoint-inclusive grid.
+def sample(traj, num_samples: int) -> SampledTrajectory:
+    """Evaluate a closed-form trajectory on a uniform, endpoint-inclusive grid
+    of `num_samples` times; a `SampledTrajectory` is returned as it is.
 
     Each sample must lie within 1e-9 of the unit sphere (it is then snapped
     back exactly); otherwise `NotNormalizable` is raised, since off-sphere
     component functions mean the input is not a trajectory at all.
     """
+    if isinstance(traj, SampledTrajectory):
+        return traj
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
     times = np.linspace(0.0, traj.t_max, num_samples)
-    return SampledTrajectory(traj.dims, times, traj.evaluate(times))
-
-
-def evolve_under_hamiltonian(
-    traj: HamiltonianTrajectory, num_samples: int
-) -> SampledTrajectory:
-    """Sample exp(+i H t) |initial> on a uniform grid via eigendecomposition.
-
-    The matrix exponential is computed spectrally, which is exact for
-    Hermitian generators and preserves norms to near machine precision.
-    """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
-    times = np.linspace(0.0, traj.t_max, num_samples)
-    energies, vecs = np.linalg.eigh(traj.hamiltonian)
-    weights = vecs.conj().T @ traj.initial.amplitudes
-    phases = np.exp(1j * np.outer(times, energies))
-    states = (phases * weights) @ vecs.T
-    return SampledTrajectory(traj.dims, times, states)
-
-
-@dataclass(frozen=True)
-class PolynomialSystem:
-    """Quadratic polynomials P_i with e^{-it} P_i(e^{it}) equal to the
-    trajectory components after a basis change.
-
-    `coeffs[i]` holds [c2, c1, c0] for P_i = c2 X^2 + c1 X + c0.
-    """
-
-    coeffs: np.ndarray  # shape (n, 3)
-    dims: HilbertDims
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", frozen_complex(self.coeffs, (self.dims.n, 3)))
-
-    def evaluate_components(self, times) -> np.ndarray:
-        """e^{-it} P_i(e^{it}) for each component; shape (len(times), n)."""
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        z = np.exp(1j * t)[:, None]
-        c = np.asarray(self.coeffs)
-        return np.exp(-1j * t)[:, None] * (c[:, 0] * z * z + c[:, 1] * z + c[:, 2])
-
-
-def trig_to_polynomials(traj: TrigTrajectory, tps: TPSpec) -> PolynomialSystem:
-    """Rewrite each rebased component alpha + beta cos t + gamma sin t as
-    e^{-it} P(e^{it}) with P = (beta - i gamma)/2 X^2 + alpha X + (beta + i gamma)/2."""
-    if traj.dims != HilbertDims(2, 2):
-        raise UnsupportedForm("polynomial form is implemented for 2x2 bipartitions")
-    if tps.dims != traj.dims:
-        raise DimensionMismatch("TPS and trajectory dimensions differ")
-    _require_single_frequency(traj)
-    u, h = tps.basis_change, traj.harmonics[0]
-    alpha, beta, gamma = u @ traj.constant, u @ h.cos_coeffs, u @ h.sin_coeffs
-    coeffs = np.stack([(beta - 1j * gamma) / 2, alpha, (beta + 1j * gamma) / 2], axis=1)
-    return PolynomialSystem(coeffs, traj.dims)
-
-
-def _require_single_frequency(traj: TrigTrajectory) -> None:
-    if len(traj.harmonics) != 1 or traj.harmonics[0].frequency != 1:
-        raise UnsupportedForm(
-            "this operation needs a single frequency-1 harmonic; got frequencies "
-            f"{[h.frequency for h in traj.harmonics]}"
-        )
+    freqs, rows = traj.exponentials()
+    return SampledTrajectory(traj.dims, times, np.exp(1j * np.outer(times, freqs)) @ rows)

@@ -16,7 +16,7 @@ from tpslab.entanglement import max_minor_modulus, schmidt_values
 from tpslab.hamiltonian import interaction_norm, rebase_operator, stationarity_gradient
 from tpslab.obstruction import Verdict, certify_no_disentangling
 from tpslab.optimizer import OptimizerConfig, optimize_tps
-from tpslab.trajectory import evolve_under_hamiltonian, sample_trig
+from tpslab.trajectory import sample
 from tpslab import reproduce
 
 from helpers import QBITS
@@ -33,7 +33,7 @@ def _line(number, name, passed, detail=""):
 def test_criterion_1_gate_disentangling():
     start = time.monotonic()
     tps = fixtures.cnot_disentangler()
-    sampled = sample_trig(fixtures.cnot_trajectory(), 1000)
+    sampled = sample(fixtures.cnot_trajectory(), 1000)
     worst_minor = 0.0
     worst_sigma2 = 0.0
     for k in range(len(sampled)):
@@ -51,7 +51,7 @@ def test_criterion_1_gate_disentangling():
 
 def test_criterion_2_closed_form_factors():
     tps = fixtures.cnot_disentangler()
-    sampled = sample_trig(fixtures.cnot_trajectory(), 1000)
+    sampled = sample(fixtures.cnot_trajectory(), 1000)
     worst = 0.0
     for k in range(len(sampled)):
         t = sampled.times[k]
@@ -64,8 +64,8 @@ def test_criterion_2_closed_form_factors():
 
 
 def test_criterion_3_hamiltonian_identities():
-    evolved = evolve_under_hamiltonian(fixtures.cnot_evolution(), 1000)
-    reference = sample_trig(fixtures.cnot_trajectory(), 1000)
+    evolved = sample(fixtures.cnot_evolution(), 1000)
+    reference = sample(fixtures.cnot_trajectory(), 1000)
     evolution_dev = float(np.abs(evolved.states - reference.states).max())
 
     rebased = rebase_operator(fixtures.cnot_disentangler(), fixtures.cnot_hamiltonian())
@@ -111,12 +111,12 @@ def test_criterion_4_stationary_non_minimal_point():
 
 
 def test_criterion_5_obstruction_certificates():
-    sidon = certify_no_disentangling(sample_trig(fixtures.sidon_trajectory(), 400), 1e-8)
-    cnot = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 400), 1e-8)
+    sidon = certify_no_disentangling(sample(fixtures.sidon_trajectory(), 400), 1e-8)
+    cnot = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 400), 1e-8)
     sidon_double = certify_no_disentangling(
-        sample_trig(fixtures.sidon_trajectory(), 800), 1e-8
+        sample(fixtures.sidon_trajectory(), 800), 1e-8
     )
-    cnot_double = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 800), 1e-8)
+    cnot_double = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 800), 1e-8)
     ok = (
         sidon.verdict is Verdict.CERTIFIED_NO
         and sidon.numerical_rank == sidon.full_rank == 10
@@ -144,7 +144,7 @@ def test_criterion_6_constructor_regression():
     verified = False
     equivalent = False
     if found:
-        sampled = sample_trig(fixtures.cnot_trajectory(), 1000)
+        sampled = sample(fixtures.cnot_trajectory(), 1000)
         verified = verify_disentangler(result.tps, sampled, 1e-8).passed
         equivalent = tps_equivalent(result.tps, fixtures.cnot_disentangler())
     elapsed = time.monotonic() - start
@@ -160,10 +160,10 @@ def test_criterion_6_constructor_regression():
 def test_criterion_7_optimizer_sanity():
     start = time.monotonic()
     cnot = optimize_tps(
-        sample_trig(fixtures.cnot_trajectory(), 200), OptimizerConfig(restarts=32, seed=0)
+        sample(fixtures.cnot_trajectory(), 200), OptimizerConfig(restarts=32, seed=0)
     )
     sidon = optimize_tps(
-        sample_trig(fixtures.sidon_trajectory(), 200), OptimizerConfig(restarts=32, seed=0)
+        sample(fixtures.sidon_trajectory(), 200), OptimizerConfig(restarts=32, seed=0)
     )
     elapsed = time.monotonic() - start
     ok = cnot.objective < 1e-6 and sidon.objective > 1e-3 and elapsed < 300.0

@@ -3,16 +3,15 @@ import pytest
 
 from tpslab import fixtures
 from tpslab.construct import (
-    PAIRING,
     ConstructConfig,
+    _coefficient_map,
     construct_disentangler,
-    factorization_residual,
     verify_disentangler,
 )
 from tpslab.core import HilbertDims, TPSpec, tps_equivalent
 from tpslab.errors import UnsupportedForm
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import Harmonic, TrigTrajectory, sample_trig, trig_to_polynomials
+from tpslab.trajectory import Harmonic, TrigTrajectory, sample
 
 from helpers import QBITS, random_local_unitary
 
@@ -46,19 +45,24 @@ def test_warm_seed_recovers_known_parameters(cnot_result):
     assert np.isclose(pairing.roots["d"], -1, atol=1e-9)
 
 
+def _pairing_residual(traj, tps, pairing):
+    """Coefficients of P_i P_j - P_k P_l for the rows P of U m (degree 4, five entries)."""
+    (i, j), (k, l) = pairing
+    p = tps.basis_change @ _coefficient_map(traj)
+    return np.convolve(p[i], p[j]) - np.convolve(p[k], p[l])
+
+
 def test_factorization_identity_of_solution(cnot_result):
-    polys = trig_to_polynomials(fixtures.cnot_trajectory(), cnot_result.tps)
-    residual = factorization_residual(polys, PAIRING)
+    residual = _pairing_residual(fixtures.cnot_trajectory(), cnot_result.tps, ((0, 3), (1, 2)))
     assert np.abs(residual).max() < 1e-9
 
 
 def test_minor_pairing_is_the_one_that_survives(cnot_result):
     # the product identity that expresses the vanishing coefficient-matrix
     # minor pairs the outer components against the inner ones
-    assert PAIRING == ((0, 3), (1, 2))
-    polys = trig_to_polynomials(fixtures.cnot_trajectory(), cnot_result.tps)
     for pairing in (((0, 2), (1, 3)), ((0, 1), (2, 3))):
-        assert np.abs(factorization_residual(polys, pairing)).max() > 1e-3
+        residual = _pairing_residual(fixtures.cnot_trajectory(), cnot_result.tps, pairing)
+        assert np.abs(residual).max() > 1e-3
 
 
 def test_product_trajectory_yields_identity():
@@ -69,14 +73,14 @@ def test_product_trajectory_yields_identity():
 
 
 def test_verify_reference_disentangler():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 100)
+    sampled = sample(fixtures.cnot_trajectory(), 100)
     report = verify_disentangler(fixtures.cnot_disentangler(), sampled, 1e-10)
     assert report.passed
     assert report.max_sigma2 < 1e-10
 
 
 def test_verify_identity_fails_at_bell_endpoint():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 100)
+    sampled = sample(fixtures.cnot_trajectory(), 100)
     report = verify_disentangler(TPSpec.identity(QBITS), sampled, 1e-8)
     assert not report.passed
     assert report.max_sigma2 == pytest.approx(1 / S2, abs=1e-12)
@@ -97,7 +101,7 @@ def test_verify_rebased_constant_product():
 def test_solution_gauge_freedom(cnot_result, seed):
     rng = np.random.default_rng(seed)
     composed = TPSpec(random_local_unitary(rng) @ cnot_result.tps.basis_change, QBITS)
-    sampled = sample_trig(fixtures.cnot_trajectory(), 100)
+    sampled = sample(fixtures.cnot_trajectory(), 100)
     assert verify_disentangler(composed, sampled, 1e-8).passed
 
 
@@ -185,7 +189,7 @@ def test_planted_product_trajectory_is_found(seed):
     result = construct_disentangler(traj, ConstructConfig())
     assert result.found
     assert result.attempts == 1
-    report = verify_disentangler(result.tps, sample_trig(traj, 1000), 1e-12)
+    report = verify_disentangler(result.tps, sample(traj, 1000), 1e-12)
     assert report.max_sigma2 < 1e-12
 
 
@@ -200,7 +204,7 @@ def _trajectory_with_gram(g, g01, seed):
 
 
 def _gram_invariants(traj):
-    m = np.asarray(trig_to_polynomials(traj, TPSpec.identity(QBITS)).coeffs)
+    m = _coefficient_map(traj)
     gram = m.conj().T @ m
     g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
     return abs(gram[0, 1]), g[1] ** 2 - 4 * g[0] * g[2]
@@ -226,6 +230,6 @@ def test_diagonal_gram_with_real_roots_is_found():
     traj = _trajectory_with_gram((0.1, 0.8, 0.1), 0.0, seed=7)
     result = construct_disentangler(traj, ConstructConfig())
     assert result.found
-    assert verify_disentangler(result.tps, sample_trig(traj, 1000), 1e-12).passed
-    polys = trig_to_polynomials(traj, result.tps)
-    assert np.abs(factorization_residual(polys, PAIRING)).max() < 1e-12
+    assert verify_disentangler(result.tps, sample(traj, 1000), 1e-12).passed
+    residual = _pairing_residual(traj, result.tps, ((0, 3), (1, 2)))
+    assert np.abs(residual).max() < 1e-12

@@ -21,7 +21,7 @@ from tpslab.entanglement import (
 )
 from tpslab.errors import DimensionMismatch
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import sample_trig
+from tpslab.trajectory import sample
 
 from helpers import QBITS, bell_state, random_local_unitary, random_state
 
@@ -88,7 +88,7 @@ def test_distance_range(seed):
 
 def test_product_test_along_disentangled_gate():
     tps = fixtures.cnot_disentangler()
-    sampled = sample_trig(fixtures.cnot_trajectory(), 100)
+    sampled = sample(fixtures.cnot_trajectory(), 100)
     for k in range(len(sampled)):
         assert is_product_state(rebase_state(tps, sampled.state(k)), 1e-10)
 
@@ -152,7 +152,7 @@ def test_distance_zero_iff_entropy_zero(seed):
 
 def test_profile_identity_peaks_at_bell():
     profile = entanglement_profile(
-        sample_trig(fixtures.cnot_trajectory(), 101), TPSpec.identity(QBITS)
+        sample(fixtures.cnot_trajectory(), 101), TPSpec.identity(QBITS)
     )
     assert abs(profile.max_entropy - np.log(2)) < 1e-12
     assert profile.times[np.argmax(profile.entropy)] == pytest.approx(np.pi / 2)
@@ -162,7 +162,7 @@ def test_profile_identity_peaks_at_bell():
 
 def test_profile_disentangling_basis_is_flat():
     profile = entanglement_profile(
-        sample_trig(fixtures.cnot_trajectory(), 101), fixtures.cnot_disentangler()
+        sample(fixtures.cnot_trajectory(), 101), fixtures.cnot_disentangler()
     )
     assert profile.max_entropy < 1e-10
     assert profile.max_distance < 1e-7
@@ -181,7 +181,7 @@ def test_profile_constant_product_trajectory_is_zero():
 def test_profile_closed_form_disentangler_reads_machine_zero():
     # max sigma_2 is ~1e-16 here; sqrt(2 - 2 sigma_1) would read ~3e-8
     profile = entanglement_profile(
-        sample_trig(fixtures.cnot_trajectory(), 1000), fixtures.cnot_disentangler()
+        sample(fixtures.cnot_trajectory(), 1000), fixtures.cnot_disentangler()
     )
     assert profile.max_distance < 1e-14
 
@@ -294,7 +294,7 @@ def test_closed_form_qubit_top_vectors_on_degenerate_grams():
 
 def test_rebased_coefficients_match_rebase_state():
     tps = TPSpec(haar_unitary(4, np.random.default_rng(7)), QBITS)
-    sampled = sample_trig(fixtures.cnot_trajectory(), 50)
+    sampled = sample(fixtures.cnot_trajectory(), 50)
     mats = rebased_coefficients(sampled, tps)
     for k in range(len(sampled)):
         ref = rebase_state(tps, sampled.state(k)).amplitudes.reshape(2, 2)

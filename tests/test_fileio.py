@@ -18,7 +18,7 @@ from tpslab.trajectory import (
     HamiltonianTrajectory,
     SampledTrajectory,
     TrigTrajectory,
-    sample_trig,
+    sample,
 )
 
 from helpers import QBITS
@@ -47,7 +47,7 @@ def test_hamiltonian_roundtrip(tmp_path):
 
 def test_samples_roundtrip(tmp_path):
     path = tmp_path / "traj.json"
-    sampled = sample_trig(fixtures.cnot_trajectory(), 12)
+    sampled = sample(fixtures.cnot_trajectory(), 12)
     save_trajectory(sampled, path)
     loaded = load_trajectory(path)
     assert isinstance(loaded, SampledTrajectory)
@@ -110,7 +110,7 @@ def test_parse_errors_name_the_offending_path(mutate, expected_path):
             "hamiltonian.t_max",
         ),
         (
-            sample_trig(fixtures.cnot_trajectory(), 5),
+            sample(fixtures.cnot_trajectory(), 5),
             lambda d: d["samples"]["times"].__setitem__(1, float("nan")),
             "samples.times",
         ),
@@ -120,7 +120,7 @@ def test_parse_errors_name_the_offending_path(mutate, expected_path):
             "trig.harmonics[0].freq",
         ),
         (
-            sample_trig(fixtures.cnot_trajectory(), 5),
+            sample(fixtures.cnot_trajectory(), 5),
             lambda d: d["samples"].update(times=[False, True, True, True, True]),
             "samples.times",
         ),
@@ -150,7 +150,7 @@ def test_complex_encoding_is_re_im_pairs():
 
 
 def test_profile_csv_columns():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 5)
+    sampled = sample(fixtures.cnot_trajectory(), 5)
     profile = entanglement_profile(sampled, TPSpec.identity(QBITS))
     text = profile_to_csv(profile)
     lines = text.strip().split("\n")
@@ -181,5 +181,5 @@ def test_constant_trajectory_file_allows_empty_harmonics():
         },
     }
     loaded = load_trajectory(doc)
-    sampled = sample_trig(loaded, 4)
+    sampled = sample(loaded, 4)
     assert np.allclose(sampled.states, sampled.states[0])

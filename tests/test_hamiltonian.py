@@ -13,7 +13,7 @@ from tpslab.hamiltonian import (
     stationarity_gradient,
 )
 from tpslab.linalg import anti_hermitian_basis, expm_antihermitian
-from tpslab.trajectory import evolve_under_hamiltonian, sample_trig
+from tpslab.trajectory import sample
 
 from helpers import QBITS, random_hermitian, random_local_unitary
 
@@ -182,6 +182,6 @@ def test_stationarity_gradient_matches_finite_differences(n1, n2, seed):
 
 
 def test_evolution_consistency_with_closed_form():
-    evolved = evolve_under_hamiltonian(fixtures.cnot_evolution(), 200)
-    reference = sample_trig(fixtures.cnot_trajectory(), 200)
+    evolved = sample(fixtures.cnot_evolution(), 200)
+    reference = sample(fixtures.cnot_trajectory(), 200)
     assert np.abs(evolved.states - reference.states).max() < 1e-10

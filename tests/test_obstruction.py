@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tpslab import fixtures
+from tpslab.core import HilbertDims
 from tpslab.errors import TooFewSamples
 from tpslab.linalg import haar_unitary
 from tpslab.obstruction import (
@@ -11,7 +12,7 @@ from tpslab.obstruction import (
     component_pairs,
     trajectory_span_dimension,
 )
-from tpslab.trajectory import SampledTrajectory, sample_trig
+from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
 
 from helpers import QBITS
 
@@ -24,7 +25,7 @@ def test_pair_index_enumeration():
 
 
 def test_gram_cnot_zero_rows():
-    gram = build_product_gram(sample_trig(fixtures.cnot_trajectory(), 400))
+    gram = build_product_gram(sample(fixtures.cnot_trajectory(), 400))
     assert gram.gram.shape == (10, 10)
     # every pair touching the identically-zero second component vanishes
     zero_rows = [r for r, pair in enumerate(gram.pair_index) if (0, 1) in pair]
@@ -44,7 +45,7 @@ def test_gram_constant_state_single_entry():
 
 def test_gram_sidon_is_scaled_identity():
     # the sqrt(2) on products of distinct components doubles their norm
-    sampled = sample_trig(fixtures.sidon_trajectory(), 400)
+    sampled = sample(fixtures.sidon_trajectory(), 400)
     product_gram = build_product_gram(sampled)
     scale = [1.0 if p == q else 2.0 for p, q in product_gram.pair_index]
     assert np.abs(product_gram.gram - (2 * np.pi / 16) * np.diag(scale)).max() < 1e-12
@@ -53,7 +54,7 @@ def test_gram_sidon_is_scaled_identity():
 @pytest.mark.parametrize("factory", [fixtures.sidon_trajectory, fixtures.cnot_trajectory])
 def test_gram_spectrum_is_independent_of_reference_basis(factory):
     # products in orthonormal Sym^2 coordinates: a basis change acts unitarily
-    sampled = sample_trig(factory(), 400)
+    sampled = sample(factory(), 400)
     eigs = np.linalg.eigvalsh(build_product_gram(sampled).gram)
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -65,18 +66,18 @@ def test_gram_spectrum_is_independent_of_reference_basis(factory):
 
 def test_gram_too_few_samples():
     with pytest.raises(TooFewSamples):
-        build_product_gram(sample_trig(fixtures.cnot_trajectory(), 20))
+        build_product_gram(sample(fixtures.cnot_trajectory(), 20))
 
 
 def test_certify_sidon():
-    cert = certify_no_disentangling(sample_trig(fixtures.sidon_trajectory(), 400))
+    cert = certify_no_disentangling(sample(fixtures.sidon_trajectory(), 400))
     assert cert.verdict is Verdict.CERTIFIED_NO
     assert cert.numerical_rank == cert.full_rank == 10
     assert cert.trajectory_span_dim == 4
 
 
 def test_certify_cnot_inconclusive():
-    cert = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 400))
+    cert = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 400))
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.numerical_rank == 5
     assert cert.full_rank == 10
@@ -84,7 +85,7 @@ def test_certify_cnot_inconclusive():
 
 
 def test_certify_lowdim():
-    cert = certify_no_disentangling(sample_trig(fixtures.lowdim_trajectory(), 400))
+    cert = certify_no_disentangling(sample(fixtures.lowdim_trajectory(), 400))
     assert cert.verdict is Verdict.EXISTS_LOW_DIM
     assert cert.trajectory_span_dim == 2
 
@@ -94,14 +95,41 @@ def test_certify_lowdim():
     [fixtures.sidon_trajectory, fixtures.cnot_trajectory, fixtures.lowdim_trajectory],
 )
 def test_verdict_stable_under_doubling(factory):
-    a = certify_no_disentangling(sample_trig(factory(), 400))
-    b = certify_no_disentangling(sample_trig(factory(), 800))
+    a = certify_no_disentangling(sample(factory(), 400))
+    b = certify_no_disentangling(sample(factory(), 800))
     assert a.verdict is b.verdict
     assert a.numerical_rank == b.numerical_rank
 
 
+def _exponential_2x3(freqs, seed):
+    """V (a_k e^{i f_k t})_k on [0, 2 pi], freqs[0] = 0, for a Haar V and complex a_k."""
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.5, 1.0, size=6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    cols = amps / np.linalg.norm(amps) * haar_unitary(6, rng)
+    harmonics = tuple(Harmonic(f, cols[:, k], 1j * cols[:, k]) for k, f in enumerate(freqs) if f)
+    return TrigTrajectory(HilbertDims(2, 3), cols[:, 0], harmonics, 2 * np.pi)
+
+
+@pytest.mark.parametrize("samples", [400, 800])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "freqs, rank, verdict",
+    [
+        # 0 + 2 = 1 + 1 is the one repeated pairwise sum: rank 20 > N - K = 21 - 3
+        ((0, 1, 2, 7, 15, 31), 20, Verdict.CERTIFIED_NO),
+        # 0 + 2 = 1 + 1, 0 + 3 = 1 + 2 and 1 + 3 = 2 + 2: rank 18 = N - K
+        ((0, 1, 2, 3, 15, 31), 18, Verdict.INCONCLUSIVE),
+    ],
+    ids=["one-repeated-sum", "three-repeated-sums"],
+)
+def test_rank_above_n_minus_k_certifies(freqs, rank, verdict, seed, samples):
+    cert = certify_no_disentangling(sample(_exponential_2x3(freqs, seed), samples))
+    assert (cert.numerical_rank, cert.full_rank) == (rank, 21)
+    assert cert.verdict is verdict
+
+
 def test_rank_invariant_under_global_phase():
-    base = sample_trig(fixtures.cnot_trajectory(), 400)
+    base = sample(fixtures.cnot_trajectory(), 400)
     twisted = SampledTrajectory(QBITS, base.times, base.states * np.exp(1j * 0.813))
     a = certify_no_disentangling(base)
     b = certify_no_disentangling(twisted)
@@ -116,16 +144,17 @@ def test_rank_invariant_under_time_reparametrization(factory):
     traj = factory()
     times = np.linspace(0.0, traj.t_max, 400)
     warped = traj.t_max * np.sin(np.pi * times / (2 * traj.t_max))  # smooth bijection
-    states = traj.evaluate(warped)
+    freqs, rows = traj.exponentials()
+    states = np.exp(1j * np.outer(warped, freqs)) @ rows
     reparam = SampledTrajectory(QBITS, times, states)
-    a = certify_no_disentangling(sample_trig(traj, 400))
+    a = certify_no_disentangling(sample(traj, 400))
     b = certify_no_disentangling(reparam)
     assert a.verdict is b.verdict
     assert a.numerical_rank == b.numerical_rank
 
 
 def test_certificate_diagnostics():
-    cert = certify_no_disentangling(sample_trig(fixtures.sidon_trajectory(), 400))
+    cert = certify_no_disentangling(sample(fixtures.sidon_trajectory(), 400))
     doc = cert.to_dict()
     assert doc["verdict"] == "CertifiedNoDisentanglingTPS"
     assert len(doc["gram_eigenvalues"]) == 10
@@ -135,7 +164,7 @@ def test_certificate_diagnostics():
 
 def test_rank_deficient_gram_reports_no_negative_eigenvalue():
     # the five zero eigenvalues of C-NOT's positive semidefinite Gram are rounding
-    cert = certify_no_disentangling(sample_trig(fixtures.cnot_trajectory(), 200))
+    cert = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 200))
     assert cert.numerical_rank == 5
     assert cert.min_max_eig_ratio >= 0
     assert np.all(cert.gram_eigenvalues >= 0)

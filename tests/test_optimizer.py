@@ -13,14 +13,14 @@ from tpslab.entanglement import (
 )
 from tpslab.linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, haar_unitary
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
-from tpslab.trajectory import SampledTrajectory, sample_trig
+from tpslab.trajectory import SampledTrajectory, sample
 
 from helpers import QBITS, random_state
 
 
 @pytest.fixture(scope="module")
 def cnot_result():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    sampled = sample(fixtures.cnot_trajectory(), 200)
     return sampled, optimize_tps(sampled, OptimizerConfig(restarts=6, seed=0))
 
 
@@ -62,7 +62,7 @@ def test_constant_product_trajectory_is_solved_at_start():
 
 
 def test_certified_trajectory_keeps_distance_floor():
-    sampled = sample_trig(fixtures.sidon_trajectory(), 200)
+    sampled = sample(fixtures.sidon_trajectory(), 200)
     result = optimize_tps(sampled, OptimizerConfig(restarts=4, seed=0))
     assert result.objective > 1e-3
     assert all(s.objective > 1e-3 for s in result.restarts)
@@ -95,7 +95,7 @@ def _recorded_levenberg_marquardt(objective, theta):
     "factory", [fixtures.cnot_trajectory, fixtures.sidon_trajectory], ids=["cnot", "sidon"]
 )
 def test_levenberg_marquardt_contract(factory, seed):
-    objective = _Objective(sample_trig(factory(), 100))
+    objective = _Objective(sample(factory(), 100))
     theta = np.random.default_rng(seed).normal(scale=np.pi / 4, size=16)
     (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
     # the start cost, at the first fun call
@@ -131,7 +131,7 @@ def test_levenberg_marquardt_stops_at_a_zero_residual_start(n1, n2):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analytic_gradients_match_finite_differences(seed):
-    sampled = sample_trig(fixtures.cnot_trajectory(), 40)
+    sampled = sample(fixtures.cnot_trajectory(), 40)
     objective = _Objective(sampled)
     rng = np.random.default_rng(seed)
     theta = rng.normal(scale=0.6, size=16)
@@ -303,7 +303,7 @@ def _theta_of(u):
 
 
 def test_gram_top_pair_is_exact_at_the_cnot_disentangler():
-    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    sampled = sample(fixtures.cnot_trajectory(), 200)
     objective = _Objective(sampled)
     theta = _theta_of(fixtures.cnot_disentangler().basis_change)
     z = objective.sq_distances(theta)
@@ -334,7 +334,7 @@ def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
 
 def test_equal_top_schmidt_values_give_finite_distance_and_gradient():
     # at theta = 0 the C-NOT fixture ends in the Bell state, sigma_1 = sigma_2
-    sampled = sample_trig(fixtures.cnot_trajectory(), 200)
+    sampled = sample(fixtures.cnot_trajectory(), 200)
     assert sampled.times[-1] == np.pi / 2
     objective = _Objective(sampled)
     z, grad = objective.sq_distances(np.zeros(16)), objective.sq_distance_jacobian(np.zeros(16))
@@ -416,7 +416,7 @@ def _random_sidon_2x3():
 
 @pytest.mark.parametrize(
     "make_sampled",
-    [lambda: sample_trig(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    [lambda: sample(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
     ids=["sidon", "random-2x3"],
 )
 def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
