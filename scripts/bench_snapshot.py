@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Write one flat JSON snapshot of the benchmark workloads, the tests and the optimizer layers.
+"""Write one flat JSON snapshot of the benchmark workloads, the tests and the numeric layers.
 
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
 process, then the tier-1 test suite once and counts the package's source
-lines, then times the optimizer's layers in this process, and writes their
-metric lines, with nproc, the git HEAD and the Python/numpy/scipy versions,
-to the file named on the command line.  The file has no gate: it is a record
-to set beside the snapshot of another commit.  Run it from a full checkout.
+lines, then times the optimizer's layers and the Schmidt kernel in this
+process, and writes their metric lines, with nproc, the git HEAD and the
+Python/numpy/scipy versions, to the file named on the command line.  The
+file has no gate: it is a record to set beside the snapshot of another
+commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -27,6 +28,7 @@ LAYER_DIMS = ((2, 2), (2, 3))
 LAYER_SAMPLES = 200
 LAYER_THETAS = 16
 LAYER_REPEATS = 20
+SPECTRA_SAMPLES = 1000
 
 
 def run(argv, env=None):
@@ -62,7 +64,8 @@ def tier1_metrics() -> dict:
 
 
 def layer_metrics() -> dict:
-    """Per-theta medians, in microseconds, of the optimizer's layers.
+    """Per-theta medians, in microseconds, of the optimizer's layers, and the
+    per-call median of `schmidt_spectra`.
 
     Fixed seeded random states (T = LAYER_SAMPLES) and theta, BLAS pinned to
     one thread as in `bench/run.py`.  `_frechet` (U from one eigh) and
@@ -70,13 +73,15 @@ def layer_metrics() -> dict:
     empty memo; every other layer runs on its theta's full memo less its own
     entries, so that each time is that layer's alone.  Next to the times: the
     residual count and the largest relative gap between |residuals|^2 and
-    sum_{t,k} |m_k(t)|^2 / T from the raw minors.
+    sum_{t,k} |m_k(t)|^2 / T from the raw minors.  `schmidt_spectra` runs on
+    its own seeded stack of SPECTRA_SAMPLES random matrices, next to its largest
+    gap to a per-matrix `np.linalg.svd`.
     """
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "src"))
     from tpslab.core import HilbertDims
-    from tpslab.entanglement import coefficient_minors
+    from tpslab.entanglement import coefficient_minors, schmidt_spectra
     from tpslab.linalg import pin_blas_threads
     from tpslab.optimizer import _Objective
     from tpslab.trajectory import SampledTrajectory
@@ -125,6 +130,19 @@ def layer_metrics() -> dict:
         flat.update({f"{key}.{name}_us": 1e6 * float(np.median(t)) for name, t in elapsed.items()})
         flat[f"{key}.residuals.count"] = len(r)
         flat[f"{key}.cost_rel_gap"] = gap
+
+        rng = np.random.default_rng(1)
+        shape = (SPECTRA_SAMPLES, n1, n2)
+        mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mats /= np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+        elapsed = []
+        for _ in range(LAYER_THETAS * LAYER_REPEATS):
+            start = time.perf_counter()
+            spectra = schmidt_spectra(mats)
+            elapsed.append(time.perf_counter() - start)
+        flat[f"{key}.schmidt_spectra_us"] = 1e6 * float(np.median(elapsed))
+        svd = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])
+        flat[f"{key}.schmidt_spectra.svd_gap"] = float(np.abs(spectra - svd).max())
     return flat
 
 

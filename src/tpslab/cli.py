@@ -10,9 +10,9 @@ Subcommands::
     tpslab reproduce  [--list]
 
 Each `cmd_*` handler maps the parsed arguments to its results; `report` wraps
-them in the JSON report every command but `reproduce` emits (the sha256 of the
---input and --tps files, `parameters` = every option but --input and --output,
-results, versions, wall time), or emits the CSV of `profile --format csv`.
+them in the one-line JSON report every command but `reproduce` emits (sha256
+of the --input and --tps files, `parameters` = every option but --input and
+--output, results, versions, wall time), or emits `profile --format csv`'s CSV.
 Exit codes: 0 success, 1 reproduction-check failure, 2 input or configuration
 error, 3 dimension or validity error, 4 unsupported form.
 """
@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from hashlib import sha256
 from pathlib import Path
 
@@ -88,9 +89,9 @@ def cmd_profile(args) -> dict | str:
     if args.format == "csv":
         return profile_to_csv(profile)
     return {
-        "times": [float(t) for t in profile.times],
-        "entropy": [float(x) for x in profile.entropy],
-        "product_distance": [float(x) for x in profile.product_distance],
+        "times": profile.times.tolist(),
+        "entropy": profile.entropy.tolist(),
+        "product_distance": profile.product_distance.tolist(),
         "max_entropy": profile.max_entropy,
         "max_distance": profile.max_distance,
         "distance_measure": "chordal sqrt(2 - 2 sigma_1) to the product manifold, evaluated"
@@ -193,13 +194,14 @@ def report(args) -> None:
             },
             "wall_time_s": round(time.monotonic() - t0, 6),
         }
-        text = json.dumps(doc, indent=1)
+        text = json.dumps(doc) + "\n"  # no indent: json's C encoder
     if args.output:
         Path(args.output).write_text(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.write(text)  # JSON and CSV text both end in a newline
 
 
+@cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpslab",

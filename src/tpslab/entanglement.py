@@ -7,8 +7,8 @@ no inner optimization.  It is evaluated as the equal sqrt(2 sum_{k>=2}
 sigma_k^2 / (1 + sigma_1)), which keeps full precision at product states where
 2 - 2*sigma_1 cancels to ~sqrt(eps).  Entropies are in natural log units (a
 Bell pair has entropy ln 2, not 1 bit).  All measures run on one batched
-kernel, `rebased_coefficients` plus `schmidt_spectra`; the single-state
-helpers call the same functions.
+kernel, `rebased_coefficients` plus `schmidt_spectra` (closed form on 2 x n,
+an SVD otherwise); the single-state helpers call the same functions.
 """
 
 from __future__ import annotations
@@ -71,8 +71,16 @@ def rebased_coefficients(traj: SampledTrajectory, tps: TPSpec) -> np.ndarray:
 
 
 def schmidt_spectra(mats: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients of a stack of coefficient matrices, (T, k)."""
-    return np.linalg.svd(mats, compute_uv=False)
+    """Schmidt coefficients of a coefficient matrix or a stack of them, (..., k); for
+    min(n1, n2) = 2 sigma_1^2 = (a + c + hypot(a - c, 2|b|))/2 from the short side's Gram
+    [[a, b], [conj(b), c]] and sigma_2^2 = sum_k |m_k|^2 / sigma_1^2 over the 2x2 minors."""
+    if min(mats.shape[-2:]) != 2:
+        return np.linalg.svd(mats, compute_uv=False)
+    a, b, c = _qubit_gram(mats if mats.shape[-2] == 2 else mats.swapaxes(-1, -2))
+    top = 0.5 * (a + c + np.hypot(a - c, 2.0 * np.abs(b)))
+    m = coefficient_minors(mats)
+    low = np.sum(m.real**2 + m.imag**2, axis=-1) / np.where(top > 0, top, 1.0)
+    return np.sqrt(np.stack([top, np.minimum(low, top)], axis=-1))
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -123,14 +131,19 @@ def minor_forms(n1: int, n2: int) -> np.ndarray:
     return forms
 
 
+def _qubit_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries a, b, c of the Gram [[a, b], [conj(b), c]] of each (2, n) matrix in m."""
+    a, c = np.moveaxis(np.sum(m.real**2 + m.imag**2, axis=-1), -1, 0)
+    return a, np.sum(m[..., 0, :] * m[..., 1, :].conj(), axis=-1), c
+
+
 def gram_top_vectors(m: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of each Gram matrix M M^dag of a stack (T, n1, n2); for
     n1 = 2 closed form and cancellation-free: with G = [[a, b], [conj(b), c]] and
     s = |a - c|/2 + hypot((a - c)/2, |b|), (s, conj(b)) if a >= c, else (b, s)."""
     if m.shape[1] != 2:
         return np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
-    a, c = np.sum(m.real**2 + m.imag**2, axis=2).T
-    b = np.sum(m[:, 0] * m[:, 1].conj(), axis=1)
+    a, b, c = _qubit_gram(m)
     s = 0.5 * np.abs(a - c) + np.hypot(0.5 * (a - c), np.abs(b))
     w = np.where((a >= c)[:, None], np.stack([s, b.conj()], 1), np.stack([b, s], 1))
     norm = np.hypot(s, np.abs(b))  # sqrt(s^2 + |b|^2) would underflow at |b| ~ 1e-300

@@ -43,7 +43,9 @@ def run(args):
 
 
 def read(path):
-    return json.loads(open(path).read())
+    text = Path(path).read_text()
+    assert text.endswith("\n") and text.count("\n") == 1  # every JSON report is one line
+    return json.loads(text)
 
 
 def test_profile_identity_reaches_ln2(files, tmp_path):
@@ -74,6 +76,19 @@ def test_profile_csv_output(files, tmp_path, capsysbinary):
     # stdout carries the same bytes, with no empty record after the last row
     assert run(head) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_cached_parser_carries_no_state_between_calls(files, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    flags = ["--format", "csv", "--tps", files["disentangler"], "--output", str(out)]
+    assert run(["profile", "--input", files["cnot"], "--samples", "7"] + flags) == 0
+    capsys.readouterr()
+    assert run(["profile", "--input", files["cnot"], "--samples", "7"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert report["parameters"] == {"tps": "identity", "samples": 7, "format": "json"}
+    assert list(report["inputs"]) == ["input"]
 
 
 def test_certify_verdicts(files, tmp_path):

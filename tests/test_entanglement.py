@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from tpslab import fixtures
 from tpslab.core import HilbertDims, StateVector, TPSpec, rebase_state
 from tpslab.entanglement import (
+    _distances,
+    _entropies,
     _minor_indices,
     coefficient_minors,
     entanglement_entropy,
@@ -223,6 +225,38 @@ def test_batched_kernel_matches_per_matrix_reference(n1, n2):
         assert np.abs(mn - _loop_minors(m)).max() < 1e-14
     assert spectra[-5:, 1:].max() < 1e-14
     assert np.abs(minors[-5:]).max() < 1e-14
+
+    if min(n1, n2) > 2:  # the SVD path itself
+        assert np.array_equal(spectra, np.linalg.svd(mats, compute_uv=False))
+
+    # the edges of the 2 x n closed form: products plus noise of 1e-14 .. 1e-6,
+    # sigma_1 = sigma_2, the zero matrix, and a = c with |b| ~ 1e-300
+    noisy = [
+        products[k % 5] / np.linalg.norm(products[k % 5])
+        + size * (rng.normal(size=n1 * n2) + 1j * rng.normal(size=n1 * n2))
+        for k, size in enumerate(10.0 ** np.arange(-14, -5))
+    ]
+    isometries = [
+        [np.linalg.qr(rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2)))[0] for k in (n1, n2)]
+        for _ in range(40)
+    ]
+    tiny = np.zeros((n1, n2), dtype=complex)
+    tiny[0, 0] = tiny[1, 1] = 1 / S2
+    tiny[1, 0] = 1e-300
+    edges = np.array(
+        [x.reshape(n1, n2) / np.linalg.norm(x) for x in noisy]
+        + [q1 @ q2.T / S2 for q1, q2 in isometries]
+        + [np.zeros((n1, n2)), tiny]
+    )
+    got, want = schmidt_spectra(edges), np.linalg.svd(edges, compute_uv=False)
+    assert np.array_equal(got[-2], np.zeros(min(n1, n2)))
+    assert np.all(np.diff(got, axis=1) <= 0)  # non-increasing where sigma_1 = sigma_2
+    for measure in (np.asarray, _distances, _entropies):
+        assert np.abs(measure(got) - measure(want)).max() < 1e-14
+    if min(n1, n2) > 2:
+        assert np.array_equal(got, want)
+    for m, s in zip(edges, got):  # one 2-D matrix, as schmidt_values passes it
+        assert np.array_equal(schmidt_spectra(m), s)
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)])

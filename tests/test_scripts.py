@@ -50,13 +50,20 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     snapshot = json.loads(proc.stdout)
     layers = [
-        "_frechet", "derivative_stack", "residuals", "residual_jacobian", "sq_distances", "lm_step"
+        "_frechet",
+        "derivative_stack",
+        "residuals",
+        "residual_jacobian",
+        "sq_distances",
+        "lm_step",
+        "schmidt_spectra",
     ]
     # 2 K min(T, n(n+1)/2) residuals at T = 200: K = 1 and 3 minors
     for dims, count in [("2x2", 2 * 1 * 10), ("2x3", 2 * 3 * 21)]:
         assert all(snapshot[f"layers.{dims}.{name}_us"] > 0 for name in layers)
         assert snapshot[f"layers.{dims}.residuals.count"] == count
         assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
+        assert snapshot[f"layers.{dims}.schmidt_spectra.svd_gap"] < 1e-14
 
 
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
