@@ -71,7 +71,9 @@ def layer_metrics() -> dict:
     one thread as in `bench/run.py`.  `_frechet` (U from one eigh) and
     `lm_step` (residuals, Jacobian, J^T r and the eigh of J^T J) start from an
     empty memo; every other layer runs on its theta's full memo less its own
-    entries, so that each time is that layer's alone.  Next to the times: the
+    entries, so that each time is that layer's alone.  `_frechet` now times U
+    alone, and `derivative_stack` now includes the divided differences phi,
+    which earlier snapshots counted in `_frechet`.  Next to the times: the
     residual count and the largest relative gap between |residuals|^2 and
     sum_{t,k} |m_k(t)|^2 / T from the raw minors.  `schmidt_spectra` runs on
     its own seeded stack of SPECTRA_SAMPLES random matrices, next to its largest

@@ -68,13 +68,20 @@ EXIT_VALIDITY_ERROR = 3
 EXIT_UNSUPPORTED = 4
 
 # parsed-argument names that are not recorded as report parameters
-_NOT_PARAMETERS = ("command", "handler", "input", "output")
+_NOT_PARAMETERS = ("command", "handler", "input", "output", "inputs")
 
 
-def _load_tps_arg(arg: str, dims: HilbertDims) -> TPSpec:
-    if arg == "identity":
+def _read(args, name: str) -> bytes:
+    """The bytes of file option `name`, read once; their sha256 goes to args.inputs."""
+    data = Path(getattr(args, name)).read_bytes()
+    args.inputs[name] = {"path": getattr(args, name), "sha256": sha256(data).hexdigest()}
+    return data
+
+
+def _load_tps_arg(args, dims: HilbertDims) -> TPSpec:
+    if args.tps == "identity":
         return TPSpec.identity(dims)
-    tps = load_tps(arg)
+    tps = load_tps(_read(args, "tps"))
     if tps.dims != dims:
         raise DimensionMismatch(
             f"TPS dims ({tps.dims.n1},{tps.dims.n2}) differ from trajectory dims "
@@ -84,8 +91,8 @@ def _load_tps_arg(arg: str, dims: HilbertDims) -> TPSpec:
 
 
 def cmd_profile(args) -> dict | str:
-    sampled = sample(load_trajectory(args.input), args.samples)
-    profile = entanglement_profile(sampled, _load_tps_arg(args.tps, sampled.dims))
+    sampled = sample(load_trajectory(_read(args, "input")), args.samples)
+    profile = entanglement_profile(sampled, _load_tps_arg(args, sampled.dims))
     if args.format == "csv":
         return profile_to_csv(profile)
     return {
@@ -100,12 +107,12 @@ def cmd_profile(args) -> dict | str:
 
 
 def cmd_certify(args) -> dict:
-    sampled = sample(load_trajectory(args.input), args.samples)
+    sampled = sample(load_trajectory(_read(args, "input")), args.samples)
     return certify_no_disentangling(sampled, rank_tol=args.rank_tol).to_dict()
 
 
 def cmd_construct(args) -> dict:
-    traj = load_trajectory(args.input)
+    traj = load_trajectory(_read(args, "input"))
     if not isinstance(traj, TrigTrajectory):
         raise UnsupportedForm("the constructive solver takes a trigonometric trajectory")
     result = construct_disentangler(traj, ConstructConfig(verify_tol=args.tol))
@@ -125,8 +132,8 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_hamiltonian(args) -> dict:
-    matrix, dims = load_matrix_document(args.input)
-    rebased = rebase_operator(_load_tps_arg(args.tps, dims), matrix)
+    matrix, dims = load_matrix_document(_read(args, "input"))
+    rebased = rebase_operator(_load_tps_arg(args, dims), matrix)
     decomposition = separable_projection(rebased, dims)
     return {
         "h1": _matrix_out(decomposition.h1),
@@ -139,7 +146,7 @@ def cmd_hamiltonian(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    result = optimize_tps(sample(load_trajectory(args.input), args.samples), config)
+    result = optimize_tps(sample(load_trajectory(_read(args, "input")), args.samples), config)
     return {
         "objective": result.objective,
         "restart_index": result.restart_index,
@@ -170,20 +177,17 @@ def report(args) -> None:
 
     A handler returning text (CSV) is written as is.  Otherwise its dict is
     the `results` of a JSON report whose `parameters` are every parsed option
-    but --input and --output, so a rerun with them reproduces `results`.
+    but --input and --output, so a rerun with them reproduces `results`, and
+    whose `inputs` hash the bytes the handler parsed.
     """
     t0 = time.monotonic()
+    args.inputs = {}
     results = args.handler(args)
     text = results
     if not isinstance(results, str):
-        inputs = {}
-        for name in ("input", "tps"):
-            path = getattr(args, name, "identity")
-            if path != "identity":
-                inputs[name] = {"path": path, "sha256": sha256(Path(path).read_bytes()).hexdigest()}
         doc = {
             "command": args.command,
-            "inputs": inputs,
+            "inputs": args.inputs,
             "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
             "results": results,
             "versions": {

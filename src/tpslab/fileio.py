@@ -131,7 +131,7 @@ def _dims_in(doc: dict) -> HilbertDims:
 
 
 def load_trajectory(path):
-    """Read a trajectory document from `path` (or a pre-parsed dict)."""
+    """Read a trajectory document from `path` (or its bytes, or a pre-parsed dict)."""
     doc = _read_json(path)
     dims = _dims_in(doc)
     form = _get(doc, "form", "")
@@ -268,9 +268,8 @@ def profile_to_csv(profile: EntanglementProfile) -> str:
 def _read_json(path):
     if isinstance(path, dict):
         return path
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(path if isinstance(path, bytes) else Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise ParseError("<document>", f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "<document>", "top level must be an object")

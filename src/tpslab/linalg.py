@@ -85,24 +85,24 @@ def anti_hermitian_basis(n: int) -> np.ndarray:
 
 def expm_antihermitian(a: np.ndarray) -> np.ndarray:
     """exp(A) for anti-Hermitian A via the spectral theorem (exactly unitary)."""
-    mu, w = np.linalg.eigh(-1j * a)
-    return (w * np.exp(1j * mu)) @ w.conj().T
+    return expm_frechet(a)[0]
 
 
 def expm_frechet(a: np.ndarray):
-    """exp(A) and the spectral data of its derivative, from one eigh.
-
-    Returns (u, w, phi) with u = exp(A) and the Frechet derivative of exp at
-    A in direction E equal to  w @ (phi * (w^dag E w)) @ w^dag
-    (Daleckii-Krein formula).
-    """
+    """(u, w, mu), u = exp(A) = w diag(exp(i mu)) w^dag, from one eigh.  The Frechet
+    derivative of exp at A in direction E is w @ (phi * (w^dag E w)) @ w^dag
+    with phi = `frechet_phi(mu)` (Daleckii-Krein formula)."""
     mu, w = np.linalg.eigh(-1j * a)
+    return (w * np.exp(1j * mu)) @ w.conj().T, w, mu
+
+
+def frechet_phi(mu: np.ndarray) -> np.ndarray:
+    """Divided differences of exp(i mu): (e^{i mu_j} - e^{i mu_k}) / (i (mu_j - mu_k)),
+    and e^{i mu_j} where |mu_j - mu_k| <= 1e-14."""
     ea = np.exp(1j * mu)
     diff = 1j * (mu[:, None] - mu[None, :])
-    num = ea[:, None] - ea[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(diff) > 1e-14, num / diff, ea[:, None])
-    return (w * ea) @ w.conj().T, w, phi
+        return np.where(np.abs(diff) > 1e-14, (ea[:, None] - ea[None, :]) / diff, ea[:, None])
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

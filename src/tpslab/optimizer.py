@@ -20,7 +20,10 @@ performs two stages:
    amounts set by rounding;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
    z_t the cancellation-free squared product distance, solved by SLSQP.  SLSQP
-   is not monotone, so the stage keeps the best max_t z_t it has seen.
+   is not monotone, so the stage keeps the best max_t z_t it has seen.  A start
+   within its tolerance, max_t z_t <= EPIGRAPH_FTOL, skips it (SLSQP returned
+   such starts unchanged), so its objective is the least-squares endpoint's
+   distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
 
 The reported objective is the hard maximum of the chordal product distance on
 the sample grid, recomputed through `entanglement_profile`; each restart's
@@ -31,11 +34,12 @@ an SVD.  A distinct theta costs one n x n eigh, giving U; z_t adds a batched
 eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
 eigenvectors are closed form for n1 = 2.  Only a Jacobian builds, once per
 theta, the derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
-B_d by two n^2 x n^2 products, so rejected steps and line-search points pay
-for values only.  Both Jacobians are real, with one column per basis
-direction d, and each is one product against the flattened dU_d.  The
-least-squares one has the residuals' rows: real parts, then imaginary parts,
-each ordered by R's row, then by minor.  The minimax one has one row per sample.
+B_d by two n^2 x n^2 products, and builds the divided differences phi with
+them, so rejected steps and line-search points pay for U only.  Both
+Jacobians are real, with one column per basis direction d, and each is one
+product against the flattened dU_d.  The least-squares one has the residuals'
+rows: real parts, then imaginary parts, each ordered by R's row, then by
+minor.  The minimax one has one row per sample.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from scipy.optimize import minimize
 
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
-from .linalg import anti_hermitian_basis, expm_frechet, nearest_unitary
+from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi, nearest_unitary
 from .obstruction import sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory
 
@@ -115,19 +119,19 @@ class _Objective:
         """The memo of theta: u = exp(A) and the factors of its one eigh."""
         key = theta.tobytes()
         if self._memo.get("key") != key:
-            u, w, phi = expm_frechet(self._theta_to_a(theta))
-            self._memo = {"key": key, "u": u, "w": w, "phi": phi}
+            u, w, mu = expm_frechet(self._theta_to_a(theta))
+            self._memo = {"key": key, "u": u, "w": w, "mu": mu}
         return self._memo
 
     def _derivatives(self, theta: np.ndarray) -> np.ndarray:
         """d_u, the derivatives of u along the basis, flattened, (n^2, n^2); built
-        once per theta, for a Jacobian only: W^dag B W = B P, W X W^dag = X P^dag,
-        P = kron(conj(W), W)."""
+        with its phi once per theta, for a Jacobian only: W^dag B W = B P,
+        W X W^dag = X P^dag, P = kron(conj(W), W)."""
         memo = self._frechet(theta)
         if "d_u" not in memo:
-            w = memo["w"]
+            w, phi = memo["w"], frechet_phi(memo["mu"])
             p = (w.conj()[:, None, :, None] * w[None, :, None, :]).reshape(self.n**2, -1)
-            memo["d_u"] = ((self._basis_flat @ p) * memo["phi"].ravel()) @ p.conj().T
+            memo["d_u"] = ((self._basis_flat @ p) * phi.ravel()) @ p.conj().T
         return memo["d_u"]
 
     def unitary(self, theta: np.ndarray) -> np.ndarray:
@@ -231,11 +235,14 @@ def _polish(obj: _Objective, theta: np.ndarray):
     """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SLSQP.
 
     Returns the best iterate seen and the trace of best max_t z_t values (the
-    start, then each improvement).  The constraint, its Jacobian and the
-    callback at one iterate share one evaluation through the objective's memo.
+    start, then each improvement).  A start with s0 = max_t z_t <= EPIGRAPH_FTOL,
+    SLSQP's tolerance on s, comes back as is with trace [s0]: its restart reports
+    sqrt(s0).  The constraint, its Jacobian and the callback at an iterate share one evaluation.
     """
-    x0 = np.append(theta, obj.sq_distances(theta).max())  # s0 = max z(theta0)
-    best_theta, trace = theta.copy(), [float(x0[-1])]
+    s0 = obj.sq_distances(theta).max()
+    if s0 <= EPIGRAPH_FTOL:
+        return theta, [float(s0)]
+    best_theta, trace = theta.copy(), [float(s0)]
 
     def keep_best(xk):
         nonlocal best_theta
@@ -247,7 +254,7 @@ def _polish(obj: _Objective, theta: np.ndarray):
     e_last, ones = np.eye(len(theta) + 1)[-1], np.ones((len(obj.states), 1))
     minimize(
         lambda x: x[-1],
-        x0,
+        np.append(theta, s0),
         jac=lambda x: e_last,
         method="SLSQP",
         constraints={

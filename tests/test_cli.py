@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -63,7 +64,30 @@ def test_profile_with_disentangler_is_flat(files, tmp_path):
         ["profile", "--input", files["cnot"], "--tps", files["disentangler"], "--output", str(out)]
     )
     assert code == 0
-    assert read(out)["results"]["max_entropy"] < 1e-10
+    report = read(out)
+    assert report["results"]["max_entropy"] < 1e-10
+    for name, key in (("input", "cnot"), ("tps", "disentangler")):
+        digest = hashlib.sha256(Path(files[key]).read_bytes()).hexdigest()
+        assert report["inputs"][name] == {"path": files[key], "sha256": digest}
+
+
+def test_input_digests_are_of_the_parsed_bytes(files, tmp_path, monkeypatch):
+    # the files are read once: rewriting them after parsing leaves the digests as they were
+    parsed = {key: hashlib.sha256(Path(files[key]).read_bytes()).hexdigest() for key in files}
+    profile = tpslab.cli.entanglement_profile
+
+    def profile_then_rewrite(*args):
+        for key in ("cnot", "disentangler"):
+            Path(files[key]).write_text(Path(files[key]).read_text() + " ")
+        return profile(*args)
+
+    monkeypatch.setattr(tpslab.cli, "entanglement_profile", profile_then_rewrite)
+    out = tmp_path / "report.json"
+    argv = ["profile", "--input", files["cnot"], "--tps", files["disentangler"]]
+    assert run(argv + ["--output", str(out)]) == 0
+    inputs = read(out)["inputs"]
+    assert inputs["input"]["sha256"] == parsed["cnot"]
+    assert inputs["tps"]["sha256"] == parsed["disentangler"]
 
 
 def test_profile_csv_output(files, tmp_path, capsysbinary):
@@ -302,6 +326,14 @@ def test_non_finite_number_is_input_error(tmp_path, capsys, text, expected_path)
     path.write_text('{"dims": [2, 2], "form": "trig", "trig": {"harmonics": [], ' + text + "}}")
     assert main(["profile", "--input", str(path)]) == 2
     assert expected_path in capsys.readouterr().err
+
+
+def test_invalid_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [2, 2], "form"')
+    assert main(["profile", "--input", str(path)]) == 2
+    expected = "<document>: invalid JSON: Expecting ':' delimiter: line 1 column 24 (char 23)"
+    assert capsys.readouterr().err == f"input error: {expected}\n"
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -10,7 +10,13 @@ from tpslab.entanglement import (
     coefficient_minors,
     entanglement_profile,
 )
-from tpslab.linalg import anti_hermitian_basis, expm_antihermitian, expm_frechet, haar_unitary
+from tpslab.linalg import (
+    anti_hermitian_basis,
+    expm_antihermitian,
+    expm_frechet,
+    frechet_phi,
+    haar_unitary,
+)
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample
 
@@ -242,7 +248,8 @@ def _loop_minors_jacobian(objective, theta):
     minors(M + dM) - minors(M) - minors(dM), exactly.
     """
     a = sum(coef * b for coef, b in zip(theta, objective.basis))
-    u, wexp, phi = expm_frechet(a)
+    u, wexp, mu = expm_frechet(a)
+    phi = frechet_phi(mu)
     shape = (objective.dims.n1, objective.dims.n2)
     scale = 1.0 / np.sqrt(len(objective.states))
 
@@ -372,11 +379,58 @@ def test_derivative_stack_is_built_only_for_a_jacobian():
     theta = rng.normal(scale=0.6, size=36)
     objective.residuals(theta)
     objective.sq_distances(theta)
-    assert "d_u" not in objective._memo
+    # values hold U, its eigh and z; neither the stack nor its divided differences
+    assert set(objective._memo) == {"key", "u", "w", "mu", "z", "y"}
     objective.residual_jacobian(theta)
     d_u = objective._memo["d_u"]
     objective.sq_distance_jacobian(theta)
     assert objective._memo["d_u"] is d_u  # one stack per theta, shared by both Jacobians
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+@pytest.mark.parametrize("scale", [0.0, 0.6], ids=["theta0", "random"])
+def test_deferred_stack_equals_the_stack_of_expm_frechet(n1, n2, scale):
+    # theta = 0 has all eigenvalues equal, where phi takes its |dmu| <= 1e-14 branch
+    objective, rng = _random_objective(n1, n2, 30, 5)
+    theta = rng.normal(scale=scale, size=(n1 * n2) ** 2)
+    objective.sq_distances(theta)
+    d_u = objective._derivatives(theta)
+    _, w, mu = expm_frechet(objective._theta_to_a(theta))
+    p = np.kron(w.conj(), w)
+    eager = ((objective._basis_flat @ p) * frechet_phi(mu).ravel()) @ p.conj().T
+    assert np.array_equal(d_u, eager)
+    if scale == 0.0:
+        assert np.array_equal(frechet_phi(mu), np.ones((n1 * n2,) * 2))
+        assert np.abs(d_u - objective._basis_flat).max() <= 1e-15  # d exp at 0 is the identity
+
+
+def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch):
+    objective = _Objective(sample(fixtures.cnot_trajectory(), 100))
+    theta, _, _ = optimizer._levenberg_marquardt(
+        objective.residuals, objective.residual_jacobian, np.zeros(16), optimizer.MINORS_MAX_NFEV
+    )
+    s0 = objective.sq_distances(theta).max()
+    assert s0 <= optimizer.EPIGRAPH_FTOL
+
+    def no_slsqp(*args, **kwargs):
+        raise AssertionError("SLSQP ran from a start within its tolerance")
+
+    monkeypatch.setattr(optimizer, "minimize", no_slsqp)
+    best_theta, trace = optimizer._polish(objective, theta)
+    assert np.array_equal(best_theta, theta) and trace == [s0]
+
+
+def test_minimax_stage_runs_from_an_obstructed_start(monkeypatch):
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 100))
+    theta, _, _ = optimizer._levenberg_marquardt(
+        objective.residuals, objective.residual_jacobian, np.zeros(16), optimizer.MINORS_MAX_NFEV
+    )
+    assert objective.sq_distances(theta).max() > optimizer.EPIGRAPH_FTOL
+    runs, minimize = [], optimizer.minimize
+    monkeypatch.setattr(optimizer, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)))
+    _, trace = optimizer._polish(objective, theta)
+    assert len(runs) == 1 and runs[0].nit > 1
+    assert trace[-1] <= trace[0]
 
 
 def test_winner_summary_objective_is_the_reported_objective(cnot_result):
