@@ -3,11 +3,11 @@
 
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
 process, then the tier-1 test suite once and counts the package's source
-lines, then times the optimizer's layers and the Schmidt kernel in this
-process, and writes their metric lines, with nproc, the git HEAD and the
-Python/numpy/scipy versions, to the file named on the command line.  The
-file has no gate: it is a record to set beside the snapshot of another
-commit.  Run it from a full checkout.
+lines, then times the optimizer's layers, the Schmidt kernel and the
+constructor in this process, and writes their metric lines, with nproc, the
+git HEAD and the Python/numpy/scipy versions, to the file named on the
+command line.  The file has no gate: it is a record to set beside the
+snapshot of another commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -77,16 +77,20 @@ def layer_metrics() -> dict:
     residual count and the largest relative gap between |residuals|^2 and
     sum_{t,k} |m_k(t)|^2 / T from the raw minors.  `schmidt_spectra` runs on
     its own seeded stack of SPECTRA_SAMPLES random matrices, next to its largest
-    gap to a per-matrix `np.linalg.svd`.
+    gap to a per-matrix `np.linalg.svd`.  `construct_disentangler` is timed per
+    call on the C-NOT evolution and on one seeded member of the benchmark's
+    planted family (`bench/bench_inputs.py`), one median over both, next to
+    the larger of their two disentangling residuals.
     """
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "src"))
+    from tpslab.construct import construct_disentangler
     from tpslab.core import HilbertDims
     from tpslab.entanglement import coefficient_minors, schmidt_spectra
     from tpslab.linalg import pin_blas_threads
     from tpslab.optimizer import _Objective
-    from tpslab.trajectory import SampledTrajectory
+    from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory
 
     pin_blas_threads()
     flat = {}
@@ -145,6 +149,21 @@ def layer_metrics() -> dict:
         flat[f"{key}.schmidt_spectra_us"] = 1e6 * float(np.median(elapsed))
         svd = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])
         flat[f"{key}.schmidt_spectra.svd_gap"] = float(np.abs(spectra - svd).max())
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from bench_inputs import cnot_spec, disentanglable
+
+    elapsed, residual = [], 0.0
+    for spec, _ in (cnot_spec(), disentanglable(np.random.default_rng(0))):
+        harmonics = tuple(Harmonic(*h) for h in spec["harmonics"])
+        traj = TrigTrajectory(HilbertDims(*spec["dims"]), spec["constant"], harmonics, spec["t_max"])
+        for _ in range(LAYER_THETAS * LAYER_REPEATS):
+            start = time.perf_counter()
+            result = construct_disentangler(traj)
+            elapsed.append(time.perf_counter() - start)
+        residual = max(residual, result.disentangling_residual)
+    flat["layers.construct_us"] = 1e6 * float(np.median(elapsed))
+    flat["layers.construct.residual_max"] = residual
     return flat
 
 

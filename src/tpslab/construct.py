@@ -42,11 +42,14 @@ the coefficient map always has a null direction on which the trajectory puts
 no constraint at all.  U's action there is completed by orthonormal
 complement, but distinct completion phases yield genuinely *inequivalent*
 TPSs that all disentangle the trajectory.  The returned representative is
-canonicalized by choosing the completion phase that minimizes the top
-operator-Schmidt coefficient of U (the "flattest" basis change, the one that
-spreads the change most evenly across the two factors).  That choice is
-deterministic and well-defined on TPS classes, because operator-Schmidt
-coefficients are invariant under local unitaries.
+canonicalized by choosing the completion phase that minimizes the operator
+entanglement sum_k sigma_k^4 of U over its operator-Schmidt coefficients
+(Zanardi 2001; the "flattest" basis change, the one that spreads the change
+most evenly across the two factors).  That choice is deterministic and
+well-defined on TPS classes, because operator-Schmidt coefficients are
+invariant under local unitaries.  It is also exact: along the phase the sum
+is a trigonometric polynomial of degree 2, whose minimum is read off the
+roots of one quartic (see `_complete_unitary`).
 """
 
 from __future__ import annotations
@@ -55,12 +58,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .core import HilbertDims, TPSpec, operator_schmidt_values
+from .core import HilbertDims, TPSpec
 from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
 from .errors import UnsupportedForm
-from .linalg import nearest_unitary
+from .linalg import nearest_unitary, reshuffle
 from .trajectory import SampledTrajectory, TrigTrajectory, sample
 
 # component (i, j) = 2 i + j carries root i of the first factor (a or b) and
@@ -135,46 +137,38 @@ def _coefficient_map(traj: TrigTrajectory) -> np.ndarray:
     return np.stack([rows[list(freqs).index(w)] for w in (1, 0, -1)], axis=1)
 
 
-def _phase_fixed_null(a: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the orthogonal complement of the columns of a
-    4 x 3 matrix, with its largest entry rotated to the positive real axis."""
-    u, _, _ = np.linalg.svd(a)
-    v = u[:, 3]
-    pivot = v[np.argmax(np.abs(v))]
-    return v * (pivot.conjugate() / abs(pivot))
-
-
 def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.ndarray:
-    """Fill the unconstrained direction and canonicalize its free phase.
+    """U = s q_3^H + e^{i phi} s4 q4^H at the phase phi of least operator entanglement.
 
-    Any phase on the completion rank-one block yields a valid unitary, but
-    the resulting TPSs are not equivalent to each other; the phase minimizing
-    the top operator-Schmidt coefficient of U is selected (scan plus local
-    refinement), a convention that is invariant under local-unitary gauge.
+    q is the complete 4 x 4 QR factor of m: q_3 its first three columns and
+    q4 their unit complement; s4 is the unit complement of the columns of s.
+    Every phase acts alike on range(m), but the resulting TPSs are
+    inequivalent.  With R_F, R_B the reshuffles of the two terms,
+    C = R_B R_F^H and P = R_F R_F^H + R_B R_B^H, the operator entanglement
+    sum_k sigma_k^4 of U is exactly const + Re(a1 e^{i phi}) + Re(a2 e^{2 i phi})
+    with a1 = 4 tr(P C) and a2 = 2 tr(C^2).  Its stationary points are
+    phi = pi and phi = 2 arctan(t) for the real roots t of a quartic in
+    t = tan(phi/2) (the real parts of all its roots are tried), so the least
+    of them is the global minimum, found with no search.  Any phase of
+    s4 q4^H is absorbed into phi.  (The quartic in z = e^{i phi} would lose
+    the minimum where a2 = 0 and its end coefficients vanish, as on C-NOT.)
     """
-    s4 = _phase_fixed_null(s)
-    q4 = _phase_fixed_null(q)
-    fixed = s @ q.conj().T
-    block = np.outer(s4, q4.conj())
-
-    def top_schmidt(phi: float) -> float:
-        return float(operator_schmidt_values(fixed + np.exp(1j * phi) * block, dims)[0])
-
-    grid = np.linspace(0.0, 2 * np.pi, 181)
-    scan = fixed + np.exp(1j * grid)[:, None, None] * block
-    values = operator_schmidt_values(scan, dims)[:, 0]
-    k = int(values.argmin())
-    span = grid[1] - grid[0]
-    # the minimum is typically a spectral-crossing kink, so ask for a very
-    # tight bracket; each evaluation is a 4x4 SVD and costs nothing
-    refined = minimize_scalar(
-        top_schmidt,
-        bounds=(grid[k] - span, grid[k] + span),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    phi = float(refined.x) if refined.fun <= values[k] else float(grid[k])
-    return fixed + np.exp(1j * phi) * block
+    fixed = s @ q[:, :3].conj().T
+    block = np.outer(np.linalg.qr(s, mode="complete")[0][:, 3], q[:, 3].conj())
+    r_f, r_b = reshuffle(fixed, dims.n1, dims.n2), reshuffle(block, dims.n1, dims.n2)
+    c = r_b @ r_f.conj().T
+    a1 = 4 * np.trace((r_f @ r_f.conj().T + r_b @ r_b.conj().T) @ c)
+    a2 = 2 * np.trace(c @ c)
+    quartic = [
+        a1.imag - 2 * a2.imag,
+        8 * a2.real - 2 * a1.real,
+        12 * a2.imag,
+        -2 * a1.real - 8 * a2.real,
+        -a1.imag - 2 * a2.imag,
+    ]
+    phis = np.append(2 * np.arctan(np.roots(quartic).real), np.pi)
+    values = (a1 * np.exp(1j * phis)).real + (a2 * np.exp(2j * phis)).real
+    return fixed + np.exp(1j * phis[values.argmin()]) * block
 
 
 def construct_disentangler(
@@ -205,7 +199,8 @@ def construct_disentangler(
             message="trajectory is already a product in the reference basis",
         )
 
-    q, r = np.linalg.qr(m)
+    q, r = np.linalg.qr(m, mode="complete")
+    r = r[:3]
     scale = np.abs(np.diagonal(r)).max()
     if scale == 0 or np.abs(np.diagonal(r)).min() < 1e-12 * scale:
         return ConstructionResult(

@@ -51,7 +51,7 @@ from scipy.optimize import minimize
 
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
-from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi, nearest_unitary
+from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi
 from .obstruction import sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory
 
@@ -300,8 +300,8 @@ def optimize_tps(
             best = (objective, r, theta.copy())
 
     _, r_best, theta_best = best
-    u = nearest_unitary(obj.unitary(theta_best))
-    tps = TPSpec(u, traj.dims)
+    # exp(A) from one eigh is unitary to rounding, so it needs no projection
+    tps = TPSpec(obj.unitary(theta_best), traj.dims)
     # report the objective through the same code path users would take
     profile = entanglement_profile(traj, tps)
     return OptimizationResult(

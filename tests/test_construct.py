@@ -8,7 +8,7 @@ from tpslab.construct import (
     construct_disentangler,
     verify_disentangler,
 )
-from tpslab.core import HilbertDims, TPSpec, tps_equivalent
+from tpslab.core import HilbertDims, TPSpec, operator_schmidt_values, tps_equivalent
 from tpslab.errors import UnsupportedForm
 from tpslab.linalg import haar_unitary
 from tpslab.trajectory import Harmonic, TrigTrajectory, sample
@@ -105,15 +105,18 @@ def test_solution_gauge_freedom(cnot_result, seed):
     assert verify_disentangler(composed, sampled, 1e-8).passed
 
 
-def test_twisted_gate_trajectory_is_solved():
+def _twisted_gate_trajectory():
     # multiply the last component by a phase: still unit-norm, still frequency 1
     base = fixtures.cnot_trajectory()
     h = base.harmonics[0]
     twist = np.diag([1, 1, 1, np.exp(1j * np.pi / 3)])
-    traj = TrigTrajectory(
+    return TrigTrajectory(
         QBITS, twist @ base.constant, (Harmonic(1, twist @ h.cos_coeffs, twist @ h.sin_coeffs),), base.t_max
     )
-    result = construct_disentangler(traj, ConstructConfig())
+
+
+def test_twisted_gate_trajectory_is_solved():
+    result = construct_disentangler(_twisted_gate_trajectory(), ConstructConfig())
     assert result.found
     assert result.disentangling_residual < 1e-8
 
@@ -175,17 +178,20 @@ def _orthogonal_pair(rng):
     return np.cos(angle) * w[:, 0], np.sin(angle) * w[:, 1]
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_planted_product_trajectory_is_found(seed):
-    # e^{-it} (p0 + p1 z) (x) (q0 + q1 z), p0 _|_ p1 and q0 _|_ q1 for unit
-    # norm, seen through a Haar basis change V
-    rng = np.random.default_rng(seed)
+def _planted_coefficients(rng):
+    """e^{-it} (p0 + p1 z) (x) (q0 + q1 z), p0 _|_ p1 and q0 _|_ q1 for unit
+    norm, seen through a Haar basis change V."""
     p0, p1 = _orthogonal_pair(rng)
     q0, q1 = _orthogonal_pair(rng)
     planted = np.stack(
         [np.kron(p1, q1), np.kron(p0, q1) + np.kron(p1, q0), np.kron(p0, q0)], axis=1
     )
-    traj = _trig_from_coefficients(haar_unitary(4, rng) @ planted)
+    return haar_unitary(4, rng) @ planted
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_planted_product_trajectory_is_found(seed):
+    traj = _trig_from_coefficients(_planted_coefficients(np.random.default_rng(seed)))
     result = construct_disentangler(traj, ConstructConfig())
     assert result.found
     assert result.attempts == 1
@@ -233,3 +239,44 @@ def test_diagonal_gram_with_real_roots_is_found():
     assert verify_disentangler(result.tps, sample(traj, 1000), 1e-12).passed
     residual = _pairing_residual(traj, result.tps, ((0, 3), (1, 2)))
     assert np.abs(residual).max() < 1e-12
+
+
+def _operator_entanglement(u):
+    return float(np.sum(operator_schmidt_values(u, QBITS) ** 4))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cnot", "twisted-cnot", "diagonal-gram"] + [f"planted-{seed}" for seed in range(20)],
+)
+def test_completion_phase_minimizes_operator_entanglement(case):
+    # the free phase rotates U's image of the complement q4 of range(m) only;
+    # the returned U is the member of that family with least sum sigma^4
+    if case == "cnot":
+        traj = fixtures.cnot_trajectory()
+    elif case == "twisted-cnot":
+        traj = _twisted_gate_trajectory()
+    elif case == "diagonal-gram":
+        traj = _trajectory_with_gram((0.1, 0.8, 0.1), 0.0, seed=7)
+    else:
+        rng = np.random.default_rng(int(case.split("-")[1]))
+        traj = _trig_from_coefficients(_planted_coefficients(rng))
+    u = construct_disentangler(traj, ConstructConfig()).tps.basis_change
+    q4 = np.linalg.svd(_coefficient_map(traj))[0][:, 3]
+    scan = min(
+        _operator_entanglement(u @ (np.eye(4) + (np.exp(1j * phi) - 1) * np.outer(q4, q4.conj())))
+        for phi in np.linspace(0, 2 * np.pi, 3601)
+    )
+    assert _operator_entanglement(u) <= scan + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonical_choice_commutes_with_local_unitaries(seed):
+    # U disentangles psi iff U (A (x) B)^dag disentangles (A (x) B) psi, and
+    # the canonical choice is a TPS-class invariant, so it must follow along
+    rng = np.random.default_rng(seed)
+    c = _planted_coefficients(rng)
+    local = random_local_unitary(rng)
+    u = construct_disentangler(_trig_from_coefficients(c), ConstructConfig()).tps
+    moved = construct_disentangler(_trig_from_coefficients(local @ c), ConstructConfig()).tps
+    assert tps_equivalent(moved, TPSpec(u.basis_change @ local.conj().T, QBITS))

@@ -64,6 +64,8 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         assert snapshot[f"layers.{dims}.residuals.count"] == count
         assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
         assert snapshot[f"layers.{dims}.schmidt_spectra.svd_gap"] < 1e-14
+    assert snapshot["layers.construct_us"] > 0
+    assert snapshot["layers.construct.residual_max"] < 1e-12
 
 
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
