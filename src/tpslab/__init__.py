@@ -26,7 +26,6 @@ from .entanglement import (
     entanglement_profile,
 )
 from .obstruction import (
-    ProductGram,
     Certificate,
     Verdict,
     build_product_gram,

@@ -36,6 +36,11 @@ candidate is built whatever G is and accepted only if it passes a grid
 verification, so a `not_found` on a rank-3 input means the necessary
 condition failed; the message carries both invariants.
 
+When m has rank 2 or less, the states span at most two dimensions, which is
+max(n1, n2), and no condition is needed: with m = W S V^H its SVD, the rows
+of U = W^H reordered to (w0, w2, w1, w3) send the span to |00>, |10>, where
+every state is (.) (x) |0>.  That candidate is grid-verified the same way.
+
 Frequency-1 components live in the three-dimensional function space spanned
 by {1, cos t, sin t}, so the four of them are always linearly dependent and
 the coefficient map always has a null direction on which the trajectory puts
@@ -178,8 +183,9 @@ def construct_disentangler(
     at all times, if one exists.
 
     A `found=False` result on a rank-3 coefficient matrix means the Gram
-    condition of the module docstring fails.  Rank-deficient inputs are
-    declined: that is *not* a proof that no disentangling TPS exists.
+    condition of the module docstring fails.  A rank-deficient coefficient
+    matrix is always disentangled, by the SVD basis change of the module
+    docstring.
     """
     if traj.dims != HilbertDims(2, 2):
         raise UnsupportedForm("the constructive solver handles 2x2 bipartitions only")
@@ -203,51 +209,51 @@ def construct_disentangler(
     r = r[:3]
     scale = np.abs(np.diagonal(r)).max()
     if scale == 0 or np.abs(np.diagonal(r)).min() < 1e-12 * scale:
-        return ConstructionResult(
-            found=False,
-            message=(
-                "degenerate coefficient structure: the component functions span "
-                "fewer than three polynomial degrees, so every candidate would "
-                "drop below degree 2"
-            ),
+        u, pairing = np.linalg.svd(m)[0][:, [0, 2, 1, 3]].conj().T, None
+        message = "the states span at most two dimensions; the SVD of m sends them to |00>, |10>"
+        failure = "the coefficient map has rank below 3 (the SVD candidate"
+    else:
+        gram = m.conj().T @ m
+        g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
+        total = 1 + g[0] - g[2]
+        root = math.sqrt(max(total * total - 4 * g[0], 0.0))
+        p1, p2 = (total + root) / 2, (total - root) / 2
+        w = np.sqrt(np.clip([p1, 1 - p1, p2, 1 - p2], 0.0, None))
+        a0, a1, b0, b1 = w[0] * _H, w[1] * _K, w[2] * _H, w[3] * _K
+        n = np.stack(
+            [np.outer(a0, b0), np.outer(a0, b1) + np.outer(a1, b0), np.outer(a1, b1)], axis=-1
+        ).reshape(4, 3)
+        u = nearest_unitary(_complete_unitary(n @ np.linalg.inv(r), q, traj.dims))
+        # rank 3 gives g0 > 0, so p1 and p2 are positive and a0, b0 have no zero entry
+        roots = (-a1[0] / a0[0], -a1[1] / a0[1], -b1[0] / b0[0], -b1[1] / b0[1])
+        pairing = RootPairing(
+            roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
+            kappas=n[:, 0].astype(complex),
+        )
+        invariants = (
+            f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {g[1] ** 2 - 4 * g[0] * g[2]:.3e}"
+        )
+        message = f"closed form from the coefficient Gram matrix ({invariants})"
+        failure = (
+            f"no disentangling TPS: the coefficient Gram matrix has {invariants}, "
+            "and one exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the closed-form candidate"
         )
 
-    gram = m.conj().T @ m
-    g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
-    total = 1 + g[0] - g[2]
-    root = math.sqrt(max(total * total - 4 * g[0], 0.0))
-    p1, p2 = (total + root) / 2, (total - root) / 2
-    w = np.sqrt(np.clip([p1, 1 - p1, p2, 1 - p2], 0.0, None))
-    a0, a1, b0, b1 = w[0] * _H, w[1] * _K, w[2] * _H, w[3] * _K
-    n = np.stack([np.kron(a0, b0), np.kron(a0, b1) + np.kron(a1, b0), np.kron(a1, b1)], axis=1)
-    invariants = (
-        f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {g[1] ** 2 - 4 * g[0] * g[2]:.3e}"
-    )
-
-    u_raw = _complete_unitary(n @ np.linalg.inv(r), q, traj.dims)
-    tps = TPSpec(nearest_unitary(u_raw), traj.dims)
+    tps = TPSpec(u, traj.dims)
     report = verify_disentangler(tps, sampled, config.verify_tol)
     if not report.passed:
         return ConstructionResult(
             found=False,
-            message=(
-                f"no disentangling TPS: the coefficient Gram matrix has {invariants}, "
-                "and one exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the closed-form "
-                f"candidate leaves max sigma2 {report.max_sigma2:.3e})"
-            ),
+            message=f"{failure} leaves max sigma2 {report.max_sigma2:.3e})",
             attempts=1,
         )
     orth = float(np.linalg.norm(tps.basis_change.conj().T @ tps.basis_change - np.eye(4)))
-    roots = (-a1[0] / a0[0], -a1[1] / a0[1], -b1[0] / b0[0], -b1[1] / b0[1])
     return ConstructionResult(
         found=True,
         tps=tps,
-        pairing=RootPairing(
-            roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
-            kappas=np.kron(a0, b0).astype(complex),
-        ),
+        pairing=pairing,
         orthonormality_residual=orth,
         disentangling_residual=max(report.max_sigma2, report.max_minor),
-        message=f"closed form from the coefficient Gram matrix ({invariants})",
+        message=message,
         attempts=1,
     )

@@ -40,9 +40,6 @@ class HilbertDims:
     def n(self) -> int:
         return self.n1 * self.n2
 
-    def pair_index(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.n2)
-
 
 @dataclass(frozen=True)
 class StateVector:

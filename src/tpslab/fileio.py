@@ -260,8 +260,9 @@ def load_tps(path) -> TPSpec:
 
 def profile_to_csv(profile: EntanglementProfile) -> str:
     lines = [",".join(PROFILE_COLUMNS)]
-    for t, s, d in zip(profile.times, profile.entropy, profile.product_distance):
-        lines.append(f"{float(t)!r},{float(s)!r},{float(d)!r}")
+    columns = (profile.times, profile.entropy, profile.product_distance)
+    for t, s, d in zip(*(c.tolist() for c in columns)):
+        lines.append(f"{t!r},{s!r},{d!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -83,11 +83,6 @@ def anti_hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def expm_antihermitian(a: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-Hermitian A via the spectral theorem (exactly unitary)."""
-    return expm_frechet(a)[0]
-
-
 def expm_frechet(a: np.ndarray):
     """(u, w, mu), u = exp(A) = w diag(exp(i mu)) w^dag, from one eigh.  The Frechet
     derivative of exp at A in direction E is w @ (phi * (w^dag E w)) @ w^dag

@@ -6,7 +6,8 @@ independent as continuous functions on [0, T], then no unitary basis change
 can make the trajectory a product state at all times.  Independence is
 decided through the L2 Gram matrix of the products on the sample grid: L2
 independence implies C^0 independence for continuous functions, so a
-full-rank Gram matrix is a sound certificate.
+full-rank Gram matrix is a sound certificate.  `build_product_gram` returns
+it as a plain Hermitian array, its rows in `sym2_coordinates` order.
 
 A small rank deficiency certifies too.  The 2x2 minors of the rebased state
 are linear in the products, m_tk = Phi_t . c_k(U) with Phi_t the products at
@@ -44,33 +45,6 @@ class Verdict(enum.Enum):
     EXISTS_LOW_DIM = "ExistsByLowDimension"
 
 
-@dataclass(frozen=True)
-class ProductGram:
-    """L2 Gram matrix of the pairwise component products.
-
-    `pair_index[p]` names the unordered component pair ((i, j), (k, l)) whose
-    product function f_p sits at row/column p; products are symmetric, so
-    only p <= q pairs appear, nm(nm+1)/2 of them in total.  Products of two
-    distinct components carry a factor sqrt(2): the f_p are then the
-    coordinates of psi(t) (x) psi(t) in an orthonormal basis of Sym^2, a
-    basis change U acts on them by the unitary Sym^2(U), and the spectrum of
-    the Gram matrix does not depend on the reference basis.
-    """
-
-    pair_index: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    gram: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.gram.shape[0]
-
-
-def component_pairs(dims) -> tuple:
-    return tuple(
-        (dims.pair_index(int(p)), dims.pair_index(int(q))) for p, q in zip(*np.triu_indices(dims.n))
-    )
-
-
 def _trapezoid_gram(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Hermitian L2 Gram matrix of sampled functions, one per row."""
     gram = (rows * trapezoid_weights(times)) @ rows.conj().T
@@ -78,7 +52,7 @@ def _trapezoid_gram(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def sym2_coordinates(n: int):
-    """Pairs p <= q of the orthonormal Sym^2(C^n) coordinates, in `component_pairs`
+    """Pairs p <= q of the orthonormal Sym^2(C^n) coordinates, in `np.triu_indices`
     order, and their weights: 1 for p = q, sqrt(2) for p < q."""
     p, q = np.triu_indices(n)
     return p, q, np.where(p == q, 1.0, np.sqrt(2.0))
@@ -91,15 +65,25 @@ def sym2_products(states: np.ndarray) -> np.ndarray:
     return weights[:, None] * a[p] * a[q]
 
 
-def build_product_gram(traj: SampledTrajectory) -> ProductGram:
-    """Assemble G[p, q] = integral of f_p conj(f_q) dt by trapezoid quadrature."""
+def build_product_gram(traj: SampledTrajectory) -> np.ndarray:
+    """Hermitian L2 Gram matrix G[p, q] = integral of f_p conj(f_q) dt of the
+    pairwise component products, by trapezoid quadrature.
+
+    Row/column p holds the product f_p of the component pair p of
+    `sym2_coordinates` (flat component indices; products are symmetric, so
+    only pairs p <= q appear, n(n+1)/2 of them).  Products of two distinct
+    components carry a factor sqrt(2): the f_p are then the coordinates of
+    psi(t) (x) psi(t) in an orthonormal basis of Sym^2, a basis change U acts
+    on them by the unitary Sym^2(U), and the spectrum of the Gram matrix does
+    not depend on the reference basis.
+    """
     rows = sym2_products(traj.states)
     if len(traj) < OVERSAMPLING_FACTOR * len(rows):
         raise TooFewSamples(
             f"need at least {OVERSAMPLING_FACTOR * len(rows)} samples for a "
             f"{len(rows)}-pair Gram matrix, got {len(traj)}"
         )
-    return ProductGram(component_pairs(traj.dims), _trapezoid_gram(rows, traj.times))
+    return _trapezoid_gram(rows, traj.times)
 
 
 @dataclass(frozen=True)
@@ -156,9 +140,9 @@ def certify_no_disentangling(
     """
     gram = build_product_gram(traj)
     # the Gram is positive semidefinite: its zero eigenvalues come back as signed rounding
-    eigs = np.maximum(np.linalg.eigvalsh(gram.gram), 0.0)
+    eigs = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     rank = _numerical_rank(eigs, rank_tol)
-    full = gram.size
+    full = len(gram)
     span_dim = trajectory_span_dimension(traj, rank_tol)
 
     if span_dim <= max(traj.dims.n1, traj.dims.n2):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tpslab
-from tpslab import fixtures
+from tpslab import fixtures, reproduce
 from tpslab.cli import main
 from tpslab.fileio import save_matrix_document, save_trajectory
 
@@ -194,27 +194,31 @@ def test_construct_finds_and_reports_parameters(files, tmp_path):
 
 
 def test_construct_not_found_is_exit_zero(files, tmp_path):
-    # entangled span-2 trajectory: solver declines without erroring
+    # e^{-it} (sqrt(.3) z^2, sqrt(.4) z, sqrt(.3), 0): rank-3 coefficient map with
+    # Gram diag(0.3, 0.4, 0.3), which fails g1^2 >= 4 g0 g2, so no disentangler
+    a, b = 0.3**0.5, 0.4**0.5
     doc = {
         "dims": [2, 2],
         "form": "trig",
         "trig": {
-            "constant": [[0, 0]] * 4,
+            "constant": [[0, 0], [b, 0], [0, 0], [0, 0]],
             "harmonics": [
                 {
                     "freq": 1,
-                    "cos": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]],
-                    "sin": [[0, 0], [2**-0.5, 0], [2**-0.5, 0], [0, 0]],
+                    "cos": [[a, 0], [0, 0], [a, 0], [0, 0]],
+                    "sin": [[0, a], [0, 0], [0, -a], [0, 0]],
                 }
             ],
-            "t_max": 3.14159,
+            "t_max": 6.28318,
         },
     }
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "construct.json"
     assert run(["construct", "--input", str(path), "--output", str(out)]) == 0
-    assert read(out)["results"]["status"] == "not_found"
+    results = read(out)["results"]
+    assert results["status"] == "not_found"
+    assert "g1^2 - 4 g0 g2 = -2.000e-01" in results["message"]
 
 
 def test_construct_multifrequency_is_unsupported(files):
@@ -352,6 +356,14 @@ def test_reproduce_list(capsys):
     out = capsys.readouterr().out
     assert "cnot-disentangling" in out
     assert "optimizer-sidon-floor" in out
+
+
+def test_reproduce_exits_one_when_a_check_fails(monkeypatch, capsys):
+    checks = (("stub-pass", lambda: (True, "fine")), ("stub-fail", lambda: (False, "broken")))
+    monkeypatch.setattr(reproduce, "ALL_CHECKS", checks)
+    assert main(["reproduce"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["ok   stub-pass: fine", "FAIL stub-fail: broken"]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -11,6 +11,7 @@ from tpslab.construct import (
 from tpslab.core import HilbertDims, TPSpec, operator_schmidt_values, tps_equivalent
 from tpslab.errors import UnsupportedForm
 from tpslab.linalg import haar_unitary
+from tpslab.obstruction import Verdict, certify_no_disentangling
 from tpslab.trajectory import Harmonic, TrigTrajectory, sample
 
 from helpers import QBITS, random_local_unitary
@@ -121,21 +122,33 @@ def test_twisted_gate_trajectory_is_solved():
     assert result.disentangling_residual < 1e-8
 
 
-def test_degenerate_coefficient_structure_reports_not_found():
-    # span-2 trajectory that is entangled in the reference basis: every
-    # candidate polynomial system drops degree, so the solver must decline
-    # (a disentangler still exists -- absence of proof, not proof of absence)
-    w1 = np.array([1, 0, 0, 1]) / S2
-    w2 = np.array([0, 1, 1, 0]) / S2
-    traj = TrigTrajectory(
-        QBITS,
-        np.zeros(4, dtype=complex),
-        (Harmonic(1, w1.astype(complex), w2.astype(complex)),),
-        np.pi,
-    )
-    result = construct_disentangler(traj, ConstructConfig())
-    assert not result.found
-    assert "degenerate" in result.message
+def _rotated(traj, u):
+    h = traj.harmonics[0]
+    harmonic = Harmonic(h.frequency, u @ h.cos_coeffs, u @ h.sin_coeffs)
+    return TrigTrajectory(traj.dims, u @ traj.constant, (harmonic,), traj.t_max)
+
+
+def test_degenerate_coefficient_structure_is_disentangled():
+    # rank <= 2 coefficient maps, entangled in the reference basis: the span has
+    # dimension <= 2 = max(n1, n2), so certify proves a disentangler exists and
+    # the constructor must find one
+    bell = np.array([1, 0, 0, 1], dtype=complex) / S2
+    w2 = np.array([0, 1, 1, 0], dtype=complex) / S2
+    zero = np.zeros(4, dtype=complex)
+    trajectories = [
+        TrigTrajectory(QBITS, zero, (Harmonic(1, bell, w2),), np.pi),
+        TrigTrajectory(QBITS, zero, (Harmonic(1, bell, 1j * bell),), 2 * np.pi),  # e^{it} bell
+    ] + [
+        _rotated(fixtures.lowdim_trajectory(), haar_unitary(4, np.random.default_rng(seed)))
+        for seed in range(20)
+    ]
+    for traj in trajectories:
+        assert certify_no_disentangling(sample(traj, 400)).verdict is Verdict.EXISTS_LOW_DIM
+        result = construct_disentangler(traj, ConstructConfig())
+        assert result.found, result.message
+        assert result.pairing is None
+        assert result.orthonormality_residual < 1e-12
+        assert verify_disentangler(result.tps, sample(traj, 1000), 1e-12).passed
 
 
 def test_rejects_multiple_frequencies():

@@ -28,7 +28,6 @@ SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 def test_dims_product():
     d = HilbertDims(2, 3)
     assert d.n == 6
-    assert d.pair_index(5) == (1, 2)
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 2), (2, 1), (0, 4)])

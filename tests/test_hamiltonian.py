@@ -12,7 +12,7 @@ from tpslab.hamiltonian import (
     separable_projection,
     stationarity_gradient,
 )
-from tpslab.linalg import anti_hermitian_basis, expm_antihermitian
+from tpslab.linalg import anti_hermitian_basis, expm_frechet
 from tpslab.trajectory import sample
 
 from helpers import QBITS, random_hermitian, random_local_unitary
@@ -165,8 +165,8 @@ def _fd_stationarity_gradient(h, dims, step=1e-5):
 
     grad_sq = 0.0
     for direction in anti_hermitian_basis(dims.n):
-        plus = f(expm_antihermitian(step * direction))
-        minus = f(expm_antihermitian(-step * direction))
+        plus = f(expm_frechet(step * direction)[0])
+        minus = f(expm_frechet(-step * direction)[0])
         grad_sq += ((plus - minus) / (2 * step)) ** 2
     return np.sqrt(grad_sq)
 

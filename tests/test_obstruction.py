@@ -9,7 +9,7 @@ from tpslab.obstruction import (
     Verdict,
     build_product_gram,
     certify_no_disentangling,
-    component_pairs,
+    sym2_coordinates,
     trajectory_span_dimension,
 )
 from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
@@ -17,28 +17,22 @@ from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sampl
 from helpers import QBITS
 
 
-def test_pair_index_enumeration():
-    pairs = component_pairs(QBITS)
-    assert len(pairs) == 10
-    assert pairs[0] == ((0, 0), (0, 0))
-    assert pairs[-1] == ((1, 1), (1, 1))
-
-
 def test_gram_cnot_zero_rows():
     gram = build_product_gram(sample(fixtures.cnot_trajectory(), 400))
-    assert gram.gram.shape == (10, 10)
+    assert gram.shape == (10, 10)
     # every pair touching the identically-zero second component vanishes
-    zero_rows = [r for r, pair in enumerate(gram.pair_index) if (0, 1) in pair]
+    p, q, _ = sym2_coordinates(4)
+    zero_rows = np.flatnonzero((p == 1) | (q == 1))
     assert len(zero_rows) == 4
     for r in zero_rows:
-        assert np.abs(gram.gram[r]).max() == 0.0
-        assert np.abs(gram.gram[:, r]).max() == 0.0
+        assert np.abs(gram[r]).max() == 0.0
+        assert np.abs(gram[:, r]).max() == 0.0
 
 
 def test_gram_constant_state_single_entry():
     states = np.tile(np.array([1, 0, 0, 0], dtype=complex), (50, 1))
     sampled = SampledTrajectory(QBITS, np.linspace(0, 1, 50), states)
-    gram = build_product_gram(sampled).gram
+    gram = build_product_gram(sampled)
     assert np.count_nonzero(np.abs(gram) > 1e-15) == 1
     assert gram[0, 0] == pytest.approx(1.0)  # integral of |1|^2 over [0, 1]
 
@@ -46,21 +40,21 @@ def test_gram_constant_state_single_entry():
 def test_gram_sidon_is_scaled_identity():
     # the sqrt(2) on products of distinct components doubles their norm
     sampled = sample(fixtures.sidon_trajectory(), 400)
-    product_gram = build_product_gram(sampled)
-    scale = [1.0 if p == q else 2.0 for p, q in product_gram.pair_index]
-    assert np.abs(product_gram.gram - (2 * np.pi / 16) * np.diag(scale)).max() < 1e-12
+    weights = sym2_coordinates(4)[2]
+    gram = build_product_gram(sampled)
+    assert np.abs(gram - (2 * np.pi / 16) * np.diag(weights**2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("factory", [fixtures.sidon_trajectory, fixtures.cnot_trajectory])
 def test_gram_spectrum_is_independent_of_reference_basis(factory):
     # products in orthonormal Sym^2 coordinates: a basis change acts unitarily
     sampled = sample(factory(), 400)
-    eigs = np.linalg.eigvalsh(build_product_gram(sampled).gram)
+    eigs = np.linalg.eigvalsh(build_product_gram(sampled))
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = haar_unitary(sampled.dims.n, rng)
         rotated = SampledTrajectory(sampled.dims, sampled.times, sampled.states @ u.T)
-        moved = np.linalg.eigvalsh(build_product_gram(rotated).gram)
+        moved = np.linalg.eigvalsh(build_product_gram(rotated))
         assert np.abs(moved - eigs).max() <= 1e-12 * eigs.max()
 
 

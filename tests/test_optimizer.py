@@ -12,7 +12,6 @@ from tpslab.entanglement import (
 )
 from tpslab.linalg import (
     anti_hermitian_basis,
-    expm_antihermitian,
     expm_frechet,
     frechet_phi,
     haar_unitary,
@@ -199,7 +198,7 @@ def _fd_residual_jacobian(objective, theta, step=1e-6):
 
 def _raw_minor_cost(objective, theta):
     """sum_{t,k} |m_k(t)|^2 / T from the coefficient minors of U psi_t."""
-    u = expm_antihermitian(objective._theta_to_a(theta))
+    u = expm_frechet(objective._theta_to_a(theta))[0]
     m = coefficient_minors(objective._coefficients(u))
     return np.sum(m.real**2 + m.imag**2) / len(objective.states)
 
@@ -329,7 +328,7 @@ def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
     dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(31)
     theta = rng.normal(scale=0.6, size=dims.n**2)
-    u = expm_antihermitian(np.tensordot(theta, anti_hermitian_basis(dims.n), axes=1))
+    u = expm_frechet(np.tensordot(theta, anti_hermitian_basis(dims.n), axes=1))[0]
     a, b = (rng.normal(size=(50, k)) + 1j * rng.normal(size=(50, k)) for k in (n1, n2))
     products = np.einsum("ti,tj->tij", a, b).reshape(50, dims.n)
     products /= np.linalg.norm(products, axis=1)[:, None]
