@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="closed-form disentangling TPS (2x2, frequency 1)")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
+    p.add_argument(
+        "--tol", type=float, default=ConstructConfig.verify_tol, help="verification tolerance"
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_construct)
 
@@ -243,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="search for the most-disentangling TPS")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_optimize)

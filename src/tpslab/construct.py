@@ -31,15 +31,19 @@ h = (1, 1)/sqrt2, k = (-1, 1)/sqrt2.  Component (i, j) of N is the quadratic
 kappa_ij (X - r_i)(X - r'_j) with kappa = a0 (x) b0, roots a, b = -a1[i]/a0[i]
 of the first factor and c, d = -b1[j]/b0[j] of the second, so the four
 components carry the root pairs ("ac", "ad", "bc", "bd") and satisfy
-P_0 P_3 = P_1 P_2, the vanishing 2x2 minor of the coefficient matrix.  The
-candidate is built whatever G is and accepted only if it passes a grid
-verification, so a `not_found` on a rank-3 input means the necessary
-condition failed; the message carries both invariants.
+P_0 P_3 = P_1 P_2, the vanishing 2x2 minor of the coefficient matrix.
 
 When m has rank 2 or less, the states span at most two dimensions, which is
 max(n1, n2), and no condition is needed: with m = W S V^H its SVD, the rows
 of U = W^H reordered to (w0, w2, w1, w3) send the span to |00>, |10>, where
-every state is (.) (x) |0>.  That candidate is grid-verified the same way.
+every state is (.) (x) |0>.
+
+Candidates are judged by that identity, exactly: the rebased minor is
+e^{-2it} Q(e^{it}) for Q = P_0 P_3 - P_1 P_2 over the rows of U m, so
+sqrt2 sum_k |Q_k| bounds sigma_2 at every t, with no samples.  The identity,
+the SVD candidate and the closed form are tried in turn, and the first bound
+below the tolerance wins; so a `not_found` on a rank-3 input means the
+necessary condition failed, and the message carries both invariants.
 
 Frequency-1 components live in the three-dimensional function space spanned
 by {1, cos t, sin t}, so the four of them are always linearly dependent and
@@ -68,13 +72,12 @@ from .core import HilbertDims, TPSpec
 from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
 from .errors import UnsupportedForm
 from .linalg import nearest_unitary, reshuffle
-from .trajectory import SampledTrajectory, TrigTrajectory, sample
+from .trajectory import SampledTrajectory, TrigTrajectory
 
 # component (i, j) = 2 i + j carries root i of the first factor (a or b) and
 # root j of the second (c or d), so P_0 P_3 = P_1 P_2 is the vanishing minor
 ROOT_LABELS = ("a", "b", "c", "d")
 
-VERIFY_SAMPLES = 100
 _H = np.array([1.0, 1.0]) / np.sqrt(2)
 _K = np.array([-1.0, 1.0]) / np.sqrt(2)
 
@@ -101,7 +104,6 @@ class RootPairing:
 class VerificationReport:
     max_minor: float
     max_sigma2: float
-    tol: float
     passed: bool
 
 
@@ -126,7 +128,6 @@ def verify_disentangler(
     return VerificationReport(
         max_minor=worst_minor,
         max_sigma2=worst_s2,
-        tol=tol,
         passed=bool(worst_minor < tol and worst_s2 < tol),
     )
 
@@ -176,84 +177,74 @@ def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.nda
     return fixed + np.exp(1j * phis[values.argmin()]) * block
 
 
+def _sigma2_bound(c: np.ndarray) -> float:
+    """sqrt2 sum_k |Q_k| for Q = P_0 P_3 - P_1 P_2 over the rows of c = U m: at
+    every t, |minor| <= sum_k |Q_k| and a unit state has sigma_1^2 >= 1/2, so
+    this bounds sigma_2 = |minor| / sigma_1 of the rebased state."""
+    q = np.convolve(c[0], c[3]) - np.convolve(c[1], c[2])
+    return math.sqrt(2) * float(np.abs(q).sum())
+
+
 def construct_disentangler(
     traj: TrigTrajectory, config: ConstructConfig = ConstructConfig()
 ) -> ConstructionResult:
     """Build the closed-form TPS in which the trajectory is a product state
     at all times, if one exists.
 
-    A `found=False` result on a rank-3 coefficient matrix means the Gram
-    condition of the module docstring fails.  A rank-deficient coefficient
-    matrix is always disentangled, by the SVD basis change of the module
-    docstring.
+    The identity, the SVD candidate and the closed form are tried in turn; the
+    first whose `_sigma2_bound` is below `config.verify_tol` is returned, with
+    that bound, which holds at every t, as its `disentangling_residual`.  A
+    `found=False` result on a rank-3 coefficient matrix means the Gram
+    condition of the module docstring fails.
     """
     if traj.dims != HilbertDims(2, 2):
         raise UnsupportedForm("the constructive solver handles 2x2 bipartitions only")
     m = _coefficient_map(traj)
 
-    sampled = sample(traj, VERIFY_SAMPLES)
-    identity = TPSpec.identity(traj.dims)
+    def found(u, bound, message, attempts=1, pairing=None):
+        tps = TPSpec(u, traj.dims)
+        orth = float(np.linalg.norm(tps.basis_change.conj().T @ tps.basis_change - np.eye(4)))
+        return ConstructionResult(True, message, tps, pairing, orth, bound, attempts)
 
-    # Already a product in the reference basis: nothing to construct.
-    report = verify_disentangler(identity, sampled, config.verify_tol)
-    if report.passed:
-        return ConstructionResult(
-            found=True,
-            tps=identity,
-            orthonormality_residual=0.0,
-            disentangling_residual=max(report.max_sigma2, report.max_minor),
-            message="trajectory is already a product in the reference basis",
-        )
+    svd = np.linalg.svd(m)[0][:, [0, 2, 1, 3]].conj().T
+    for attempts, u, message in (
+        (0, np.eye(4, dtype=complex), "trajectory is already a product in the reference basis"),
+        (1, svd, "the states span at most two dimensions; the SVD of m sends them to |00>, |10>"),
+    ):
+        if (bound := _sigma2_bound(u @ m)) < config.verify_tol:
+            return found(u, bound, message, attempts)
 
     q, r = np.linalg.qr(m, mode="complete")
-    r = r[:3]
-    scale = np.abs(np.diagonal(r)).max()
-    if scale == 0 or np.abs(np.diagonal(r)).min() < 1e-12 * scale:
-        u, pairing = np.linalg.svd(m)[0][:, [0, 2, 1, 3]].conj().T, None
-        message = "the states span at most two dimensions; the SVD of m sends them to |00>, |10>"
-        failure = "the coefficient map has rank below 3 (the SVD candidate"
-    else:
-        gram = m.conj().T @ m
-        g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
-        total = 1 + g[0] - g[2]
-        root = math.sqrt(max(total * total - 4 * g[0], 0.0))
-        p1, p2 = (total + root) / 2, (total - root) / 2
-        w = np.sqrt(np.clip([p1, 1 - p1, p2, 1 - p2], 0.0, None))
-        a0, a1, b0, b1 = w[0] * _H, w[1] * _K, w[2] * _H, w[3] * _K
-        n = np.stack(
-            [np.outer(a0, b0), np.outer(a0, b1) + np.outer(a1, b0), np.outer(a1, b1)], axis=-1
-        ).reshape(4, 3)
-        u = nearest_unitary(_complete_unitary(n @ np.linalg.inv(r), q, traj.dims))
-        # rank 3 gives g0 > 0, so p1 and p2 are positive and a0, b0 have no zero entry
-        roots = (-a1[0] / a0[0], -a1[1] / a0[1], -b1[0] / b0[0], -b1[1] / b0[1])
-        pairing = RootPairing(
-            roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
-            kappas=n[:, 0].astype(complex),
-        )
-        invariants = (
-            f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {g[1] ** 2 - 4 * g[0] * g[2]:.3e}"
-        )
-        message = f"closed form from the coefficient Gram matrix ({invariants})"
-        failure = (
-            f"no disentangling TPS: the coefficient Gram matrix has {invariants}, "
-            "and one exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the closed-form candidate"
-        )
-
-    tps = TPSpec(u, traj.dims)
-    report = verify_disentangler(tps, sampled, config.verify_tol)
-    if not report.passed:
+    gram = m.conj().T @ m
+    g = np.real(np.diagonal(gram)) / np.real(np.trace(gram))
+    total = 1 + g[0] - g[2]
+    root = math.sqrt(max(total * total - 4 * g[0], 0.0))
+    p1, p2 = (total + root) / 2, (total - root) / 2
+    w = np.sqrt(np.clip([p1, 1 - p1, p2, 1 - p2], 0.0, None))
+    a0, a1, b0, b1 = w[0] * _H, w[1] * _K, w[2] * _H, w[3] * _K
+    n = np.stack(
+        [np.outer(a0, b0), np.outer(a0, b1) + np.outer(a1, b0), np.outer(a1, b1)], axis=-1
+    ).reshape(4, 3)
+    discriminant = g[1] ** 2 - 4 * g[0] * g[2]
+    invariants = f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {discriminant:.3e}"
+    try:
+        u = nearest_unitary(_complete_unitary(n @ np.linalg.inv(r[:3]), q, traj.dims))
+        closed = _sigma2_bound(u @ m)
+    except np.linalg.LinAlgError:  # m has rank < 3 exactly: there is no closed form
+        closed = math.inf
+    if not closed < config.verify_tol:
         return ConstructionResult(
             found=False,
-            message=f"{failure} leaves max sigma2 {report.max_sigma2:.3e})",
+            message=f"no disentangling TPS: the coefficient Gram matrix has {invariants}, and one "
+            "exists only if G01 = 0 and g1^2 >= 4 g0 g2 (the sigma2 bounds of the SVD and "
+            f"closed-form candidates are {bound:.3e} and {closed:.3e})",
             attempts=1,
         )
-    orth = float(np.linalg.norm(tps.basis_change.conj().T @ tps.basis_change - np.eye(4)))
-    return ConstructionResult(
-        found=True,
-        tps=tps,
-        pairing=pairing,
-        orthonormality_residual=orth,
-        disentangling_residual=max(report.max_sigma2, report.max_minor),
-        message=message,
-        attempts=1,
+    # a closed form that passes has g0 > 0, so a0 and b0 have no zero entry
+    roots = (-a1[0] / a0[0], -a1[1] / a0[1], -b1[0] / b0[0], -b1[1] / b0[1])
+    pairing = RootPairing(
+        roots={label: complex(x) for label, x in zip(ROOT_LABELS, roots)},
+        kappas=n[:, 0].astype(complex),
     )
+    message = f"closed form from the coefficient Gram matrix ({invariants})"
+    return found(u, closed, message, pairing=pairing)

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
@@ -229,6 +228,13 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
         if small_step or small_decrease:
             break
     return x, cost, nfev
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: most of `tpslab.cli`'s import time."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _polish(obj: _Objective, theta: np.ndarray):

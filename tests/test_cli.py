@@ -380,6 +380,17 @@ def test_python_dash_m_runs_the_cli():
     assert "cnot-disentangling" in proc.stdout
 
 
+def test_importing_the_cli_defers_scipy_optimize():
+    # only the optimizer's minimax stage needs it, and it is most of the import time
+    src = str(Path(tpslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, tpslab.cli; assert 'scipy.optimize' not in sys.modules, 'imported'"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 _BLAS_THREADS = """
 import ctypes, json
 from tpslab import cli, linalg

@@ -5,6 +5,7 @@ from tpslab import fixtures
 from tpslab.construct import (
     ConstructConfig,
     _coefficient_map,
+    _sigma2_bound,
     construct_disentangler,
     verify_disentangler,
 )
@@ -27,7 +28,7 @@ def cnot_result():
 def test_finds_disentangler_for_gate_trajectory(cnot_result):
     assert cnot_result.found
     assert cnot_result.orthonormality_residual < 1e-8
-    assert cnot_result.disentangling_residual < 1e-8
+    assert cnot_result.disentangling_residual < 1e-14
 
 
 def test_solution_equivalent_to_closed_form(cnot_result):
@@ -148,7 +149,43 @@ def test_degenerate_coefficient_structure_is_disentangled():
         assert result.found, result.message
         assert result.pairing is None
         assert result.orthonormality_residual < 1e-12
+        assert result.disentangling_residual < 1e-14
         assert verify_disentangler(result.tps, sample(traj, 1000), 1e-12).passed
+
+
+def _near_two_dimensional(amplitude):
+    # a Haar-rotated lowdim trajectory plus a constant third component: its
+    # states leave a two-dimensional span by `amplitude`, and its Gram matrix
+    # fails g1^2 >= 4 g0 g2, so only the SVD candidate can pass
+    base = fixtures.lowdim_trajectory()
+    third = amplitude * np.eye(4, dtype=complex)[2]
+    u = haar_unitary(4, np.random.default_rng(3)) / np.sqrt(1 + amplitude**2)
+    return _rotated(TrigTrajectory(QBITS, third, base.harmonics, base.t_max), u)
+
+
+@pytest.mark.parametrize("amplitude", [1e-10, 1e-9])
+def test_svd_candidate_within_tolerance_of_a_two_dimensional_span_is_found(amplitude):
+    # the rank-3 coefficient map is within the tolerance of rank 2, and the SVD
+    # candidate's exact bound, not the rank of m, decides
+    result = construct_disentangler(_near_two_dimensional(amplitude), ConstructConfig())
+    assert result.found, result.message
+    assert result.pairing is None
+    assert result.disentangling_residual < 1e-8
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 5e-5])
+def test_states_beyond_tolerance_of_a_two_dimensional_span_are_not_found(amplitude):
+    result = construct_disentangler(_near_two_dimensional(amplitude), ConstructConfig())
+    assert not result.found
+    assert result.tps is None
+
+
+def test_tolerance_below_rounding_is_not_found_on_a_rank_one_map():
+    # e^{it} bell: the closed form needs rank 3, and the SVD candidate's bound
+    # is rounding, above a tolerance of 1e-30; that is a result, not an error
+    bell = np.array([1, 0, 0, 1], dtype=complex) / S2
+    traj = TrigTrajectory(QBITS, np.zeros(4, dtype=complex), (Harmonic(1, bell, 1j * bell),), np.pi)
+    assert not construct_disentangler(traj, ConstructConfig(verify_tol=1e-30)).found
 
 
 def test_rejects_multiple_frequencies():
@@ -208,6 +245,7 @@ def test_planted_product_trajectory_is_found(seed):
     result = construct_disentangler(traj, ConstructConfig())
     assert result.found
     assert result.attempts == 1
+    assert result.disentangling_residual < 1e-14
     report = verify_disentangler(result.tps, sample(traj, 1000), 1e-12)
     assert report.max_sigma2 < 1e-12
 
@@ -293,3 +331,28 @@ def test_canonical_choice_commutes_with_local_unitaries(seed):
     u = construct_disentangler(_trig_from_coefficients(c), ConstructConfig()).tps
     moved = construct_disentangler(_trig_from_coefficients(local @ c), ConstructConfig()).tps
     assert tps_equivalent(moved, TPSpec(u.basis_change @ local.conj().T, QBITS))
+
+
+def _bound_cases():
+    rng = np.random.default_rng(11)
+    trajectories = {
+        "cnot": fixtures.cnot_trajectory(),
+        "twisted-cnot": _twisted_gate_trajectory(),
+        **{f"planted{k}": _trig_from_coefficients(_planted_coefficients(rng)) for k in range(3)},
+    }
+    for name, traj in trajectories.items():
+        yield pytest.param(traj, np.eye(4, dtype=complex), id=f"{name}-identity")
+        for k in range(3):
+            yield pytest.param(traj, haar_unitary(4, rng), id=f"{name}-haar{k}")
+
+
+@pytest.mark.parametrize("traj, u", _bound_cases())
+def test_sigma2_bound_covers_the_sampled_sigma2(traj, u):
+    bound = _sigma2_bound(u @ _coefficient_map(traj))
+    sampled = verify_disentangler(TPSpec(u, QBITS), sample(traj, 1000), 1e-8).max_sigma2
+    assert bound >= sampled - 1e-15
+
+
+def test_sigma2_bound_of_the_identity_on_cnot_is_the_bell_value():
+    bound = _sigma2_bound(_coefficient_map(fixtures.cnot_trajectory()))
+    assert bound == pytest.approx(1 / S2, abs=1e-15)
