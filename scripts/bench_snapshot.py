@@ -3,11 +3,12 @@
 
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
 process, then the tier-1 test suite once and counts the package's source
-lines, then times the optimizer's layers, the Schmidt kernel and the
-constructor in this process, and writes their metric lines, with nproc, the
-git HEAD and the Python/numpy/scipy versions, to the file named on the
-command line.  The file has no gate: it is a record to set beside the
-snapshot of another commit.  Run it from a full checkout.
+lines, then times the optimizer's layers, the Schmidt kernel, the
+constructor, the certificate and the stationarity gradient in this process,
+and writes their metric lines, with nproc, the git HEAD and the
+Python/numpy/scipy versions, to the file named on the command line.  The
+file has no gate: it is a record to set beside the snapshot of another
+commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -80,7 +81,11 @@ def layer_metrics() -> dict:
     gap to a per-matrix `np.linalg.svd`.  `construct_disentangler` is timed per
     call on the C-NOT evolution and on one seeded member of the benchmark's
     planted family (`bench/bench_inputs.py`), one median over both, next to
-    the larger of their two disentangling residuals.
+    the larger of their two disentangling residuals.  `certify_no_disentangling`
+    is timed per call on 400 samples of one seeded 2x2 and one 2x3 member of
+    the benchmark's Sidon family, next to its numerical rank (full: 10 and
+    21), and `stationarity_gradient` on one seeded 3x3 Hermitian operator
+    as in the `analyze` workload, next to the gradient norm it returns.
     """
     import numpy as np
 
@@ -88,9 +93,11 @@ def layer_metrics() -> dict:
     from tpslab.construct import construct_disentangler
     from tpslab.core import HilbertDims
     from tpslab.entanglement import coefficient_minors, schmidt_spectra
+    from tpslab.hamiltonian import stationarity_gradient
     from tpslab.linalg import pin_blas_threads
+    from tpslab.obstruction import certify_no_disentangling
     from tpslab.optimizer import _Objective
-    from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory
+    from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
 
     pin_blas_threads()
     flat = {}
@@ -151,19 +158,41 @@ def layer_metrics() -> dict:
         flat[f"{key}.schmidt_spectra.svd_gap"] = float(np.abs(spectra - svd).max())
 
     sys.path.insert(0, str(ROOT / "bench"))
-    from bench_inputs import cnot_spec, disentanglable
+    from bench_inputs import cnot_spec, disentanglable, sidon
+    from bench_math import random_hermitian
+
+    def trig(spec):
+        harmonics = tuple(Harmonic(*h) for h in spec["harmonics"])
+        return TrigTrajectory(HilbertDims(*spec["dims"]), spec["constant"], harmonics, spec["t_max"])
+
+    def timed(call, *args):
+        """Per-call times in seconds and the last result of LAYER_THETAS * LAYER_REPEATS calls."""
+        elapsed = []
+        for _ in range(LAYER_THETAS * LAYER_REPEATS):
+            start = time.perf_counter()
+            result = call(*args)
+            elapsed.append(time.perf_counter() - start)
+        return elapsed, result
 
     elapsed, residual = [], 0.0
     for spec, _ in (cnot_spec(), disentanglable(np.random.default_rng(0))):
-        harmonics = tuple(Harmonic(*h) for h in spec["harmonics"])
-        traj = TrigTrajectory(HilbertDims(*spec["dims"]), spec["constant"], harmonics, spec["t_max"])
-        for _ in range(LAYER_THETAS * LAYER_REPEATS):
-            start = time.perf_counter()
-            result = construct_disentangler(traj)
-            elapsed.append(time.perf_counter() - start)
+        times, result = timed(construct_disentangler, trig(spec))
+        elapsed += times
         residual = max(residual, result.disentangling_residual)
     flat["layers.construct_us"] = 1e6 * float(np.median(elapsed))
     flat["layers.construct.residual_max"] = residual
+
+    for n1, n2 in LAYER_DIMS:
+        # 400 samples, as the benchmark's certify calls
+        sampled = sample(trig(sidon((n1, n2), np.random.default_rng(0))), 400)
+        elapsed, cert = timed(certify_no_disentangling, sampled)
+        flat[f"layers.{n1}x{n2}.certify_us"] = 1e6 * float(np.median(elapsed))
+        flat[f"layers.{n1}x{n2}.certify.rank"] = cert.numerical_rank
+
+    h = random_hermitian(9, np.random.default_rng(0))
+    elapsed, gradient = timed(stationarity_gradient, h, HilbertDims(3, 3))
+    flat["layers.stationarity_us"] = 1e6 * float(np.median(elapsed))
+    flat["layers.stationarity.gradient_norm"] = gradient
     return flat
 
 

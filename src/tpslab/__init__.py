@@ -28,7 +28,6 @@ from .entanglement import (
 from .obstruction import (
     Certificate,
     Verdict,
-    build_product_gram,
     certify_no_disentangling,
 )
 from .construct import (

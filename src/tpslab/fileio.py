@@ -42,7 +42,6 @@ from .trajectory import (
     Harmonic,
     SampledTrajectory,
     TrigTrajectory,
-    sample,
 )
 
 PROFILE_COLUMNS = ("t", "entropy", "product_distance")
@@ -163,9 +162,7 @@ def _trig_in(node, dims: HilbertDims) -> TrigTrajectory:
         )
     t_max = _get(node, "t_max", "trig")
     _expect(_positive_number(t_max), "trig.t_max", "expected a finite positive number")
-    traj = TrigTrajectory(dims, constant, tuple(harmonics), float(t_max))
-    sample(traj, 17)  # raises NotNormalizable on off-sphere component functions
-    return traj
+    return TrigTrajectory(dims, constant, tuple(harmonics), float(t_max))
 
 
 def _hamiltonian_in(node, dims: HilbertDims) -> HamiltonianTrajectory:

@@ -4,10 +4,11 @@ The test rests on a linear-independence criterion: if the pairwise products
 a_p(t) a_q(t) of the trajectory's component functions are linearly
 independent as continuous functions on [0, T], then no unitary basis change
 can make the trajectory a product state at all times.  Independence is
-decided through the L2 Gram matrix of the products on the sample grid: L2
-independence implies C^0 independence for continuous functions, so a
-full-rank Gram matrix is a sound certificate.  `build_product_gram` returns
-it as a plain Hermitian array, its rows in `sym2_coordinates` order.
+decided through the L2 Gram matrix of the products by trapezoid quadrature
+(weights w_j): L2 independence implies C^0 independence for continuous
+functions, so a full-rank Gram matrix is a sound certificate.  Its
+eigenvalues are the squares sigma_k^2 of the singular values of the samples
+f_p(t_j) sqrt(w_j), nonnegative by construction.
 
 A small rank deficiency certifies too.  The 2x2 minors of the rebased state
 are linear in the products, m_tk = Phi_t . c_k(U) with Phi_t the products at
@@ -21,6 +22,13 @@ is `INCONCLUSIVE`.  One cheap sufficient condition for existence is checked
 first: when the states span a subspace of dimension at most max(n1, n2), a
 disentangling TPS always exists (send a basis of the span to |1 1>, |2 1>,
 ...), and the verdict is `EXISTS_BY_LOW_DIMENSION`.
+
+Both ranks come from one threshold `rank_tol`, and each rule errs toward
+`INCONCLUSIVE`.  The product rank counts sigma_k^2 > rank_tol sigma_1^2 (an
+eigenvalue ratio): a rank counted low only weakens the certificate.  The
+span dimension counts sigma_k > rank_tol sigma_1 of the weighted states (a
+singular-value ratio, so states within ~rank_tol of a smaller span are not
+counted as in it): a span counted high only withholds the existence verdict.
 """
 
 from __future__ import annotations
@@ -45,12 +53,6 @@ class Verdict(enum.Enum):
     EXISTS_LOW_DIM = "ExistsByLowDimension"
 
 
-def _trapezoid_gram(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Hermitian L2 Gram matrix of sampled functions, one per row."""
-    gram = (rows * trapezoid_weights(times)) @ rows.conj().T
-    return (gram + gram.conj().T) / 2  # enforce exact Hermiticity
-
-
 def sym2_coordinates(n: int):
     """Pairs p <= q of the orthonormal Sym^2(C^n) coordinates, in `np.triu_indices`
     order, and their weights: 1 for p = q, sqrt(2) for p < q."""
@@ -65,25 +67,11 @@ def sym2_products(states: np.ndarray) -> np.ndarray:
     return weights[:, None] * a[p] * a[q]
 
 
-def build_product_gram(traj: SampledTrajectory) -> np.ndarray:
-    """Hermitian L2 Gram matrix G[p, q] = integral of f_p conj(f_q) dt of the
-    pairwise component products, by trapezoid quadrature.
-
-    Row/column p holds the product f_p of the component pair p of
-    `sym2_coordinates` (flat component indices; products are symmetric, so
-    only pairs p <= q appear, n(n+1)/2 of them).  Products of two distinct
-    components carry a factor sqrt(2): the f_p are then the coordinates of
-    psi(t) (x) psi(t) in an orthonormal basis of Sym^2, a basis change U acts
-    on them by the unitary Sym^2(U), and the spectrum of the Gram matrix does
-    not depend on the reference basis.
-    """
-    rows = sym2_products(traj.states)
-    if len(traj) < OVERSAMPLING_FACTOR * len(rows):
-        raise TooFewSamples(
-            f"need at least {OVERSAMPLING_FACTOR * len(rows)} samples for a "
-            f"{len(rows)}-pair Gram matrix, got {len(traj)}"
-        )
-    return _trapezoid_gram(rows, traj.times)
+def _l2_singular_values(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Descending singular values of the sampled functions `rows` (one per row)
+    under the quadrature `weights`: their squares are the L2 Gram eigenvalues."""
+    r = np.linalg.qr((rows * np.sqrt(weights)).T, mode="r")
+    return np.linalg.svd(r, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -95,7 +83,6 @@ class Certificate:
     full_rank: int
     min_max_eig_ratio: float
     trajectory_span_dim: int
-    rank_tol: float
     gram_eigenvalues: np.ndarray
 
     def to_dict(self) -> dict:
@@ -105,24 +92,8 @@ class Certificate:
             "full_rank": self.full_rank,
             "min_max_eig_ratio": self.min_max_eig_ratio,
             "trajectory_span_dim": self.trajectory_span_dim,
-            "rank_tol": self.rank_tol,
             "gram_eigenvalues": list(map(float, self.gram_eigenvalues)),
         }
-
-
-def _numerical_rank(eigs: np.ndarray, rank_tol: float) -> int:
-    if not 0 < rank_tol < 1:
-        raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
-    top = eigs.max()
-    if top <= 0:
-        return 0
-    return int((eigs > rank_tol * top).sum())
-
-
-def trajectory_span_dimension(traj: SampledTrajectory, rank_tol: float) -> int:
-    """Numerical dimension of span{psi(t)} via the component Gram matrix."""
-    eigs = np.linalg.eigvalsh(_trapezoid_gram(traj.states.T, traj.times))
-    return _numerical_rank(eigs, rank_tol)
 
 
 def certify_no_disentangling(
@@ -130,20 +101,28 @@ def certify_no_disentangling(
 ) -> Certificate:
     """Run the obstruction test on a sampled trajectory.
 
-    The eigenvalues of the product Gram matrix are thresholded at
-    `rank_tol` times the largest one.  A rank above N - K (N the Gram size,
-    K = C(n1, 2) C(n2, 2) the minor count) certifies that no disentangling
-    TPS exists; a trajectory span of dimension at most max(n1, n2)
-    certifies that one does (and takes precedence -- the two can never fire
-    together, since a low-dimensional span forces product dependencies);
-    anything else is inconclusive.
+    The product rank counts the Gram eigenvalues above `rank_tol` times the
+    largest one, and the span dimension counts the singular values of the
+    weighted states above `rank_tol` times the largest one.  A rank above
+    N - K (N the Gram size, K = C(n1, 2) C(n2, 2) the minor count) certifies
+    that no disentangling TPS exists; a span of dimension at most
+    max(n1, n2) certifies that one does (and takes precedence -- the two can
+    never fire together, since a low-dimensional span forces product
+    dependencies); anything else is inconclusive.  A rank counted low or a
+    span counted high can only turn a verdict into `INCONCLUSIVE`.
     """
-    gram = build_product_gram(traj)
-    # the Gram is positive semidefinite: its zero eigenvalues come back as signed rounding
-    eigs = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    rank = _numerical_rank(eigs, rank_tol)
-    full = len(gram)
-    span_dim = trajectory_span_dimension(traj, rank_tol)
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
+    rows = sym2_products(traj.states)
+    full = len(rows)
+    if len(traj) < OVERSAMPLING_FACTOR * full:
+        need = OVERSAMPLING_FACTOR * full
+        raise TooFewSamples(f"need at least {need} samples for {full} products, got {len(traj)}")
+    weights = trapezoid_weights(traj.times)
+    eigs = _l2_singular_values(rows, weights) ** 2
+    rank = int((eigs > rank_tol * eigs[0]).sum())
+    span = _l2_singular_values(traj.states.T, weights)
+    span_dim = int((span > rank_tol * span[0]).sum())
 
     if span_dim <= max(traj.dims.n1, traj.dims.n2):
         verdict = Verdict.EXISTS_LOW_DIM
@@ -156,8 +135,7 @@ def certify_no_disentangling(
         verdict=verdict,
         numerical_rank=rank,
         full_rank=full,
-        min_max_eig_ratio=float(eigs.min() / eigs.max()),
+        min_max_eig_ratio=float(eigs[-1] / eigs[0]),
         trajectory_span_dim=span_dim,
-        rank_tol=rank_tol,
-        gram_eigenvalues=np.sort(eigs)[::-1],
+        gram_eigenvalues=eigs,
     )

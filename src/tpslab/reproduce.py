@@ -14,11 +14,11 @@ from . import fixtures
 from .construct import ConstructConfig, construct_disentangler, verify_disentangler
 from .core import HilbertDims, StateVector, TPSpec, tps_equivalent
 from .entanglement import (
+    coefficient_minors,
     entanglement_entropy,
-    max_minor_modulus,
     rebased_coefficients,
     schmidt_decompose,
-    schmidt_values,
+    schmidt_spectra,
 )
 from .hamiltonian import (
     interaction_norm,
@@ -180,14 +180,23 @@ def check_property_schmidt_reconstruction():
 
 
 def check_property_minor_sigma2_agreement():
+    """The minor test and the sigma_2 test agree at 1e-8 on Haar states, exact
+    products and near-products with sigma_2 = 1e-10 or 1e-6; each side of the
+    threshold holds some of them, so a test with one constant answer fails."""
     rng = np.random.default_rng(202)
-    agree = True
-    for _ in range(1000):
-        psi = random_state(rng)
-        minors = max_minor_modulus(psi) < 1e-8
-        sigma = schmidt_values(psi)[1] < 1e-8
-        agree &= minors == sigma
-    return bool(agree), "minor test and sigma_2 test agree on 1000 random states at 1e-8"
+    haar = np.stack([random_state(rng).amplitudes.reshape(2, 2) for _ in range(1000)])
+    sigma2 = np.repeat([0.0, 1e-10, 1e-6], 200)
+    u, v = (np.stack([haar_unitary(2, rng) for _ in sigma2]) for _ in range(2))
+    near = (u * np.stack([np.sqrt(1 - sigma2**2), sigma2], axis=1)[:, None, :]) @ v
+    mats = np.concatenate([haar, near])
+    minors = np.abs(coefficient_minors(mats)).max(axis=-1) < 1e-8
+    sigma = schmidt_spectra(mats)[:, 1] < 1e-8
+    products = int(sigma.sum())
+    ok = bool(np.array_equal(minors, sigma)) and 0 < products < len(mats)
+    return ok, (
+        f"minor test and sigma_2 test agree on {int((minors == sigma).sum())} of {len(mats)} "
+        f"states at 1e-8 (sigma_2 test: {products} product, {len(mats) - products} entangled)"
+    )
 
 
 def check_property_projection_pythagoras():

@@ -17,7 +17,9 @@ trigonometric trajectory has w = 0 with a_0 = alpha and w = +-f with
 a_{+-f} = (beta -+ i gamma)/2; a Hamiltonian trajectory has the energies E_k
 of one eigendecomposition H = sum_k E_k |v_k><v_k| with a_k = <v_k|psi(0)> v_k.
 `sample` is the one place a closed form becomes samples: it evaluates the sum
-on a uniform, endpoint-inclusive grid.
+on a uniform, endpoint-inclusive grid.  A trigonometric trajectory is checked
+for the unit sphere at every t when it is built, from the exponential sum of
+|psi(t)|^2; the other forms are checked sample by sample.
 """
 
 from __future__ import annotations
@@ -66,6 +68,18 @@ class TrigTrajectory:
                 raise DimensionMismatch("harmonic coefficient length != dims.n")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
+        # |psi(t)|^2 = sum_D c_D e^{iDt} over the integer differences D = w - w', and
+        # sum_D |c_D - [D = 0]| bounds ||psi(t)|^2 - 1| at every t
+        freqs, rows = self.exponentials()
+        diffs, group = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
+        coeffs = np.zeros(len(diffs), dtype=complex)
+        np.add.at(coeffs, group.ravel(), (rows @ rows.conj().T).ravel())
+        deviation = np.abs(coeffs - (diffs == 0)).sum()
+        if not deviation <= 2 * SPHERE_TOL:
+            raise NotNormalizable(
+                f"trigonometric trajectory leaves the unit sphere: the Fourier coefficients of "
+                f"|psi(t)|^2 - 1 sum in modulus to {deviation:.3e} > {2 * SPHERE_TOL:.0e}"
+            )
 
     def exponentials(self) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies (0, f1, -f1, f2, -f2, ...) and the rows a_w, shape (len(w), n)."""

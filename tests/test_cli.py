@@ -159,7 +159,7 @@ def test_certify_report_is_rerunnable(files, tmp_path):
         assert read(second)["results"] == report["results"], command
 
 
-@pytest.mark.parametrize("rank_tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("rank_tol", ["0", "-1", "nan", "1"])
 def test_certify_rejects_rank_tol_outside_unit_interval(files, rank_tol, capsys):
     # a threshold at or below 0 counts every eigenvalue and certifies the
     # C-NOT evolution, which has a disentangler; NaN counts none

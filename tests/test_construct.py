@@ -15,7 +15,7 @@ from tpslab.linalg import haar_unitary
 from tpslab.obstruction import Verdict, certify_no_disentangling
 from tpslab.trajectory import Harmonic, TrigTrajectory, sample
 
-from helpers import QBITS, random_local_unitary
+from helpers import QBITS, near_two_dimensional, random_local_unitary
 
 S2 = np.sqrt(2)
 
@@ -153,21 +153,11 @@ def test_degenerate_coefficient_structure_is_disentangled():
         assert verify_disentangler(result.tps, sample(traj, 1000), 1e-12).passed
 
 
-def _near_two_dimensional(amplitude):
-    # a Haar-rotated lowdim trajectory plus a constant third component: its
-    # states leave a two-dimensional span by `amplitude`, and its Gram matrix
-    # fails g1^2 >= 4 g0 g2, so only the SVD candidate can pass
-    base = fixtures.lowdim_trajectory()
-    third = amplitude * np.eye(4, dtype=complex)[2]
-    u = haar_unitary(4, np.random.default_rng(3)) / np.sqrt(1 + amplitude**2)
-    return _rotated(TrigTrajectory(QBITS, third, base.harmonics, base.t_max), u)
-
-
 @pytest.mark.parametrize("amplitude", [1e-10, 1e-9])
 def test_svd_candidate_within_tolerance_of_a_two_dimensional_span_is_found(amplitude):
     # the rank-3 coefficient map is within the tolerance of rank 2, and the SVD
     # candidate's exact bound, not the rank of m, decides
-    result = construct_disentangler(_near_two_dimensional(amplitude), ConstructConfig())
+    result = construct_disentangler(near_two_dimensional(amplitude), ConstructConfig())
     assert result.found, result.message
     assert result.pairing is None
     assert result.disentangling_residual < 1e-8
@@ -175,7 +165,7 @@ def test_svd_candidate_within_tolerance_of_a_two_dimensional_span_is_found(ampli
 
 @pytest.mark.parametrize("amplitude", [1e-6, 5e-5])
 def test_states_beyond_tolerance_of_a_two_dimensional_span_are_not_found(amplitude):
-    result = construct_disentangler(_near_two_dimensional(amplitude), ConstructConfig())
+    result = construct_disentangler(near_two_dimensional(amplitude), ConstructConfig())
     assert not result.found
     assert result.tps is None
 

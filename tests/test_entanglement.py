@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpslab import fixtures
+from tpslab import fixtures, reproduce
 from tpslab.core import HilbertDims, StateVector, TPSpec, rebase_state
 from tpslab.entanglement import (
     _distances,
@@ -110,6 +110,18 @@ def test_product_test_rejects_small_contamination():
 def test_minor_and_schmidt_tests_agree(seed):
     psi = random_state(np.random.default_rng(seed))
     assert is_product_state(psi, 1e-8) == (schmidt_values(psi)[1] < 1e-8)
+
+
+@pytest.mark.parametrize(
+    "minors", [lambda m: np.ones(m.shape[:-2] + (1,)), lambda m: np.zeros(m.shape[:-2] + (1,))],
+    ids=["always-entangled", "always-product"],
+)
+def test_minor_sigma2_check_fails_a_minor_test_with_one_answer(monkeypatch, minors):
+    # the check's states fall on both sides of 1e-8, so a minor test that
+    # never changes its answer disagrees with the sigma_2 test somewhere
+    assert reproduce.check_property_minor_sigma2_agreement()[0]
+    monkeypatch.setattr(reproduce, "coefficient_minors", minors)
+    assert not reproduce.check_property_minor_sigma2_agreement()[0]
 
 
 def test_minor_bounded_by_sigma2():

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,6 +172,40 @@ def test_off_sphere_trig_file_is_rejected_at_load():
     doc["trig"]["constant"][1] = [0.5, 0.0]  # breaks the constant norm balance
     with pytest.raises(NotNormalizable):
         load_trajectory(doc)
+
+
+def test_off_sphere_trig_file_between_grid_points_is_rejected_at_load():
+    from tpslab.errors import NotNormalizable
+
+    # (alpha, c e^{4it} + d e^{-4it}, 0, 0) on [0, 2 pi] has |psi|^2 = 1 + 1e-3 sin 8t,
+    # which is exactly 1 on the 17-point grid t = k pi / 8
+    c, d = 0.05, 0.01j
+    alpha = float(np.sqrt(1 - abs(c) ** 2 - abs(d) ** 2))
+    cos, sin = c + d, 1j * (c - d)
+    zero = [0.0, 0.0]
+    doc = {
+        "dims": [2, 2],
+        "form": "trig",
+        "trig": {
+            "constant": [[alpha, 0.0], zero, zero, zero],
+            "harmonics": [{
+                "freq": 4,
+                "cos": [zero, [cos.real, cos.imag], zero, zero],
+                "sin": [zero, [sin.real, sin.imag], zero, zero],
+            }],
+            "t_max": 2 * np.pi,
+        },
+    }
+    with pytest.raises(NotNormalizable, match="1.000e-03"):
+        load_trajectory(doc)
+
+
+def test_readme_trig_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"trig"' in b]
+    loaded = load_trajectory(json.loads(block))
+    reference = sample(fixtures.cnot_trajectory(), 50)
+    assert np.abs(sample(loaded, 50).states - reference.states).max() < 1e-15
 
 
 def test_constant_trajectory_file_allows_empty_harmonics():

@@ -2,65 +2,57 @@ import numpy as np
 import pytest
 
 from tpslab import fixtures
+from tpslab.construct import ConstructConfig, construct_disentangler
 from tpslab.core import HilbertDims
 from tpslab.errors import TooFewSamples
 from tpslab.linalg import haar_unitary
-from tpslab.obstruction import (
-    Verdict,
-    build_product_gram,
-    certify_no_disentangling,
-    sym2_coordinates,
-    trajectory_span_dimension,
-)
+from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_coordinates
 from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
 
-from helpers import QBITS
+from helpers import QBITS, near_two_dimensional
 
 
 def test_gram_cnot_zero_rows():
-    gram = build_product_gram(sample(fixtures.cnot_trajectory(), 400))
-    assert gram.shape == (10, 10)
-    # every pair touching the identically-zero second component vanishes
-    p, q, _ = sym2_coordinates(4)
-    zero_rows = np.flatnonzero((p == 1) | (q == 1))
-    assert len(zero_rows) == 4
-    for r in zero_rows:
-        assert np.abs(gram[r]).max() == 0.0
-        assert np.abs(gram[:, r]).max() == 0.0
+    # the four pairs touching the identically-zero second component and one
+    # product dependency give five exact zeros, read without rounding sign
+    eigs = certify_no_disentangling(sample(fixtures.cnot_trajectory(), 400)).gram_eigenvalues
+    assert eigs.shape == (10,)
+    assert np.all(eigs[5:] <= 1e-30)
+    assert np.all(eigs[:5] > 1e-6)
 
 
 def test_gram_constant_state_single_entry():
     states = np.tile(np.array([1, 0, 0, 0], dtype=complex), (50, 1))
     sampled = SampledTrajectory(QBITS, np.linspace(0, 1, 50), states)
-    gram = build_product_gram(sampled)
-    assert np.count_nonzero(np.abs(gram) > 1e-15) == 1
-    assert gram[0, 0] == pytest.approx(1.0)  # integral of |1|^2 over [0, 1]
+    eigs = certify_no_disentangling(sampled).gram_eigenvalues
+    assert eigs[0] == pytest.approx(1.0, abs=1e-15)  # integral of |1|^2 over [0, 1]
+    assert np.all(eigs[1:] <= 1e-30)
 
 
 def test_gram_sidon_is_scaled_identity():
-    # the sqrt(2) on products of distinct components doubles their norm
+    # a diagonal Gram: the sqrt(2) on products of distinct components doubles their norm
     sampled = sample(fixtures.sidon_trajectory(), 400)
     weights = sym2_coordinates(4)[2]
-    gram = build_product_gram(sampled)
-    assert np.abs(gram - (2 * np.pi / 16) * np.diag(weights**2)).max() < 1e-12
+    eigs = certify_no_disentangling(sampled).gram_eigenvalues
+    assert np.abs(eigs - (2 * np.pi / 16) * np.sort(weights**2)[::-1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("factory", [fixtures.sidon_trajectory, fixtures.cnot_trajectory])
 def test_gram_spectrum_is_independent_of_reference_basis(factory):
     # products in orthonormal Sym^2 coordinates: a basis change acts unitarily
     sampled = sample(factory(), 400)
-    eigs = np.linalg.eigvalsh(build_product_gram(sampled))
+    eigs = certify_no_disentangling(sampled).gram_eigenvalues
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = haar_unitary(sampled.dims.n, rng)
         rotated = SampledTrajectory(sampled.dims, sampled.times, sampled.states @ u.T)
-        moved = np.linalg.eigvalsh(build_product_gram(rotated))
+        moved = certify_no_disentangling(rotated).gram_eigenvalues
         assert np.abs(moved - eigs).max() <= 1e-12 * eigs.max()
 
 
 def test_gram_too_few_samples():
     with pytest.raises(TooFewSamples):
-        build_product_gram(sample(fixtures.cnot_trajectory(), 20))
+        certify_no_disentangling(sample(fixtures.cnot_trajectory(), 20))
 
 
 def test_certify_sidon():
@@ -150,6 +142,10 @@ def test_rank_invariant_under_time_reparametrization(factory):
 def test_certificate_diagnostics():
     cert = certify_no_disentangling(sample(fixtures.sidon_trajectory(), 400))
     doc = cert.to_dict()
+    assert list(doc) == [
+        "verdict", "numerical_rank", "full_rank", "min_max_eig_ratio",
+        "trajectory_span_dim", "gram_eigenvalues",
+    ]
     assert doc["verdict"] == "CertifiedNoDisentanglingTPS"
     assert len(doc["gram_eigenvalues"]) == 10
     assert doc["min_max_eig_ratio"] > 1e-8
@@ -167,6 +163,24 @@ def test_rank_deficient_gram_reports_no_negative_eigenvalue():
 def test_span_dimension_of_constant_state():
     states = np.tile(np.array([1, 0, 0, 0], dtype=complex), (80, 1))
     sampled = SampledTrajectory(QBITS, np.linspace(0, 1, 80), states)
-    assert trajectory_span_dimension(sampled, 1e-8) == 1
     cert = certify_no_disentangling(sampled)
+    assert cert.trajectory_span_dim == 1
     assert cert.verdict is Verdict.EXISTS_LOW_DIM
+
+
+@pytest.mark.parametrize(
+    "amplitude, exists",
+    [(1e-10, True), (1e-9, True), (1e-8, False), (1e-7, False), (1e-6, False),
+     (1e-5, False), (5e-5, False), (2e-4, False)],
+)
+def test_low_dimension_verdict_agrees_with_construct_near_a_two_dimensional_span(
+    amplitude, exists
+):
+    # the span rule reads singular values at rank_tol: a third direction of
+    # relative weight sqrt(2) * amplitude counts from 1e-8 on, where construct
+    # finds no disentangler either
+    traj = near_two_dimensional(amplitude)
+    cert = certify_no_disentangling(sample(traj, 400))
+    assert cert.trajectory_span_dim == (2 if exists else 3)
+    assert (cert.verdict is Verdict.EXISTS_LOW_DIM) is exists
+    assert construct_disentangler(traj, ConstructConfig()).found is exists

@@ -66,6 +66,11 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         assert snapshot[f"layers.{dims}.schmidt_spectra.svd_gap"] < 1e-14
     assert snapshot["layers.construct_us"] > 0
     assert snapshot["layers.construct.residual_max"] < 1e-12
+    for dims, rank in [("2x2", 10), ("2x3", 21)]:
+        assert snapshot[f"layers.{dims}.certify_us"] > 0
+        assert snapshot[f"layers.{dims}.certify.rank"] == rank
+    assert snapshot["layers.stationarity_us"] > 0
+    assert snapshot["layers.stationarity.gradient_norm"] > 0
 
 
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
