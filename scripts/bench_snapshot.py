@@ -5,7 +5,8 @@ Runs each `bench/run.py` workload once at a fixed seed, each in its own
 process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
 constructor, the certificate and the stationarity gradient in this process,
-and writes their metric lines, with nproc, the git HEAD and the
+then `optimize_tps` as a library caller runs it, with BLAS threads unpinned
+and pinned, and writes their metric lines, with nproc, the git HEAD and the
 Python/numpy/scipy versions, to the file named on the command line.  The
 file has no gate: it is a record to set beside the snapshot of another
 commit.  Run it from a full checkout.
@@ -14,6 +15,7 @@ Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -30,10 +32,20 @@ LAYER_SAMPLES = 200
 LAYER_THETAS = 16
 LAYER_REPEATS = 20
 SPECTRA_SAMPLES = 1000
+LIBRARY_REPEATS = 3
 
 
 def run(argv, env=None):
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def trig(spec):
+    """The `TrigTrajectory` of one `bench/bench_inputs.py` spec."""
+    from tpslab.core import HilbertDims
+    from tpslab.trajectory import Harmonic, TrigTrajectory
+
+    harmonics = tuple(Harmonic(*h) for h in spec["harmonics"])
+    return TrigTrajectory(HilbertDims(*spec["dims"]), spec["constant"], harmonics, spec["t_max"])
 
 
 def bench_metrics(workload: str, seed: int, seconds: float) -> dict:
@@ -97,7 +109,7 @@ def layer_metrics() -> dict:
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
     from tpslab.optimizer import _Objective
-    from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
+    from tpslab.trajectory import SampledTrajectory, sample
 
     pin_blas_threads()
     flat = {}
@@ -161,10 +173,6 @@ def layer_metrics() -> dict:
     from bench_inputs import cnot_spec, disentanglable, sidon
     from bench_math import random_hermitian
 
-    def trig(spec):
-        harmonics = tuple(Harmonic(*h) for h in spec["harmonics"])
-        return TrigTrajectory(HilbertDims(*spec["dims"]), spec["constant"], harmonics, spec["t_max"])
-
     def timed(call, *args):
         """Per-call times in seconds and the last result of LAYER_THETAS * LAYER_REPEATS calls."""
         elapsed = []
@@ -196,6 +204,56 @@ def layer_metrics() -> dict:
     return flat
 
 
+def optimize_seconds(pin: bool) -> dict:
+    """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
+    member of the benchmark's Sidon family, after one untimed call, in this
+    process, with the BLAS thread count it ran on; `pin` calls `pin_blas_threads`
+    first.  Called by `library_metrics` in a fresh process."""
+    import numpy as np
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from bench_inputs import sidon
+    from tpslab.linalg import _bundled_openblas, pin_blas_threads
+    from tpslab.optimizer import OptimizerConfig, optimize_tps
+    from tpslab.trajectory import sample
+
+    if pin:
+        pin_blas_threads()
+    sampled = sample(trig(sidon((2, 3), np.random.default_rng(0))), 200)
+    config = OptimizerConfig(restarts=2, seed=0)
+    optimize_tps(sampled, config)  # the first call also imports scipy.optimize
+    elapsed = []
+    for _ in range(LIBRARY_REPEATS):
+        start = time.perf_counter()
+        optimize_tps(sampled, config)
+        elapsed.append(time.perf_counter() - start)
+    threads = 0
+    for get in _bundled_openblas("get_num_threads"):
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = max(threads, get())
+    return {"seconds": float(np.median(elapsed)), "blas_threads": threads}
+
+
+def library_metrics() -> dict:
+    """`optimize_seconds` in two fresh processes without OPENBLAS_NUM_THREADS:
+    `bench/run.py` pins BLAS before numpy loads, so it cannot time a library
+    caller, who runs unpinned unless they call `pin_blas_threads` (the CLI does)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    paths = [str(ROOT / "scripts"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    flat = {}
+    for mode, pin in (("unpinned", False), ("pinned", True)):
+        call = f"bench_snapshot.optimize_seconds({pin})"
+        code = f"import json, bench_snapshot; print(json.dumps({call}))"
+        proc = run([sys.executable, "-c", code], env)
+        if proc.returncode != 0:
+            raise SystemExit(f"optimize_seconds({pin}) failed:\n{proc.stderr}")
+        result = json.loads(proc.stdout)
+        flat[f"library.optimize_s.{mode}"] = result["seconds"]
+        flat[f"library.optimize.blas_threads.{mode}"] = result["blas_threads"]
+    return flat
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -224,6 +282,7 @@ def main():
         snapshot.update(bench_metrics(workload, args.seed, args.seconds))
     snapshot.update(tier1_metrics())
     snapshot.update(layer_metrics())
+    snapshot.update(library_metrics())
     Path(args.output).write_text(json.dumps(snapshot, indent=1) + "\n")
 
 

@@ -20,6 +20,7 @@ error, 3 dimension or validity error, 4 unsupported form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -44,8 +45,7 @@ from .errors import (
 )
 from .fileio import (
     ParseError,
-    _matrix_out,
-    _vector_out,
+    complex_out,
     load_matrix_document,
     load_tps,
     load_trajectory,
@@ -59,7 +59,7 @@ from .hamiltonian import (
 from .linalg import pin_blas_threads
 from .obstruction import DEFAULT_RANK_TOL, certify_no_disentangling
 from .optimizer import OptimizerConfig, optimize_tps
-from .trajectory import TrigTrajectory, sample
+from .trajectory import sample
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,8 +113,6 @@ def cmd_certify(args) -> dict:
 
 def cmd_construct(args) -> dict:
     traj = load_trajectory(_read(args, "input"))
-    if not isinstance(traj, TrigTrajectory):
-        raise UnsupportedForm("the constructive solver takes a trigonometric trajectory")
     result = construct_disentangler(traj, ConstructConfig(verify_tol=args.tol))
     results = {
         "status": "found" if result.found else "not_found",
@@ -124,10 +122,10 @@ def cmd_construct(args) -> dict:
         "attempts": result.attempts,
     }
     if result.found:
-        results["basis_change"] = _matrix_out(result.tps.basis_change)
+        results["basis_change"] = complex_out(result.tps.basis_change)
         if result.pairing is not None:
-            results["kappas"] = _vector_out(result.pairing.kappas)
-            results["roots"] = {k: _vector_out([v])[0] for k, v in result.pairing.roots.items()}
+            results["kappas"] = complex_out(result.pairing.kappas)
+            results["roots"] = {k: complex_out(v) for k, v in result.pairing.roots.items()}
     return results
 
 
@@ -136,8 +134,8 @@ def cmd_hamiltonian(args) -> dict:
     rebased = rebase_operator(_load_tps_arg(args, dims), matrix)
     decomposition = separable_projection(rebased, dims)
     return {
-        "h1": _matrix_out(decomposition.h1),
-        "h2": _matrix_out(decomposition.h2),
+        "h1": complex_out(decomposition.h1),
+        "h2": complex_out(decomposition.h2),
         "trace_part": decomposition.trace_part,
         "interaction_norm": decomposition.interaction_norm,
         "stationarity_gradient": stationarity_gradient(rebased, dims),
@@ -150,16 +148,8 @@ def cmd_optimize(args) -> dict:
     return {
         "objective": result.objective,
         "restart_index": result.restart_index,
-        "basis_change": _matrix_out(result.best_tps.basis_change),
-        "restarts": [
-            {
-                "index": s.index,
-                "objective": s.objective,
-                "surrogate_final": s.surrogate_final,
-                "iterations": s.iterations,
-            }
-            for s in result.restarts
-        ],
+        "basis_change": complex_out(result.best_tps.basis_change),
+        "restarts": [dataclasses.asdict(s) for s in result.restarts],
     }
 
 

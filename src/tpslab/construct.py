@@ -4,9 +4,11 @@ Write z = e^{it} and v(z) = (z^2, z, 1).  A frequency-1 trajectory is the
 exponential sum e^{it} a_{+1} + a_0 + e^{-it} a_{-1} of
 `TrigTrajectory.exponentials`, so psi(t) = e^{-it} m v(z) for the 4 x 3
 coefficient map m = [a_{+1}, a_0, a_{-1}]: row j of m holds the coefficients
-of the quadratic P_j with raw component j equal to e^{-it} P_j(z).  A basis
-change U rebases it to e^{-it} U m v(z).  When m has rank 3, that is a
-product state at every t exactly when
+of the quadratic P_j with raw component j equal to e^{-it} P_j(z).
+`_coefficient_map`, the one input gate, builds m from any 2 x 2 trig input
+with frequencies in {0, 1}, and refuses all else.  A basis change U rebases
+it to e^{-it} U m v(z).  When m has rank 3, that is a product state at every
+t exactly when
 
     U m = N := [a0 (x) b0,  a0 (x) b1 + a1 (x) b0,  a1 (x) b1]
 
@@ -132,15 +134,20 @@ def verify_disentangler(
     )
 
 
-def _coefficient_map(traj: TrigTrajectory) -> np.ndarray:
-    """The 4 x 3 map m = [a_{+1}, a_0, a_{-1}] with psi(t) = e^{-it} m (z^2, z, 1)."""
-    if len(traj.harmonics) != 1 or traj.harmonics[0].frequency != 1:
-        raise UnsupportedForm(
-            "this operation needs a single frequency-1 harmonic; got frequencies "
-            f"{[h.frequency for h in traj.harmonics]}"
-        )
-    freqs, rows = traj.exponentials()
-    return np.stack([rows[list(freqs).index(w)] for w in (1, 0, -1)], axis=1)
+def _coefficient_map(traj) -> np.ndarray:
+    """The 4 x 3 map m = [a_{+1}, a_0, a_{-1}] with psi(t) = e^{-it} m (z^2, z, 1), from
+    a 2 x 2 `TrigTrajectory` whose (exact, integer) exponential frequencies lie in
+    {-1, 0, +1}, summing rows of equal frequency; any other input raises `UnsupportedForm`."""
+    if isinstance(traj, TrigTrajectory) and traj.dims == HilbertDims(2, 2):
+        freqs, rows = traj.exponentials()
+        if np.all(np.abs(freqs) <= 1):
+            m = np.zeros((4, 3), dtype=complex)
+            np.add.at(m.T, (1 - freqs).astype(int), rows)
+            return m
+    got = f"{type(traj).__name__} on {traj.dims.n1}x{traj.dims.n2}"
+    if isinstance(traj, TrigTrajectory):
+        got += f" with harmonic frequencies {[h.frequency for h in traj.harmonics]}"
+    raise UnsupportedForm(f"construct takes 2x2 trig input with frequencies 0 and 1; got {got}")
 
 
 def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.ndarray:
@@ -191,14 +198,12 @@ def construct_disentangler(
     """Build the closed-form TPS in which the trajectory is a product state
     at all times, if one exists.
 
-    The identity, the SVD candidate and the closed form are tried in turn; the
-    first whose `_sigma2_bound` is below `config.verify_tol` is returned, with
-    that bound, which holds at every t, as its `disentangling_residual`.  A
-    `found=False` result on a rank-3 coefficient matrix means the Gram
-    condition of the module docstring fails.
+    Inputs are those `_coefficient_map` takes.  The identity, the SVD candidate
+    and the closed form are tried in turn; the first whose `_sigma2_bound` is
+    below `config.verify_tol` is returned, with that bound, which holds at every
+    t, as its `disentangling_residual`.  A `found=False` result on a rank-3
+    coefficient matrix means the Gram condition of the module docstring fails.
     """
-    if traj.dims != HilbertDims(2, 2):
-        raise UnsupportedForm("the constructive solver handles 2x2 bipartitions only")
     m = _coefficient_map(traj)
 
     def found(u, bound, message, attempts=1, pairing=None):

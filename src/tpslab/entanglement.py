@@ -6,9 +6,11 @@ state is its top Schmidt term, so the distance has a closed form and needs
 no inner optimization.  It is evaluated as the equal sqrt(2 sum_{k>=2}
 sigma_k^2 / (1 + sigma_1)), which keeps full precision at product states where
 2 - 2*sigma_1 cancels to ~sqrt(eps).  Entropies are in natural log units (a
-Bell pair has entropy ln 2, not 1 bit).  All measures run on one batched
-kernel, `rebased_coefficients` plus `schmidt_spectra` (closed form on 2 x n,
-an SVD otherwise); the single-state helpers call the same functions.
+Bell pair has entropy ln 2, not 1 bit), with the top Schmidt term read off the
+same tail, so they keep full relative precision there too.  All measures run
+on one batched kernel, `rebased_coefficients` plus `schmidt_spectra` (closed
+form on 2 x n, an SVD otherwise); the single-state helpers call the same
+functions.
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ def schmidt_spectra(mats: np.ndarray) -> np.ndarray:
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy -sum sigma^2 ln sigma^2 per row, with 0 ln 0 := 0."""
-    p = spectra**2
-    terms = p * np.log(np.where(p > 0, p, 1.0))
-    # rounding can push the sum a hair below zero for product states
-    return np.maximum(0.0, -terms.sum(axis=-1))
+    """Von Neumann entropy -sum sigma^2 ln sigma^2 per row, with 0 ln 0 := 0; the top
+    term is read off the tail t = sum_{k>=2} sigma_k^2 as (t - 1) log1p(-t), so near
+    product states no term cancels and every term is >= 0."""
+    p = spectra[..., 1:] ** 2
+    tail = p.sum(axis=-1)
+    return (tail - 1.0) * np.log1p(-tail) - (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
 def _distances(spectra: np.ndarray) -> np.ndarray:

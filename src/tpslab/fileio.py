@@ -2,7 +2,8 @@
 
 All files are JSON documents.  Complex numbers are two-element arrays
 [re, im]; matrices are row-major lists of rows.  This is the single
-convention across the repo.  Parse errors carry the JSON path of the
+convention across the repo, and `complex_out` is its one encoder, for files
+and CLI reports alike.  Parse errors carry the JSON path of the
 offending element (e.g. ``trig.harmonics[0].cos[2]``).
 
 Trajectory files::
@@ -102,16 +103,10 @@ def _matrix_in(value, shape: tuple[int, int], path: str) -> np.ndarray:
     )
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vector_out(v) -> list:
-    return [_complex_out(z) for z in np.asarray(v).ravel()]
-
-
-def _matrix_out(m) -> list:
-    return [_vector_out(row) for row in np.asarray(m)]
+def complex_out(a) -> list:
+    """A complex scalar, vector or matrix as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _dims_in(doc: dict) -> HilbertDims:
@@ -195,42 +190,27 @@ def _samples_in(node, dims: HilbertDims) -> SampledTrajectory:
 
 def dump_trajectory(traj) -> dict:
     if isinstance(traj, TrigTrajectory):
-        return {
-            "dims": [traj.dims.n1, traj.dims.n2],
-            "form": "trig",
-            "trig": {
-                "constant": _vector_out(traj.constant),
-                "harmonics": [
-                    {
-                        "freq": h.frequency,
-                        "cos": _vector_out(h.cos_coeffs),
-                        "sin": _vector_out(h.sin_coeffs),
-                    }
-                    for h in traj.harmonics
-                ],
-                "t_max": traj.t_max,
-            },
+        form, payload = "trig", {
+            "constant": complex_out(traj.constant),
+            "harmonics": [
+                {"freq": h.frequency, "cos": complex_out(h.cos_coeffs),
+                 "sin": complex_out(h.sin_coeffs)}
+                for h in traj.harmonics
+            ],
+            "t_max": traj.t_max,
         }
-    if isinstance(traj, HamiltonianTrajectory):
-        return {
-            "dims": [traj.dims.n1, traj.dims.n2],
-            "form": "hamiltonian",
-            "hamiltonian": {
-                "matrix": _matrix_out(traj.hamiltonian),
-                "initial": _vector_out(traj.initial.amplitudes),
-                "t_max": traj.t_max,
-            },
+    elif isinstance(traj, HamiltonianTrajectory):
+        form, payload = "hamiltonian", {
+            "matrix": complex_out(traj.hamiltonian),
+            "initial": complex_out(traj.initial.amplitudes),
+            "t_max": traj.t_max,
         }
-    if isinstance(traj, SampledTrajectory):
-        return {
-            "dims": [traj.dims.n1, traj.dims.n2],
-            "form": "samples",
-            "samples": {
-                "times": [float(t) for t in traj.times],
-                "states": _matrix_out(traj.states),
-            },
-        }
-    raise TypeError(f"not a trajectory: {type(traj)!r}")
+    elif isinstance(traj, SampledTrajectory):
+        payload = {"times": traj.times.tolist(), "states": complex_out(traj.states)}
+        form = "samples"
+    else:
+        raise TypeError(f"not a trajectory: {type(traj)!r}")
+    return {"dims": [traj.dims.n1, traj.dims.n2], "form": form, form: payload}
 
 
 def save_trajectory(traj, path) -> None:
@@ -246,7 +226,7 @@ def load_matrix_document(path) -> tuple[np.ndarray, HilbertDims]:
 
 
 def save_matrix_document(matrix, dims: HilbertDims, path) -> None:
-    doc = {"dims": [dims.n1, dims.n2], "matrix": _matrix_out(matrix)}
+    doc = {"dims": [dims.n1, dims.n2], "matrix": complex_out(matrix)}
     Path(path).write_text(json.dumps(doc, indent=1))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import fixtures
 from .construct import ConstructConfig, construct_disentangler, verify_disentangler
-from .core import HilbertDims, StateVector, TPSpec, tps_equivalent
+from .core import HilbertDims, StateVector, tps_equivalent
 from .entanglement import (
     coefficient_minors,
     entanglement_entropy,
@@ -34,9 +34,9 @@ from .trajectory import sample
 DIMS = HilbertDims(2, 2)
 
 
-def check_cnot_disentangling(tps: TPSpec | None = None):
+def check_cnot_disentangling():
     """Rebased C-NOT evolution is a product state on a 1000-point grid."""
-    tps = tps or fixtures.cnot_disentangler()
+    tps = fixtures.cnot_disentangler()
     r = verify_disentangler(tps, sample(fixtures.cnot_trajectory(), 1000), 1e-10)
     return r.passed, f"max minor {r.max_minor:.2e}, max sigma2 {r.max_sigma2:.2e} (tol 1e-10)"
 
@@ -275,11 +275,11 @@ ALL_CHECKS = (
 )
 
 
-def run_all(report=print) -> bool:
-    """Run every check, emit one line each; True when all pass."""
+def run_all() -> bool:
+    """Run every check, print one line each; True when all pass."""
     all_ok = True
     for name, check in ALL_CHECKS:
         ok, detail = check()
         all_ok &= ok
-        report(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

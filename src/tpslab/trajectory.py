@@ -17,14 +17,15 @@ trigonometric trajectory has w = 0 with a_0 = alpha and w = +-f with
 a_{+-f} = (beta -+ i gamma)/2; a Hamiltonian trajectory has the energies E_k
 of one eigendecomposition H = sum_k E_k |v_k><v_k| with a_k = <v_k|psi(0)> v_k.
 `sample` is the one place a closed form becomes samples: it evaluates the sum
-on a uniform, endpoint-inclusive grid.  A trigonometric trajectory is checked
-for the unit sphere at every t when it is built, from the exponential sum of
-|psi(t)|^2; the other forms are checked sample by sample.
+on a uniform, endpoint-inclusive grid.  A trigonometric trajectory builds its
+sum once, as read-only arrays, and is checked for the unit sphere at every t
+when it is built, from the exponential sum of |psi(t)|^2; the other forms are
+checked sample by sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class TrigTrajectory:
     constant: np.ndarray
     harmonics: tuple[Harmonic, ...]
     t_max: float
+    _exponentials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dims.n
@@ -68,9 +70,15 @@ class TrigTrajectory:
                 raise DimensionMismatch("harmonic coefficient length != dims.n")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
+        freqs, rows = [0.0], [self.constant]
+        for h in self.harmonics:
+            freqs += [h.frequency, -h.frequency]
+            rows += [(h.cos_coeffs - 1j * h.sin_coeffs) / 2, (h.cos_coeffs + 1j * h.sin_coeffs) / 2]
+        freqs, rows = np.array(freqs), frozen_complex(np.stack(rows))
+        freqs.setflags(write=False)
+        object.__setattr__(self, "_exponentials", (freqs, rows))
         # |psi(t)|^2 = sum_D c_D e^{iDt} over the integer differences D = w - w', and
         # sum_D |c_D - [D = 0]| bounds ||psi(t)|^2 - 1| at every t
-        freqs, rows = self.exponentials()
         diffs, group = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
         coeffs = np.zeros(len(diffs), dtype=complex)
         np.add.at(coeffs, group.ravel(), (rows @ rows.conj().T).ravel())
@@ -82,15 +90,9 @@ class TrigTrajectory:
             )
 
     def exponentials(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies (0, f1, -f1, f2, -f2, ...) and the rows a_w, shape (len(w), n)."""
-        freqs, rows = [0.0], [self.constant]
-        for h in self.harmonics:
-            freqs += [h.frequency, -h.frequency]
-            rows += [
-                (h.cos_coeffs - 1j * h.sin_coeffs) / 2,
-                (h.cos_coeffs + 1j * h.sin_coeffs) / 2,
-            ]
-        return np.array(freqs), np.stack(rows)
+        """Frequencies (0, f1, -f1, f2, -f2, ...) and the rows a_w, shape (len(w), n),
+        built once at construction and read-only."""
+        return self._exponentials
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,8 @@ def sample(traj, num_samples: int) -> SampledTrajectory:
     """Evaluate a closed-form trajectory on a uniform, endpoint-inclusive grid
     of `num_samples` times; a `SampledTrajectory` is returned as it is.
 
-    Each sample must lie within 1e-9 of the unit sphere (it is then snapped
-    back exactly); otherwise `NotNormalizable` is raised, since off-sphere
-    component functions mean the input is not a trajectory at all.
+    The samples cannot fail `SampledTrajectory`'s sphere check: a trig input
+    was checked exactly at construction, and Hamiltonian evolution is unitary.
     """
     if isinstance(traj, SampledTrajectory):
         return traj

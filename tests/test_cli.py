@@ -12,6 +12,7 @@ import tpslab
 from tpslab import fixtures, reproduce
 from tpslab.cli import main
 from tpslab.fileio import save_matrix_document, save_trajectory
+from tpslab.trajectory import sample
 
 from helpers import QBITS
 
@@ -223,6 +224,18 @@ def test_construct_not_found_is_exit_zero(files, tmp_path):
 
 def test_construct_multifrequency_is_unsupported(files):
     assert run(["construct", "--input", files["sidon"]]) == 4
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [fixtures.cnot_evolution(), sample(fixtures.cnot_trajectory(), 20)],
+    ids=["hamiltonian", "samples"],
+)
+def test_construct_is_unsupported_on_hamiltonian_and_sample_files(traj, tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    save_trajectory(traj, path)
+    assert run(["construct", "--input", str(path)]) == 4
+    assert type(traj).__name__ in capsys.readouterr().err
 
 
 def test_hamiltonian_report(files, tmp_path):

@@ -183,6 +183,50 @@ def test_rejects_multiple_frequencies():
         construct_disentangler(fixtures.sidon_trajectory(), ConstructConfig())
 
 
+def test_rejects_a_single_frequency_two_harmonic():
+    base = fixtures.cnot_trajectory()
+    h = base.harmonics[0]
+    traj = TrigTrajectory(QBITS, base.constant, (Harmonic(2, h.cos_coeffs, h.sin_coeffs),), 1.0)
+    with pytest.raises(UnsupportedForm, match=r"harmonic frequencies \[2\]"):
+        construct_disentangler(traj, ConstructConfig())
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [fixtures.cnot_evolution(), sample(fixtures.cnot_trajectory(), 50)],
+    ids=["hamiltonian", "sampled"],
+)
+def test_rejects_trajectories_that_are_not_trigonometric(traj):
+    # the paper's own C-NOT evolution, as a Hamiltonian or as samples
+    with pytest.raises(UnsupportedForm, match=type(traj).__name__):
+        construct_disentangler(traj, ConstructConfig())
+
+
+def test_constant_product_is_already_a_product():
+    traj = TrigTrajectory(QBITS, np.kron([0, 1], [1, 0]), (), 1.0)
+    result = construct_disentangler(traj, ConstructConfig())
+    assert result.found and result.attempts == 0
+    assert "already a product" in result.message
+    assert np.array_equal(result.tps.basis_change, np.eye(4))
+
+
+def test_constant_bell_state_is_found_through_the_svd_candidate():
+    traj = TrigTrajectory(QBITS, np.array([1, 0, 0, 1]) / S2, (), 1.0)
+    result = construct_disentangler(traj, ConstructConfig())
+    assert result.found and result.attempts == 1 and result.pairing is None
+    assert "span at most two dimensions" in result.message
+    assert verify_disentangler(result.tps, sample(traj, 20), 1e-12).passed
+
+
+def test_frequency_one_harmonic_split_in_two_gives_the_same_basis_change(cnot_result):
+    base = fixtures.cnot_trajectory()
+    h = base.harmonics[0]
+    half = Harmonic(1, h.cos_coeffs / 2, h.sin_coeffs / 2)
+    result = construct_disentangler(TrigTrajectory(QBITS, base.constant, (half, half), base.t_max))
+    assert result.found
+    assert result.tps.basis_change.tobytes() == cnot_result.tps.basis_change.tobytes()
+
+
 def test_rejects_larger_bipartitions():
     dims = HilbertDims(2, 3)
     traj = TrigTrajectory(

@@ -23,7 +23,7 @@ from tpslab.entanglement import (
 )
 from tpslab.errors import DimensionMismatch
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import sample
+from tpslab.trajectory import SampledTrajectory, sample
 
 from helpers import QBITS, bell_state, random_local_unitary, random_state
 
@@ -58,6 +58,7 @@ def test_schmidt_reconstruction(seed):
 def test_entropy_product_state_is_zero():
     psi = StateVector(np.array([0, 0, 1, 0], dtype=complex), QBITS)
     assert entanglement_entropy(psi) == 0.0
+    assert not np.signbit(entanglement_entropy(psi))  # +0.0, not -0.0
 
 
 def test_entropy_bell_state_is_ln2():
@@ -68,6 +69,22 @@ def test_entropy_skewed_spectrum():
     psi = StateVector(np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)]), QBITS)
     expected = -0.9 * np.log(0.9) - 0.1 * np.log(0.1)
     assert abs(entanglement_entropy(psi) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-8, 1e-9])
+def test_entropy_keeps_relative_precision_near_product_states(s):
+    # Haar-rotated diag(sqrt(1 - s^2), s): summing -p ln p over sigma_1^2 ~ 1
+    # would cancel the top term against its own rounding
+    exact = (s * s - 1) * np.log1p(-s * s) - s * s * np.log(s * s)
+    rng = np.random.default_rng(7)
+    diag = np.diag([np.sqrt(1 - s * s), s])
+    mats = [haar_unitary(2, rng) @ diag @ haar_unitary(2, rng) for _ in range(20)]
+    states = np.stack(mats).reshape(20, 4)
+    single = [entanglement_entropy(StateVector.normalized(a, QBITS)) for a in states]
+    sampled = SampledTrajectory(QBITS, np.arange(20.0), states)
+    profile = entanglement_profile(sampled, TPSpec.identity(QBITS))
+    assert np.abs(np.array(single) / exact - 1).max() <= 1e-6
+    assert np.abs(profile.entropy / exact - 1).max() <= 1e-6
 
 
 def test_distance_product_state():
@@ -105,11 +122,19 @@ def test_product_test_rejects_small_contamination():
     assert not is_product_state(psi, 1e-10)
 
 
-@given(st.integers(0, 10_000))
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 1e-10, 1e-6, None]))
 @settings(max_examples=100, deadline=None)
-def test_minor_and_schmidt_tests_agree(seed):
-    psi = random_state(np.random.default_rng(seed))
-    assert is_product_state(psi, 1e-8) == (schmidt_values(psi)[1] < 1e-8)
+def test_minor_and_schmidt_tests_agree(seed, sigma2):
+    # exact products, near-products at sigma_2 = 1e-10 and 1e-6, and Haar states
+    # (None), all of which sit far above 1e-8: both tests must also land on the
+    # expected side, so a minor test with one constant answer fails
+    rng = np.random.default_rng(seed)
+    if sigma2 is None:
+        psi, product = random_state(rng), False
+    else:
+        m = haar_unitary(2, rng) @ np.diag([np.sqrt(1 - sigma2**2), sigma2]) @ haar_unitary(2, rng)
+        psi, product = StateVector.normalized(m.ravel(), QBITS), sigma2 < 1e-8
+    assert is_product_state(psi, 1e-8) == (schmidt_values(psi)[1] < 1e-8) == product
 
 
 @pytest.mark.parametrize(
@@ -183,8 +208,6 @@ def test_profile_disentangling_basis_is_flat():
 
 
 def test_profile_constant_product_trajectory_is_zero():
-    from tpslab.trajectory import SampledTrajectory
-
     states = np.tile(np.array([0, 0, 1, 0], dtype=complex), (5, 1))
     sampled = SampledTrajectory(QBITS, np.linspace(0, 1, 5), states)
     profile = entanglement_profile(sampled, TPSpec.identity(QBITS))
@@ -193,11 +216,13 @@ def test_profile_constant_product_trajectory_is_zero():
 
 
 def test_profile_closed_form_disentangler_reads_machine_zero():
-    # max sigma_2 is ~1e-16 here; sqrt(2 - 2 sigma_1) would read ~3e-8
+    # max sigma_2 is ~1e-16 here; sqrt(2 - 2 sigma_1) would read ~3e-8, and an
+    # entropy summed over sigma_1^2 ~ 1 would read ~1e-16
     profile = entanglement_profile(
         sample(fixtures.cnot_trajectory(), 1000), fixtures.cnot_disentangler()
     )
     assert profile.max_distance < 1e-14
+    assert profile.max_entropy < 1e-28
 
 
 def _loop_minors(m):

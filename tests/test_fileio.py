@@ -10,6 +10,7 @@ from tpslab.core import TPSpec
 from tpslab.entanglement import entanglement_profile
 from tpslab.fileio import (
     ParseError,
+    complex_out,
     dump_trajectory,
     load_matrix_document,
     load_tps,
@@ -151,6 +152,13 @@ def test_complex_encoding_is_re_im_pairs():
     doc = dump_trajectory(fixtures.cnot_trajectory())
     entry = doc["trig"]["constant"][0]
     assert entry == [1 / np.sqrt(2), 0.0]
+
+
+def test_complex_out_encodes_scalars_vectors_and_matrices():
+    assert complex_out(1 - 2j) == [1.0, -2.0]
+    assert complex_out([1, 1j]) == [[1.0, 0.0], [0.0, 1.0]]
+    assert complex_out(np.diag([1, -1j])) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+    assert type(complex_out(np.float32(2.5))[0]) is float  # plain floats for json
 
 
 def test_profile_csv_columns():

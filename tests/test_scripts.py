@@ -73,6 +73,19 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
     assert snapshot["layers.stationarity.gradient_norm"] > 0
 
 
+def test_bench_snapshot_times_the_library_unpinned_and_pinned(tmp_path):
+    code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.library_metrics()))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    snapshot = json.loads(proc.stdout)
+    assert snapshot["library.optimize_s.unpinned"] > 0
+    assert snapshot["library.optimize_s.pinned"] > 0
+    assert 1 <= snapshot["library.optimize.blas_threads.unpinned"] <= os.cpu_count()
+    assert snapshot["library.optimize.blas_threads.pinned"] == 1
+
+
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
     # the suite itself is not run: its subprocess is replaced by a canned summary
     code = (

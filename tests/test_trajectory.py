@@ -61,6 +61,14 @@ def test_sample_passes_sampled_trajectory_through():
     assert sample(sampled, 100) is sampled
 
 
+def test_trig_exponentials_are_built_once_and_read_only():
+    traj = fixtures.sidon_trajectory()
+    first, second = traj.exponentials(), traj.exponentials()
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sample_matches_trig_formula(seed):
     # V (a_0, a_1 e^{it}, a_3 e^{3it}, a_7 e^{7it}) for a Haar V and complex a_k
