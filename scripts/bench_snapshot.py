@@ -84,7 +84,11 @@ def layer_metrics() -> dict:
     one thread as in `bench/run.py`.  `_frechet` (U from one eigh) and
     `lm_step` (residuals, Jacobian, J^T r and the eigh of J^T J) start from an
     empty memo; every other layer runs on its theta's full memo less its own
-    entries, so that each time is that layer's alone.  `_frechet` now times U
+    entries, so that each time is that layer's alone.  `minimax_step` is one
+    iteration of the minimax stage from theta with B = I: the QP, cold-started
+    from the largest z_t, then values and Jacobian at theta + d, as for an
+    accepted step, and the damped BFGS update; `qp_support` is the median
+    size of that QP's support.  `_frechet` now times U
     alone, and `derivative_stack` now includes the divided differences phi,
     which earlier snapshots counted in `_frechet`.  Next to the times: the
     residual count and the largest relative gap between |residuals|^2 and
@@ -108,7 +112,7 @@ def layer_metrics() -> dict:
     from tpslab.hamiltonian import stationarity_gradient
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
-    from tpslab.optimizer import _Objective
+    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _Objective
     from tpslab.trajectory import SampledTrajectory, sample
 
     pin_blas_threads()
@@ -125,6 +129,16 @@ def layer_metrics() -> dict:
             np.linalg.eigh(j.T @ j)
             return j.T @ r
 
+        supports = []
+
+        def minimax_step(theta):
+            z, g, l_inv = obj.sq_distances(theta), obj.sq_distance_jacobian(theta), np.eye(n * n)
+            support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, np.array([np.argmax(z)]))
+            d = l_inv.T @ e
+            g_trial = obj.sq_distance_jacobian(theta + d)  # values and Jacobian, as an accepted step
+            _damped_bfgs(np.eye(n * n), d, lam @ (g_trial[support] - g[support]))
+            supports.append(len(support))
+
         # layer -> (call, memo entries dropped before it; None drops them all)
         layers = {
             "_frechet": (obj._frechet, None),
@@ -133,6 +147,7 @@ def layer_metrics() -> dict:
             "residual_jacobian": (obj.residual_jacobian, ()),
             "sq_distances": (obj.sq_distances, ("z", "y")),
             "lm_step": (lm_step, None),
+            "minimax_step": (minimax_step, ()),
         }
         elapsed = {name: [] for name in layers}
         gap = 0.0
@@ -154,6 +169,7 @@ def layer_metrics() -> dict:
         key = f"layers.{n1}x{n2}"
         flat.update({f"{key}.{name}_us": 1e6 * float(np.median(t)) for name, t in elapsed.items()})
         flat[f"{key}.residuals.count"] = len(r)
+        flat[f"{key}.qp_support"] = float(np.median(supports))
         flat[f"{key}.cost_rel_gap"] = gap
 
         rng = np.random.default_rng(1)
@@ -221,7 +237,7 @@ def optimize_seconds(pin: bool) -> dict:
         pin_blas_threads()
     sampled = sample(trig(sidon((2, 3), np.random.default_rng(0))), 200)
     config = OptimizerConfig(restarts=2, seed=0)
-    optimize_tps(sampled, config)  # the first call also imports scipy.optimize
+    optimize_tps(sampled, config)  # untimed warm-up
     elapsed = []
     for _ in range(LIBRARY_REPEATS):
         start = time.perf_counter()

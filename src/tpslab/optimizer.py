@@ -19,11 +19,12 @@ performs two stages:
    directions along local unitaries, where a Gauss-Newton step would move by
    amounts set by rounding;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
-   z_t the cancellation-free squared product distance, solved by SLSQP.  SLSQP
-   is not monotone, so the stage keeps the best max_t z_t it has seen.  A start
-   within its tolerance, max_t z_t <= EPIGRAPH_FTOL, skips it (SLSQP returned
-   such starts unchanged), so its objective is the least-squares endpoint's
-   distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
+   z_t the cancellation-free squared product distance, solved by SQP: a damped
+   BFGS model of the Lagrangian's Hessian, each QP solved in its dual by an
+   active-set method warm-started from the last support, and a backtracking
+   line search on max_t z_t, so every step lowers it.  It needs numpy.linalg
+   only.  A start with max_t z_t <= EPIGRAPH_FTOL skips it, so its objective is
+   the least-squares endpoint's distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
 
 The reported objective is the hard maximum of the chordal product distance on
 the sample grid, recomputed through `entanglement_profile`; each restart's
@@ -57,8 +58,8 @@ from .trajectory import SampledTrajectory
 
 MINORS_MAX_NFEV = 100  # evaluation cap of the least-squares stage per restart
 MINORS_TOL = 3e-16  # its gradient, step and relative cost-decrease tolerance
-EPIGRAPH_MAXITER = 100  # SLSQP iteration cap of the minimax stage
-EPIGRAPH_FTOL = 1e-15
+EPIGRAPH_MAXITER = 100  # SQP iteration cap of the minimax stage
+EPIGRAPH_FTOL = 1e-15  # its start threshold and least predicted decrease of max_t z_t
 
 
 @dataclass(frozen=True)
@@ -230,48 +231,113 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
     return x, cost, nfev
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: most of `tpslab.cli`'s import time."""
-    from scipy.optimize import minimize
+def _epigraph_qp(z: np.ndarray, g: np.ndarray, support: np.ndarray):
+    """min s + |e|^2 / 2 subject to z_t + g_t . e <= s, in its dual: lam on the
+    simplex maximizing lam . z - |g^T lam|^2 / 2, with e = -g^T lam.
 
-    return minimize(*args, **kwargs)
+    An active-set method in the style of Lawson & Hanson that keeps lam feasible.
+    Each step solves one KKT system of the equality problem on the support S,
+    [g_S g_S^T, 1; 1^T, 0].  The warm `support` drops its most negative
+    multiplier until none is left.  Then the most violated constraint t enters:
+    lam_t grows, the others follow the KKT solution, until t is active or
+    another multiplier reaches 0 and leaves S, so S never holds rows that are
+    affinely dependent.  Returns (S, lam_S, s, e).
+    """
+
+    def kkt(idx, top, last):
+        m = np.ones((len(idx) + 1,) * 2)
+        m[:-1, :-1], m[-1, -1] = g[idx] @ g[idx].T, 0.0
+        rhs = np.append(top, last)
+        try:
+            sol = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:  # a warm support that holds equal rows
+            sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        return sol[:-1], sol[-1]
+
+    lam, s = kkt(support, z[support], 1.0)
+    while lam.min() < 0:
+        support = np.delete(support, np.argmin(lam))
+        lam, s = kkt(support, z[support], 1.0)
+    for _ in range(2 * len(z)):  # a guard: each entry raises the dual objective
+        ge = g @ -(lam @ g[support])
+        violation = z + ge - s
+        t = np.argmax(violation)
+        v, tau = violation[t], 0.0
+        # above rounding, and above what the active constraints show of it
+        if v <= 1e-14 * (np.abs(z).max() + np.abs(ge).max()) + np.abs(violation[support]).max():
+            break
+        while len(support):
+            dlam, ds = kkt(support, -(g[support] @ g[t]), -1.0)  # d(lam_S, s) / d lam_t
+            w = g[t] + dlam @ g[support]
+            slope = w @ w  # -dv / d lam_t: |w|^2, as g_S w = -ds and sum(dlam) = -1
+            shrink = np.flatnonzero(dlam < 0)  # never empty
+            ratios = np.maximum(lam[shrink], 0.0) / -dlam[shrink]
+            step = min(v / slope if slope > 0 else np.inf, ratios.min())
+            lam, s, tau, v = lam + step * dlam, s + step * ds, tau + step, v - step * slope
+            if step < ratios.min():  # t is active
+                break
+            k = shrink[np.argmin(ratios)]
+            support, lam = np.delete(support, k), np.delete(lam, k)
+        support, lam = np.append(support, t), np.append(lam, tau)
+        s = z[t] - g[t] @ (lam @ g[support])
+    return support, lam, s, -(lam @ g[support])
+
+
+def _damped_bfgs(b: np.ndarray, step: np.ndarray, y: np.ndarray):
+    """The BFGS update of b on a step and its gradient change y, damped as Powell
+    (1978) does to keep b positive definite, and the inverse of b's Cholesky
+    factor; b resets to I where the factorization fails."""
+    bs = b @ step
+    sbs, sy = step @ bs, step @ y
+    if sy < 0.2 * sbs:
+        y = bs + (0.8 * sbs / (sbs - sy)) * (y - bs)
+    b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / (step @ y)
+    try:
+        return b, np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError:
+        return np.eye(len(b)), np.eye(len(b))
 
 
 def _polish(obj: _Objective, theta: np.ndarray):
-    """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SLSQP.
+    """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SQP.
 
-    Returns the best iterate seen and the trace of best max_t z_t values (the
-    start, then each improvement).  A start with s0 = max_t z_t <= EPIGRAPH_FTOL,
-    SLSQP's tolerance on s, comes back as is with trace [s0]: its restart reports
-    sqrt(s0).  The constraint, its Jacobian and the callback at an iterate share one evaluation.
+    Each iteration solves the QP of the constraints linearized at theta, with
+    a model B = L L^T of the Lagrangian's Hessian, in the variable e = L^T d by
+    `_epigraph_qp`, warm-started from the last support; backtracks from d on
+    max_t z_t (Armijo) against the model's decrease; and updates B by
+    `_damped_bfgs` on the Lagrangian gradient G^T lam.  Every accepted step
+    lowers max_t z_t, so the last iterate is the best, and the trace holds
+    max_t z_t at the start and after each step.  A start with s0 = max_t z_t
+    <= EPIGRAPH_FTOL comes back as is with trace [s0], and its restart reports
+    sqrt(s0); the stage ends when the model predicts a decrease of at most
+    EPIGRAPH_FTOL.
     """
-    s0 = obj.sq_distances(theta).max()
-    if s0 <= EPIGRAPH_FTOL:
-        return theta, [float(s0)]
-    best_theta, trace = theta.copy(), [float(s0)]
-
-    def keep_best(xk):
-        nonlocal best_theta
-        zmax = float(obj.sq_distances(xk[:-1]).max())
-        if zmax < trace[-1]:
-            best_theta = xk[:-1].copy()
-            trace.append(zmax)
-
-    e_last, ones = np.eye(len(theta) + 1)[-1], np.ones((len(obj.states), 1))
-    minimize(
-        lambda x: x[-1],
-        np.append(theta, s0),
-        jac=lambda x: e_last,
-        method="SLSQP",
-        constraints={
-            "type": "ineq",
-            "fun": lambda x: x[-1] - obj.sq_distances(x[:-1]),
-            "jac": lambda x: np.hstack([-obj.sq_distance_jacobian(x[:-1]), ones]),
-        },
-        options={"maxiter": EPIGRAPH_MAXITER, "ftol": EPIGRAPH_FTOL},
-        callback=keep_best,
-    )
-    return best_theta, trace
+    z = obj.sq_distances(theta)
+    trace = [float(z.max())]
+    if trace[0] <= EPIGRAPH_FTOL:
+        return theta, trace
+    g, support = obj.sq_distance_jacobian(theta), np.array([np.argmax(z)])
+    b = l_inv = np.eye(len(theta))
+    for _ in range(EPIGRAPH_MAXITER):
+        support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, support)
+        d = l_inv.T @ e
+        decrease = trace[-1] - (z + g @ d).max()
+        if decrease <= EPIGRAPH_FTOL:
+            break
+        alpha = 1.0
+        while alpha >= 2.0**-30:
+            trial = theta + alpha * d
+            z_trial = obj.sq_distances(trial)
+            if z_trial.max() < trace[-1] - 1e-4 * alpha * decrease:
+                break
+            alpha *= 0.5
+        else:
+            break
+        g_trial = obj.sq_distance_jacobian(trial)
+        b, l_inv = _damped_bfgs(b, alpha * d, lam @ (g_trial[support] - g[support]))
+        theta, z, g = trial, z_trial, g_trial
+        trace.append(float(z.max()))
+    return theta, trace
 
 
 def optimize_tps(

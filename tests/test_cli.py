@@ -394,7 +394,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_importing_the_cli_defers_scipy_optimize():
-    # only the optimizer's minimax stage needs it, and it is most of the import time
+    # no command needs it (see the next test), and it is most of scipy's import time
     src = str(Path(tpslab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, tpslab.cli; assert 'scipy.optimize' not in sys.modules, 'imported'"
@@ -402,6 +402,32 @@ def test_importing_the_cli_defers_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_OPTIMIZE_MODULES = """
+import json, sys
+from tpslab import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]]))
+"""
+
+
+def test_optimize_loads_neither_scipy_optimize_nor_scipy_linalg(files, tmp_path):
+    # the Sidon fixture is obstructed, so every restart runs the minimax stage
+    src = str(Path(tpslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "opt.json"
+    argv = ["optimize", "--input", files["sidon"], "--restarts", "2", "--output", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPTIMIZE_MODULES, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert read(out)["results"]["objective"] > 0.1
 
 
 _BLAS_THREADS = """

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -411,25 +412,125 @@ def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch)
     s0 = objective.sq_distances(theta).max()
     assert s0 <= optimizer.EPIGRAPH_FTOL
 
-    def no_slsqp(*args, **kwargs):
-        raise AssertionError("SLSQP ran from a start within its tolerance")
+    def no_qp(*args):
+        raise AssertionError("the minimax stage ran from a start within its tolerance")
 
-    monkeypatch.setattr(optimizer, "minimize", no_slsqp)
+    monkeypatch.setattr(optimizer, "_epigraph_qp", no_qp)
     best_theta, trace = optimizer._polish(objective, theta)
     assert np.array_equal(best_theta, theta) and trace == [s0]
 
 
 def test_minimax_stage_runs_from_an_obstructed_start(monkeypatch):
-    objective = _Objective(sample(fixtures.sidon_trajectory(), 100))
+    # at 100 samples the identity's least-squares endpoint is already minimax-stationary
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
     theta, _, _ = optimizer._levenberg_marquardt(
         objective.residuals, objective.residual_jacobian, np.zeros(16), optimizer.MINORS_MAX_NFEV
     )
     assert objective.sq_distances(theta).max() > optimizer.EPIGRAPH_FTOL
-    runs, minimize = [], optimizer.minimize
-    monkeypatch.setattr(optimizer, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)))
+    supports, qp = [], optimizer._epigraph_qp
+
+    def recording_qp(*args):
+        result = qp(*args)
+        supports.append(result[0])
+        return result
+
+    monkeypatch.setattr(optimizer, "_epigraph_qp", recording_qp)
     _, trace = optimizer._polish(objective, theta)
-    assert len(runs) == 1 and runs[0].nit > 1
+    # one trace entry per accepted step, each after one QP
+    assert len(trace) > 2 and len(supports) >= len(trace) - 1
     assert trace[-1] <= trace[0]
+
+
+def _qp_instance(samples, params, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, samples), rng.normal(size=(samples, params))
+
+
+def _kkt_solution(z, g, support):
+    """(lam_S, s) of the equality problem on `support`, or None where it is singular."""
+    k = len(support)
+    m = np.ones((k + 1, k + 1))
+    m[:k, :k], m[k, k] = g[support] @ g[support].T, 0.0
+    if np.linalg.cond(m) > 1e12:
+        return None
+    sol = np.linalg.solve(m, np.append(z[support], 1.0))
+    return sol[:k], sol[k]
+
+
+@pytest.mark.parametrize("samples", [5, 40, 200])
+@pytest.mark.parametrize("params", [16, 36])
+@pytest.mark.parametrize("warm", ["argmax", "random"])
+def test_epigraph_qp_meets_its_kkt_conditions(samples, params, warm):
+    z, g = _qp_instance(samples, params, samples + params)
+    start = [np.argmax(z)] if warm == "argmax" else np.random.default_rng(0).choice(samples, 4)
+    support, lam, s, e = optimizer._epigraph_qp(z, g, np.unique(start))
+    full = np.zeros(samples)
+    full[support] = lam
+    slack = s - z - g @ e
+    assert lam.min() >= -1e-12 and abs(lam.sum() - 1) <= 1e-12
+    assert slack.min() >= -1e-12  # primal feasibility
+    assert np.abs(full * slack).max() <= 1e-12  # complementary slackness
+    assert np.abs(e + full @ g).max() <= 1e-12  # e = -g^T lam
+
+
+@pytest.mark.parametrize("samples", [1, 3, 8])
+@pytest.mark.parametrize("params", [2, 16])
+def test_epigraph_qp_equals_the_best_support(samples, params):
+    # with params = 2, supports of more than 3 rows are affinely dependent
+    z, g = _qp_instance(samples, params, 10 * samples + params)
+    _, _, s, e = optimizer._epigraph_qp(z, g, np.array([0]))
+    best = np.inf
+    for size in range(1, samples + 1):
+        for support in itertools.combinations(range(samples), size):
+            solution = _kkt_solution(z, g, list(support))
+            if solution is None:
+                continue
+            lam_s, s_s = solution
+            e_s = -(lam_s @ g[list(support)])
+            if (z + g @ e_s - s_s).max() <= 1e-12:  # feasible: its value bounds the optimum
+                best = min(best, s_s + e_s @ e_s / 2)
+    assert abs(s + e @ e / 2 - best) <= 1e-12
+
+
+def test_epigraph_qp_with_a_single_constraint():
+    z, g = _qp_instance(1, 16, 3)
+    support, lam, s, e = optimizer._epigraph_qp(z, g, np.array([0]))
+    assert list(support) == [0] and abs(lam[0] - 1) <= 1e-15
+    assert abs(s - (z[0] - g[0] @ g[0])) <= 1e-12 and np.abs(e + g[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3], ids=["theta0", "random"])
+def test_epigraph_qp_on_rows_equal_to_rounding(scale):
+    # the sample grid holds both ends of [0, 2 pi], where the Sidon state is the same
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 100))
+    theta = np.random.default_rng(4).normal(scale=scale, size=16)
+    z, g = objective.sq_distances(theta), objective.sq_distance_jacobian(theta)
+    pair = [0, len(z) - 1]
+    assert np.abs(g[0] - g[-1]).max() <= 1e-14 and abs(z[0] - z[-1]) <= 1e-15
+    cases = [(z[pair], g[pair], warm) for warm in ([0], [1], [0, 1])] + [(z, g, pair)]
+    cases.append((z[[0, 0]], g[[0, 0]], [0, 1]))  # rows equal to the bit: a singular KKT system
+    for zs, gs, warm in cases:
+        _, lam, s, e = optimizer._epigraph_qp(zs, gs, np.array(warm))
+        assert lam.min() >= 0 and abs(lam.sum() - 1) <= 1e-12
+        assert np.isfinite(s) and np.all(np.isfinite(e))
+
+
+def test_damped_bfgs_keeps_the_secant_condition_and_positive_definiteness():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(6, 6))
+    b, step = np.eye(6) + 0.1 * m @ m.T, rng.normal(size=6)
+    # enough curvature along the step: the plain BFGS update, which maps the step to y
+    y = 2.0 * b @ step + 0.1 * rng.normal(size=6)
+    updated, l_inv = optimizer._damped_bfgs(b, step, y)
+    assert np.abs(updated @ step - y).max() <= 1e-12 * np.abs(y).max()
+    assert np.abs(l_inv @ updated @ l_inv.T - np.eye(6)).max() <= 1e-12
+    # negative curvature: damped to s.y = 0.2 s.B.s, so the update stays positive definite
+    updated, _ = optimizer._damped_bfgs(b, step, -step)
+    assert abs(step @ updated @ step - 0.2 * step @ b @ step) <= 1e-12 * (step @ b @ step)
+    assert np.linalg.eigvalsh(updated).min() > 0
+    # a model that is not positive definite resets to the identity
+    updated, l_inv = optimizer._damped_bfgs(-np.eye(6), step, step)
+    assert np.array_equal(updated, np.eye(6)) and np.array_equal(l_inv, np.eye(6))
 
 
 def test_winner_summary_objective_is_the_reported_objective(cnot_result):

@@ -56,12 +56,15 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         "residual_jacobian",
         "sq_distances",
         "lm_step",
+        "minimax_step",
         "schmidt_spectra",
     ]
     # 2 K min(T, n(n+1)/2) residuals at T = 200: K = 1 and 3 minors
     for dims, count in [("2x2", 2 * 1 * 10), ("2x3", 2 * 3 * 21)]:
         assert all(snapshot[f"layers.{dims}.{name}_us"] > 0 for name in layers)
         assert snapshot[f"layers.{dims}.residuals.count"] == count
+        # at most one row more than the n^2 parameters: the support is affinely independent
+        assert 1 <= snapshot[f"layers.{dims}.qp_support"] <= (int(dims[0]) * int(dims[2])) ** 2 + 1
         assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
         assert snapshot[f"layers.{dims}.schmidt_spectra.svd_gap"] < 1e-14
     assert snapshot["layers.construct_us"] > 0
