@@ -6,10 +6,11 @@ process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
 constructor, the certificate and the stationarity gradient in this process,
 then `optimize_tps` as a library caller runs it, with BLAS threads unpinned
-and pinned, and writes their metric lines, with nproc, the git HEAD and the
-Python/numpy/scipy versions, to the file named on the command line.  The
-file has no gate: it is a record to set beside the snapshot of another
-commit.  Run it from a full checkout.
+and pinned, next to its least-squares evaluation count, and writes their
+metric lines, with nproc, the git HEAD and the Python/numpy/scipy versions,
+to the file named on the command line.  The file has no gate: it is a
+record to set beside the snapshot of another commit.  Run it from a full
+checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
@@ -223,8 +224,10 @@ def layer_metrics() -> dict:
 def optimize_seconds(pin: bool) -> dict:
     """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
     member of the benchmark's Sidon family, after one untimed call, in this
-    process, with the BLAS thread count it ran on; `pin` calls `pin_blas_threads`
-    first.  Called by `library_metrics` in a fresh process."""
+    process, with the BLAS thread count it ran on and the least-squares
+    evaluations (summed `RestartSummary.iterations`) of the last timed call;
+    `pin` calls `pin_blas_threads` first.  Called by `library_metrics` in a
+    fresh process."""
     import numpy as np
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -241,13 +244,14 @@ def optimize_seconds(pin: bool) -> dict:
     elapsed = []
     for _ in range(LIBRARY_REPEATS):
         start = time.perf_counter()
-        optimize_tps(sampled, config)
+        result = optimize_tps(sampled, config)
         elapsed.append(time.perf_counter() - start)
     threads = 0
     for get in _bundled_openblas("get_num_threads"):
         get.argtypes, get.restype = [], ctypes.c_int
         threads = max(threads, get())
-    return {"seconds": float(np.median(elapsed)), "blas_threads": threads}
+    lm_nfev = sum(r.iterations for r in result.restarts)
+    return {"seconds": float(np.median(elapsed)), "blas_threads": threads, "lm_nfev": lm_nfev}
 
 
 def library_metrics() -> dict:
@@ -267,6 +271,7 @@ def library_metrics() -> dict:
         result = json.loads(proc.stdout)
         flat[f"library.optimize_s.{mode}"] = result["seconds"]
         flat[f"library.optimize.blas_threads.{mode}"] = result["blas_threads"]
+    flat["library.optimize.lm_nfev"] = result["lm_nfev"]  # of the pinned run
     return flat
 
 

@@ -25,7 +25,9 @@ disentangling TPS always exists (send a basis of the span to |1 1>, |2 1>,
 
 Both ranks come from one threshold `rank_tol`, and each rule errs toward
 `INCONCLUSIVE`.  The product rank counts sigma_k^2 > rank_tol sigma_1^2 (an
-eigenvalue ratio): a rank counted low only weakens the certificate.  The
+eigenvalue ratio): a rank counted low only weakens the certificate.
+`product_rank` owns that rule and its N - K test; the optimizer applies it
+to its own compressed minors to size its least-squares budget.  The
 span dimension counts sigma_k > rank_tol sigma_1 of the weighted states (a
 singular-value ratio, so states within ~rank_tol of a smaller span are not
 counted as in it): a span counted high only withholds the existence verdict.
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import HilbertDims
 from .trajectory import SampledTrajectory
 from .errors import TooFewSamples
 from .linalg import trapezoid_weights
@@ -72,6 +75,18 @@ def _l2_singular_values(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     under the quadrature `weights`: their squares are the L2 Gram eigenvalues."""
     r = np.linalg.qr((rows * np.sqrt(weights)).T, mode="r")
     return np.linalg.svd(r, compute_uv=False)
+
+
+def product_rank(sigma: np.ndarray, dims: HilbertDims, rank_tol: float) -> tuple[int, bool]:
+    """The product rank of the descending singular values `sigma` of the Sym^2
+    products, counted as sigma_k^2 > rank_tol sigma_1^2, and whether it lies
+    above N - K (N = n(n+1)/2, K = C(n1, 2) C(n2, 2)): then at most K - 1
+    Gram eigenvalues vanish, so no U makes every minor vanish.  Fewer than
+    N - K + 1 values never certify."""
+    eigs = sigma**2
+    rank = int((eigs > rank_tol * eigs[0]).sum())
+    full = dims.n * (dims.n + 1) // 2
+    return rank, rank > full - math.comb(dims.n1, 2) * math.comb(dims.n2, 2)
 
 
 @dataclass(frozen=True)
@@ -119,14 +134,15 @@ def certify_no_disentangling(
         need = OVERSAMPLING_FACTOR * full
         raise TooFewSamples(f"need at least {need} samples for {full} products, got {len(traj)}")
     weights = trapezoid_weights(traj.times)
-    eigs = _l2_singular_values(rows, weights) ** 2
-    rank = int((eigs > rank_tol * eigs[0]).sum())
+    sigma = _l2_singular_values(rows, weights)
+    eigs = sigma**2
+    rank, certified = product_rank(sigma, traj.dims, rank_tol)
     span = _l2_singular_values(traj.states.T, weights)
     span_dim = int((span > rank_tol * span[0]).sum())
 
     if span_dim <= max(traj.dims.n1, traj.dims.n2):
         verdict = Verdict.EXISTS_LOW_DIM
-    elif rank > full - math.comb(traj.dims.n1, 2) * math.comb(traj.dims.n2, 2):
+    elif certified:
         verdict = Verdict.CERTIFIED_NO
     else:
         verdict = Verdict.INCONCLUSIVE

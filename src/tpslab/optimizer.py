@@ -17,7 +17,14 @@ performs two stages:
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
    accepted step: the damping keeps steps off the Jacobian's near-null
    directions along local unitaries, where a Gauss-Newton step would move by
-   amounts set by rounding;
+   amounts set by rounding.  Its budget is MINORS_MAX_NFEV evaluations per
+   restart, or OBSTRUCTED_MAX_NFEV where R's singular values certify, by
+   `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
+   every minor.  That is sound for any T: over K orthonormal c_k, |R c|^2 is
+   at least the sum of the K smallest sigma_k^2 (Ky Fan's minimum
+   principle), which a rank above N - K makes positive for every U.  A
+   trajectory with a disentangler has rank at most N - K and keeps the full
+   budget;
 2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
    z_t the cancellation-free squared product distance, solved by SQP: a damped
    BFGS model of the Lagrangian's Hessian, each QP solved in its dual by an
@@ -31,7 +38,8 @@ the sample grid, recomputed through `entanglement_profile`; each restart's
 summary objective is the same distance at its minimax point.  Derivatives are
 exact (first-order perturbation of sigma_1, the Daleckii-Krein formula for
 exp) and checked against finite differences in the tests.  No evaluation runs
-an SVD.  A distinct theta costs one n x n eigh, giving U; z_t adds a batched
+an SVD; one SVD of R, at most N x N, runs once per trajectory for the
+budget.  A distinct theta costs one n x n eigh, giving U; z_t adds a batched
 eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
 eigenvectors are closed form for n1 = 2.  Only a Jacobian builds, once per
 theta, the derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
@@ -52,11 +60,12 @@ import numpy as np
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
 from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi
-from .obstruction import sym2_coordinates, sym2_products
+from .obstruction import DEFAULT_RANK_TOL, product_rank, sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory
 
 
 MINORS_MAX_NFEV = 100  # evaluation cap of the least-squares stage per restart
+OBSTRUCTED_MAX_NFEV = 30  # its cap where the samples certify that no U zeros the minors
 MINORS_TOL = 3e-16  # its gradient, step and relative cost-decrease tolerance
 EPIGRAPH_MAXITER = 100  # SQP iteration cap of the minimax stage
 EPIGRAPH_FTOL = 1e-15  # its start threshold and least predicted decrease of max_t z_t
@@ -79,7 +88,7 @@ class RestartSummary:
     index: int
     objective: float
     surrogate_final: float  # sum_k |m_k|^2 / T after the least-squares stage
-    iterations: int  # residual evaluations of the least-squares stage
+    iterations: int  # residual evaluations of the least-squares stage, within its budget
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,9 @@ class OptimizationResult:
 
 class _Objective:
     """Shared state for one trajectory: the QR-compressed minors and the Schmidt
-    top pairs, on one memo of exp(A) and, once asked for, its derivative stack."""
+    top pairs, on one memo of exp(A) and, once asked for, its derivative stack.
+    `obstructed` says whether R's singular values certify that no U zeros
+    every minor (`obstruction.product_rank` at DEFAULT_RANK_TOL)."""
 
     def __init__(self, traj: SampledTrajectory):
         self.dims = traj.dims
@@ -104,6 +115,8 @@ class _Objective:
         # the minors are Phi c with Phi = QR, so only R / sqrt(T) is kept, row j
         # as the symmetric form H_j with <H_j, S> = (R c(S))_j
         r = np.linalg.qr(sym2_products(self.states).T, mode="r") / np.sqrt(len(self.states))
+        sigma = np.linalg.svd(r, compute_uv=False)
+        self.obstructed = product_rank(sigma, traj.dims, DEFAULT_RANK_TOL)[1]
         p, q, weights = sym2_coordinates(self.n)
         h = np.zeros((len(r), self.n, self.n), dtype=complex)
         h[:, p, q] += 0.5 * weights * r
@@ -351,6 +364,7 @@ def optimize_tps(
     """
     obj = _Objective(traj)
     n_params = traj.dims.n**2
+    max_nfev = OBSTRUCTED_MAX_NFEV if obj.obstructed else MINORS_MAX_NFEV
 
     summaries = []
     best = None  # (objective, index, theta)
@@ -362,7 +376,7 @@ def optimize_tps(
             theta = rng.normal(scale=np.pi / 4, size=n_params)
 
         theta, surrogate, nfev = _levenberg_marquardt(
-            obj.residuals, obj.residual_jacobian, theta, MINORS_MAX_NFEV
+            obj.residuals, obj.residual_jacobian, theta, max_nfev
         )
 
         theta, polish_trace = _polish(obj, theta)

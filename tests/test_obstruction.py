@@ -6,7 +6,12 @@ from tpslab.construct import ConstructConfig, construct_disentangler
 from tpslab.core import HilbertDims
 from tpslab.errors import TooFewSamples
 from tpslab.linalg import haar_unitary
-from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_coordinates
+from tpslab.obstruction import (
+    Verdict,
+    certify_no_disentangling,
+    product_rank,
+    sym2_coordinates,
+)
 from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory, sample
 
 from helpers import QBITS, near_two_dimensional
@@ -184,3 +189,18 @@ def test_low_dimension_verdict_agrees_with_construct_near_a_two_dimensional_span
     assert cert.trajectory_span_dim == (2 if exists else 3)
     assert (cert.verdict is Verdict.EXISTS_LOW_DIM) is exists
     assert construct_disentangler(traj, ConstructConfig()).found is exists
+
+
+@pytest.mark.parametrize(
+    "dims,count,certified",
+    [((2, 2), 9, False), ((2, 2), 10, True), ((2, 3), 18, False), ((2, 3), 19, True)],
+)
+def test_product_rank_certifies_above_n_minus_k(dims, count, certified):
+    # N - K = 10 - 1 on 2x2 and 21 - 3 on 2x3; fewer values can never certify
+    sigma = np.ones(count)
+    assert product_rank(sigma, HilbertDims(*dims), 1e-8) == (count, certified)
+
+
+def test_product_rank_counts_squared_ratios():
+    sigma = np.array([1.0, 1e-3, 0.9e-4, 0.0])  # squares 1, 1e-6, 8.1e-9, 0
+    assert product_rank(sigma, QBITS, 1e-8)[0] == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tpslab import fixtures, optimizer
+from tpslab.errors import TooFewSamples
 from tpslab.core import HilbertDims, TPSpec
 from tpslab.entanglement import (
     _distances,
@@ -17,6 +18,7 @@ from tpslab.linalg import (
     frechet_phi,
     haar_unitary,
 )
+from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_products
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample
 
@@ -557,13 +559,13 @@ def test_config_validation():
     assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "seed"]
 
 
-def _random_sidon_2x3():
+def _random_sidon_2x3(samples=200):
     """V (a_k e^{i f_k t})_k with a Sidon frequency set and a Haar-random V."""
     dims = HilbertDims(2, 3)
     rng = np.random.default_rng(17)
     amps = rng.uniform(0.5, 1.0, size=dims.n)
     amps /= np.linalg.norm(amps)
-    times = np.linspace(0, 2 * np.pi, 200)
+    times = np.linspace(0, 2 * np.pi, samples)
     phases = np.exp(1j * np.outer(times, [0, 1, 3, 7, 12, 20]))
     states = (amps * phases) @ haar_unitary(dims.n, rng).T
     return SampledTrajectory(dims, times, states)
@@ -595,3 +597,70 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
     winner = runs[result.restart_index][2]
     assert abs(winner[-1] - result.objective**2) <= 1e-12 * result.objective**2
+
+
+def _planted(dims, samples):
+    """A Haar-rotated product a(t) (x) b(t) of multi-frequency unit vectors: it
+    has a disentangler by construction."""
+    t = np.linspace(0, 2 * np.pi, samples)
+    a = np.stack([np.cos(t), np.sin(t) * np.exp(2j * t)], axis=1)
+    b = [np.cos(2 * t), 1j * np.sin(2 * t) * np.exp(1j * t)]
+    if dims.n2 == 3:
+        b = [np.cos(t) * b[0], np.cos(t) * b[1], np.sin(t) * np.exp(3j * t)]
+    states = np.einsum("ti,tj->tij", a, np.stack(b, axis=1)).reshape(samples, -1)
+    states = states @ haar_unitary(dims.n, np.random.default_rng(5)).T
+    return SampledTrajectory(dims, t, states)
+
+
+# name -> samples -> trajectory
+_FLAG_INPUTS = {
+    "sidon": lambda samples: sample(fixtures.sidon_trajectory(), samples),
+    "cnot": lambda samples: sample(fixtures.cnot_trajectory(), samples),
+    "cnot-evolution": lambda samples: sample(fixtures.cnot_evolution(), samples),
+    "lowdim": lambda samples: sample(fixtures.lowdim_trajectory(), samples),
+    "sidon-2x3": _random_sidon_2x3,
+    "planted-2x2": lambda samples: _planted(QBITS, samples),
+    "planted-2x3": lambda samples: _planted(HilbertDims(2, 3), samples),
+}
+
+
+@pytest.mark.parametrize("name,samples", [("sidon", 200), ("sidon-2x3", 200)])
+def test_obstructed_flag_is_set_where_the_samples_certify(name, samples):
+    assert _Objective(_FLAG_INPUTS[name](samples)).obstructed
+
+
+@pytest.mark.parametrize(
+    "name,samples",
+    # 15 samples of 2x3 give at most 15 < N - K + 1 = 19 singular values
+    [("cnot", 200), ("planted-2x2", 200), ("planted-2x3", 200), ("sidon-2x3", 15)],
+)
+def test_obstructed_flag_is_clear_where_they_do_not(name, samples):
+    assert not _Objective(_FLAG_INPUTS[name](samples)).obstructed
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_INPUTS))
+def test_obstructed_flag_agrees_with_certify(name):
+    compared = 0
+    for samples in (15, 40, 100, 200, 400):
+        traj = _FLAG_INPUTS[name](samples)
+        try:
+            verdict = certify_no_disentangling(traj).verdict
+        except TooFewSamples:
+            continue
+        assert _Objective(traj).obstructed == (verdict is Verdict.CERTIFIED_NO), samples
+        compared += 1
+    assert compared >= 3
+
+
+def test_obstructed_budget_stays_above_the_ky_fan_bound(cnot_result):
+    # |R c|^2 over K orthonormal c_k is at least the sum of the K smallest sigma^2
+    sampled = sample(fixtures.sidon_trajectory(), 200)
+    r = np.linalg.qr(sym2_products(sampled.states).T, mode="r") / np.sqrt(len(sampled))
+    bound = np.sort(np.linalg.svd(r, compute_uv=False) ** 2)[:1].sum()  # K = 1 on 2x2
+    assert bound > 0
+    result = optimize_tps(sampled, OptimizerConfig(restarts=4, seed=0))
+    for s in result.restarts:
+        assert s.surrogate_final >= bound - 1e-14
+        assert s.iterations <= optimizer.OBSTRUCTED_MAX_NFEV
+    # the budget never applies to C-NOT, whose restarts can run past it
+    assert max(s.iterations for s in cnot_result[1].restarts) > optimizer.OBSTRUCTED_MAX_NFEV

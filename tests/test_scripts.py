@@ -87,6 +87,7 @@ def test_bench_snapshot_times_the_library_unpinned_and_pinned(tmp_path):
     assert snapshot["library.optimize_s.pinned"] > 0
     assert 1 <= snapshot["library.optimize.blas_threads.unpinned"] <= os.cpu_count()
     assert snapshot["library.optimize.blas_threads.pinned"] == 1
+    assert snapshot["library.optimize.lm_nfev"] > 0
 
 
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
