@@ -99,10 +99,12 @@ def layer_metrics() -> dict:
     call on the C-NOT evolution and on one seeded member of the benchmark's
     planted family (`bench/bench_inputs.py`), one median over both, next to
     the larger of their two disentangling residuals.  `certify_no_disentangling`
-    is timed per call on 400 samples of one seeded 2x2 and one 2x3 member of
-    the benchmark's Sidon family, next to its numerical rank (full: 10 and
-    21), and `stationarity_gradient` on one seeded 3x3 Hermitian operator
-    as in the `analyze` workload, next to the gradient norm it returns.
+    is timed per call on one seeded 2x2 and one 2x3 member of the
+    benchmark's Sidon family, which it samples itself at 400 points (so the
+    time includes sampling, as the CLI's does), next to its numerical rank
+    (full: 10 and 21), and `stationarity_gradient` on one seeded 3x3
+    Hermitian operator as in the `analyze` workload, next to the gradient
+    norm it returns.
     """
     import numpy as np
 
@@ -114,7 +116,7 @@ def layer_metrics() -> dict:
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
     from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _Objective
-    from tpslab.trajectory import SampledTrajectory, sample
+    from tpslab.trajectory import SampledTrajectory
 
     pin_blas_threads()
     flat = {}
@@ -208,9 +210,9 @@ def layer_metrics() -> dict:
     flat["layers.construct.residual_max"] = residual
 
     for n1, n2 in LAYER_DIMS:
-        # 400 samples, as the benchmark's certify calls
-        sampled = sample(trig(sidon((n1, n2), np.random.default_rng(0))), 400)
-        elapsed, cert = timed(certify_no_disentangling, sampled)
+        # 400 samples, as the benchmark's certify calls, taken inside each call
+        traj = trig(sidon((n1, n2), np.random.default_rng(0)))
+        elapsed, cert = timed(certify_no_disentangling, traj)
         flat[f"layers.{n1}x{n2}.certify_us"] = 1e6 * float(np.median(elapsed))
         flat[f"layers.{n1}x{n2}.certify.rank"] = cert.numerical_rank
 
@@ -234,17 +236,16 @@ def optimize_seconds(pin: bool) -> dict:
     from bench_inputs import sidon
     from tpslab.linalg import _bundled_openblas, pin_blas_threads
     from tpslab.optimizer import OptimizerConfig, optimize_tps
-    from tpslab.trajectory import sample
 
     if pin:
         pin_blas_threads()
-    sampled = sample(trig(sidon((2, 3), np.random.default_rng(0))), 200)
+    traj = trig(sidon((2, 3), np.random.default_rng(0)))
     config = OptimizerConfig(restarts=2, seed=0)
-    optimize_tps(sampled, config)  # untimed warm-up
+    optimize_tps(traj, config)  # untimed warm-up
     elapsed = []
     for _ in range(LIBRARY_REPEATS):
         start = time.perf_counter()
-        result = optimize_tps(sampled, config)
+        result = optimize_tps(traj, config)
         elapsed.append(time.perf_counter() - start)
     threads = 0
     for get in _bundled_openblas("get_num_threads"):

@@ -14,7 +14,6 @@ import argparse
 from tpslab import fixtures
 from tpslab.obstruction import certify_no_disentangling
 from tpslab.optimizer import OptimizerConfig, optimize_tps
-from tpslab.trajectory import sample
 
 
 def main():
@@ -30,11 +29,8 @@ def main():
     }
     print(f"{'trajectory':10s} {'verdict':30s} {'gram rank':>9s} {'search objective':>17s}")
     for name, traj in trajectories.items():
-        cert = certify_no_disentangling(sample(traj, 400))
-        result = optimize_tps(
-            sample(traj, 200),
-            OptimizerConfig(restarts=args.restarts, seed=args.seed),
-        )
+        cert = certify_no_disentangling(traj)
+        result = optimize_tps(traj, OptimizerConfig(restarts=args.restarts, seed=args.seed))
         rank = f"{cert.numerical_rank}/{cert.full_rank}"
         print(f"{name:10s} {cert.verdict.value:30s} {rank:>9s} {result.objective:17.3e}")
 

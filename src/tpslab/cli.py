@@ -29,7 +29,6 @@ from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, reproduce
 from .construct import ConstructConfig, construct_disentangler
@@ -57,8 +56,8 @@ from .hamiltonian import (
     stationarity_gradient,
 )
 from .linalg import pin_blas_threads
-from .obstruction import DEFAULT_RANK_TOL, certify_no_disentangling
-from .optimizer import OptimizerConfig, optimize_tps
+from .obstruction import DEFAULT_CERTIFY_SAMPLES, DEFAULT_RANK_TOL, certify_no_disentangling
+from .optimizer import DEFAULT_OPTIMIZE_SAMPLES, OptimizerConfig, optimize_tps
 from .trajectory import sample
 
 EXIT_OK = 0
@@ -107,8 +106,8 @@ def cmd_profile(args) -> dict | str:
 
 
 def cmd_certify(args) -> dict:
-    sampled = sample(load_trajectory(_read(args, "input")), args.samples)
-    return certify_no_disentangling(sampled, rank_tol=args.rank_tol).to_dict()
+    traj = load_trajectory(_read(args, "input"))
+    return certify_no_disentangling(traj, args.rank_tol, num_samples=args.samples).to_dict()
 
 
 def cmd_construct(args) -> dict:
@@ -144,7 +143,7 @@ def cmd_hamiltonian(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    result = optimize_tps(sample(load_trajectory(_read(args, "input")), args.samples), config)
+    result = optimize_tps(load_trajectory(_read(args, "input")), config, num_samples=args.samples)
     return {
         "objective": result.objective,
         "restart_index": result.restart_index,
@@ -183,7 +182,6 @@ def report(args) -> None:
             "versions": {
                 "tpslab": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             "wall_time_s": round(time.monotonic() - t0, 6),
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="obstruction certificate for a trajectory")
     p.add_argument("--input", required=True)
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--samples", type=int, default=DEFAULT_CERTIFY_SAMPLES)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_certify)
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=DEFAULT_OPTIMIZE_SAMPLES)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_optimize)
 

@@ -11,21 +11,17 @@ import os
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 
 def _bundled_openblas(name: str):
-    """`scipy_openblas_<name>` of each OpenBLAS bundled with numpy and scipy that has it."""
-    for package, pattern, suffix in (
-        (np, "libscipy_openblas64_*.so", "64_"), (scipy, "libscipy_openblas-*.so", "")
-    ):
-        for path in (Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob(pattern):
-            if function := getattr(ctypes.CDLL(str(path)), f"scipy_openblas_{name}{suffix}", None):
-                yield function
+    """`scipy_openblas_<name>64_` of the OpenBLAS bundled with numpy, where it has one."""
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        if function := getattr(ctypes.CDLL(str(path)), f"scipy_openblas_{name}64_", None):
+            yield function
 
 
 def pin_blas_threads() -> None:
-    """Pin the bundled OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set."""
+    """Pin numpy's bundled OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set."""
     if "OPENBLAS_NUM_THREADS" not in os.environ:
         for set_threads in _bundled_openblas("set_num_threads"):
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None

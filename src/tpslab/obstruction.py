@@ -42,11 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertDims
-from .trajectory import SampledTrajectory
 from .errors import TooFewSamples
 from .linalg import trapezoid_weights
+from .trajectory import sample
 
 DEFAULT_RANK_TOL = 1e-8
+DEFAULT_CERTIFY_SAMPLES = 400  # grid size for a closed-form input
 OVERSAMPLING_FACTOR = 4
 
 
@@ -112,9 +113,10 @@ class Certificate:
 
 
 def certify_no_disentangling(
-    traj: SampledTrajectory, rank_tol: float = DEFAULT_RANK_TOL
+    traj, rank_tol: float = DEFAULT_RANK_TOL, *, num_samples=DEFAULT_CERTIFY_SAMPLES
 ) -> Certificate:
-    """Run the obstruction test on a sampled trajectory.
+    """Run the obstruction test on `trajectory.sample(traj, num_samples)`: any
+    form, a sampled one as it is.
 
     The product rank counts the Gram eigenvalues above `rank_tol` times the
     largest one, and the span dimension counts the singular values of the
@@ -126,6 +128,7 @@ def certify_no_disentangling(
     dependencies); anything else is inconclusive.  A rank counted low or a
     span counted high can only turn a verdict into `INCONCLUSIVE`.
     """
+    traj = sample(traj, num_samples)
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
     rows = sym2_products(traj.states)

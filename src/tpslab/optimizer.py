@@ -61,9 +61,9 @@ from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
 from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi
 from .obstruction import DEFAULT_RANK_TOL, product_rank, sym2_coordinates, sym2_products
-from .trajectory import SampledTrajectory
+from .trajectory import SampledTrajectory, sample
 
-
+DEFAULT_OPTIMIZE_SAMPLES = 200  # grid size for a closed-form input
 MINORS_MAX_NFEV = 100  # evaluation cap of the least-squares stage per restart
 OBSTRUCTED_MAX_NFEV = 30  # its cap where the samples certify that no U zeros the minors
 MINORS_TOL = 3e-16  # its gradient, step and relative cost-decrease tolerance
@@ -226,6 +226,8 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
         while nfev < max_nfev:
             h = -v @ ((v.T @ g) / (lam + mu))
             x_new = x + h
+            if np.array_equal(x_new, x):  # mu outgrew every step: end before it overflows
+                return x, cost, nfev
             r_new = fun(x_new)
             nfev += 1
             cost_new = float(r_new @ r_new)
@@ -354,14 +356,16 @@ def _polish(obj: _Objective, theta: np.ndarray):
 
 
 def optimize_tps(
-    traj: SampledTrajectory, config: OptimizerConfig = OptimizerConfig()
+    traj, config: OptimizerConfig = OptimizerConfig(), *, num_samples=DEFAULT_OPTIMIZE_SAMPLES
 ) -> OptimizationResult:
-    """Minimize sup_t d(U psi(t), product states) over basis changes U.
+    """Minimize sup_t d(U psi(t), product states) over basis changes U, with t on the
+    grid of `trajectory.sample(traj, num_samples)`: any form, a sampled one as it is.
 
     Deterministic for a fixed config: restart r draws its starting point from
     an RNG stream seeded with (seed, r), restart 0 always starts at the
     identity, and ties between restarts are broken by index.
     """
+    traj = sample(traj, num_samples)
     obj = _Objective(traj)
     n_params = traj.dims.n**2
     max_nfev = OBSTRUCTED_MAX_NFEV if obj.obstructed else MINORS_MAX_NFEV

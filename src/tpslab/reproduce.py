@@ -116,7 +116,7 @@ def check_obstruction_certificates():
     trajectories = (
         fixtures.sidon_trajectory(), fixtures.cnot_trajectory(), fixtures.lowdim_trajectory()
     )
-    certs = [certify_no_disentangling(sample(traj, 400)) for traj in trajectories]
+    certs = [certify_no_disentangling(traj, num_samples=400) for traj in trajectories]
     sidon, cnot, low = certs
     ok = (
         (sidon.verdict, sidon.numerical_rank, sidon.full_rank) == (Verdict.CERTIFIED_NO, 10, 10)
@@ -124,7 +124,7 @@ def check_obstruction_certificates():
         and low.verdict is Verdict.EXISTS_LOW_DIM
     )
     for cert, traj in zip(certs, trajectories):
-        doubled = certify_no_disentangling(sample(traj, 800))
+        doubled = certify_no_disentangling(traj, num_samples=800)
         ok &= (doubled.verdict, doubled.numerical_rank) == (cert.verdict, cert.numerical_rank)
     return ok, (
         f"sidon {sidon.verdict.value} {sidon.numerical_rank}/{sidon.full_rank}; "
@@ -151,15 +151,13 @@ def check_constructor_regression():
 
 def check_optimizer_cnot():
     """Numerical search reaches a near-disentangling TPS where one exists."""
-    sampled = sample(fixtures.cnot_trajectory(), 200)
-    result = optimize_tps(sampled, OptimizerConfig(restarts=32, seed=0))
+    result = optimize_tps(fixtures.cnot_trajectory(), OptimizerConfig(restarts=32, seed=0))
     return result.objective < 1e-6, f"objective {result.objective:.2e} (tol 1e-6)"
 
 
 def check_optimizer_sidon_floor():
     """The certified-obstructed trajectory keeps a macroscopic distance floor."""
-    sampled = sample(fixtures.sidon_trajectory(), 200)
-    result = optimize_tps(sampled, OptimizerConfig(restarts=32, seed=0))
+    result = optimize_tps(fixtures.sidon_trajectory(), OptimizerConfig(restarts=32, seed=0))
     return result.objective > 1e-3, f"best objective {result.objective:.2e} (floor 1e-3)"
 
 

@@ -16,11 +16,11 @@ Both closed forms are exponential sums psi(t) = sum_w e^{iwt} a_w, and their
 trigonometric trajectory has w = 0 with a_0 = alpha and w = +-f with
 a_{+-f} = (beta -+ i gamma)/2; a Hamiltonian trajectory has the energies E_k
 of one eigendecomposition H = sum_k E_k |v_k><v_k| with a_k = <v_k|psi(0)> v_k.
-`sample` is the one place a closed form becomes samples: it evaluates the sum
-on a uniform, endpoint-inclusive grid.  A trigonometric trajectory builds its
-sum once, as read-only arrays, and is checked for the unit sphere at every t
-when it is built, from the exponential sum of |psi(t)|^2; the other forms are
-checked sample by sample.
+`sample` is the one place a closed form becomes samples, on a uniform,
+endpoint-inclusive grid; `certify_no_disentangling` and `optimize_tps` call it
+themselves.  A trigonometric trajectory builds its sum once, as read-only
+arrays, and is checked for the unit sphere at every t when it is built, from
+the exponential sum of |psi(t)|^2; the other forms are checked sample by sample.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ import pytest
 
 import tpslab
 from tpslab import fixtures, reproduce
-from tpslab.cli import main
+from tpslab.cli import build_parser, main
 from tpslab.fileio import save_matrix_document, save_trajectory
+from tpslab.obstruction import DEFAULT_CERTIFY_SAMPLES
+from tpslab.optimizer import DEFAULT_OPTIMIZE_SAMPLES
 from tpslab.trajectory import sample
 
 from helpers import QBITS
@@ -151,6 +153,7 @@ def test_certify_report_is_rerunnable(files, tmp_path):
         assert list(report) == [
             "command", "inputs", "parameters", "results", "versions", "wall_time_s"
         ]
+        assert list(report["versions"]) == ["tpslab", "numpy", "python"]
         assert set(report["parameters"]) == options
         rebuilt = []
         for key, value in report["parameters"].items():
@@ -284,6 +287,12 @@ def test_hamiltonian_rejects_non_hermitian(files, tmp_path):
     assert run(["hamiltonian", "--input", str(path)]) == 3
 
 
+def test_sample_counts_default_to_the_library_defaults():
+    parse = build_parser().parse_args
+    assert parse(["certify", "--input", "t.json"]).samples == DEFAULT_CERTIFY_SAMPLES == 400
+    assert parse(["optimize", "--input", "t.json"]).samples == DEFAULT_OPTIMIZE_SAMPLES == 200
+
+
 def test_optimize_rejects_zero_restarts(files):
     assert run(["optimize", "--input", files["cnot"], "--restarts", "0"]) == 2
 
@@ -293,7 +302,7 @@ def test_optimize_rejects_negative_seed_before_solving(files, monkeypatch, capsy
     # restart 0 starts at the identity and never draws from the seed, so
     # "--restarts 1" used to succeed and "--restarts 2" failed after restart 0
     solves = []
-    monkeypatch.setattr(tpslab.cli, "optimize_tps", lambda *a: solves.append(a))
+    monkeypatch.setattr(tpslab.cli, "optimize_tps", lambda *a, **k: solves.append((a, k)))
     code = run(["optimize", "--input", files["cnot"], "--seed", "-1", "--restarts", restarts])
     assert code == 2
     assert solves == []
@@ -394,7 +403,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_importing_the_cli_defers_scipy_optimize():
-    # no command needs it (see the next test), and it is most of scipy's import time
+    # no command needs it (see test_no_command_loads_scipy)
     src = str(Path(tpslab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, tpslab.cli; assert 'scipy.optimize' not in sys.modules, 'imported'"
@@ -428,6 +437,45 @@ def test_optimize_loads_neither_scipy_optimize_nor_scipy_linalg(files, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, []]
     assert read(out)["results"]["objective"] > 0.1
+
+
+_NO_SCIPY = """
+import json, sys
+from tpslab import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded.append([argv[0], code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_scipy(files, tmp_path):
+    # the package needs numpy alone; the Sidon fixture is obstructed, so every
+    # optimize restart runs the minimax stage
+    src = str(Path(tpslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    sidon, out = files["sidon"], str(tmp_path / "out")
+    commands = [
+        ["profile", "--input", sidon, "--output", out],
+        ["profile", "--input", sidon, "--format", "csv", "--output", out],
+        ["certify", "--input", sidon, "--output", out],
+        ["construct", "--input", files["cnot"], "--output", out],
+        ["hamiltonian", "--input", files["h_cnot"], "--output", out],
+        ["optimize", "--input", sidon, "--restarts", "2", "--output", out],
+        ["reproduce"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [[argv[0], 0, []] for argv in commands]
+    assert read(out)["results"]["objective"] > 0.1  # the last report: optimize's
 
 
 _BLAS_THREADS = """

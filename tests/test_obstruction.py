@@ -204,3 +204,37 @@ def test_product_rank_certifies_above_n_minus_k(dims, count, certified):
 def test_product_rank_counts_squared_ratios():
     sigma = np.array([1.0, 1e-3, 0.9e-4, 0.0])  # squares 1, 1e-6, 8.1e-9, 0
     assert product_rank(sigma, QBITS, 1e-8)[0] == 2
+
+
+_FORMS = {
+    "trig": fixtures.sidon_trajectory,
+    "hamiltonian": fixtures.cnot_evolution,
+    "sampled": lambda: sample(fixtures.lowdim_trajectory(), 120),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("samples", [60, 400])
+def test_certify_samples_its_input_as_sample_does(form, samples):
+    # one sampler: the certificate of any form is the one of its samples, bit for bit
+    traj = _FORMS[form]()
+    own = certify_no_disentangling(traj, num_samples=samples).to_dict()
+    assert own == certify_no_disentangling(sample(traj, samples)).to_dict()
+
+
+def test_certify_uses_a_sampled_input_as_it_is():
+    sampled = sample(fixtures.sidon_trajectory(), 120)
+    cert = certify_no_disentangling(sampled, 1e-8, num_samples=1)
+    assert cert.to_dict() == certify_no_disentangling(sampled).to_dict()
+
+
+@pytest.mark.parametrize("form", ["trig", "hamiltonian"])
+def test_certify_rejects_a_single_sample_of_a_closed_form(form):
+    with pytest.raises(ValueError, match="num_samples"):
+        certify_no_disentangling(_FORMS[form](), num_samples=1)
+
+
+def test_certify_samples_closed_forms_at_400_points_by_default():
+    traj = fixtures.cnot_trajectory()
+    expected = certify_no_disentangling(sample(traj, 400)).to_dict()
+    assert certify_no_disentangling(traj).to_dict() == expected

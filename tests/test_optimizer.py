@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -664,3 +664,57 @@ def test_obstructed_budget_stays_above_the_ky_fan_bound(cnot_result):
         assert s.iterations <= optimizer.OBSTRUCTED_MAX_NFEV
     # the budget never applies to C-NOT, whose restarts can run past it
     assert max(s.iterations for s in cnot_result[1].restarts) > optimizer.OBSTRUCTED_MAX_NFEV
+
+
+_FORMS = {
+    "trig": fixtures.sidon_trajectory,
+    "hamiltonian": fixtures.cnot_evolution,
+    "sampled": lambda: sample(fixtures.lowdim_trajectory(), 60),
+}
+
+
+def _result_key(result):
+    return (
+        result.best_tps.basis_change.tobytes(),
+        result.objective,
+        result.restart_index,
+        result.restarts,
+    )
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_optimize_samples_its_input_as_sample_does(form):
+    # one sampler: the search on any form is the search on its samples, bit for bit
+    traj, config = _FORMS[form](), OptimizerConfig(restarts=2, seed=1)
+    own = optimize_tps(traj, config, num_samples=50)
+    assert _result_key(own) == _result_key(optimize_tps(sample(traj, 50), config))
+
+
+def test_optimize_uses_a_sampled_input_as_it_is():
+    sampled, config = _FORMS["sampled"](), OptimizerConfig(restarts=2, seed=1)
+    own = optimize_tps(sampled, config, num_samples=1)
+    assert _result_key(own) == _result_key(optimize_tps(sampled, config))
+
+
+@pytest.mark.parametrize("form", ["trig", "hamiltonian"])
+def test_optimize_rejects_a_single_sample_of_a_closed_form(form):
+    with pytest.raises(ValueError, match="num_samples"):
+        optimize_tps(_FORMS[form](), num_samples=1)
+
+
+def test_optimize_samples_closed_forms_at_200_points_by_default():
+    traj, config = fixtures.cnot_trajectory(), OptimizerConfig(restarts=1)
+    assert _result_key(optimize_tps(traj, config)) == _result_key(
+        optimize_tps(sample(traj, 200), config)
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_least_squares_stage_ends_before_its_damping_overflows():
+    # on a quarter window the Sidon fixture is not certified, so LM keeps the
+    # full budget; it used to spend it raising the damping until mu overflowed
+    traj = replace(fixtures.sidon_trajectory(), t_max=np.pi / 2)
+    result = optimize_tps(traj, OptimizerConfig(restarts=4, seed=0))
+    assert not _Objective(sample(traj, 200)).obstructed
+    assert all(s.iterations < optimizer.MINORS_MAX_NFEV for s in result.restarts)
+    assert result.objective == pytest.approx(0.0963955, rel=1e-6)
