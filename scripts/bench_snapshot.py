@@ -6,9 +6,9 @@ process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
 constructor, the certificate and the stationarity gradient in this process,
 then `optimize_tps` as a library caller runs it, with BLAS threads unpinned
-and pinned, next to its least-squares evaluation count, and writes their
-metric lines, with nproc, the git HEAD and the Python/numpy/scipy versions,
-to the file named on the command line.  The file has no gate: it is a
+and pinned, next to its least-squares evaluation and SQP step counts, and
+writes their metric lines, with nproc, the git HEAD and the Python and numpy
+versions, to the file named on the command line.  The file has no gate: it is a
 record to set beside the snapshot of another commit.  Run it from a full
 checkout.
 
@@ -19,7 +19,6 @@ import argparse
 import ctypes
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -86,7 +85,8 @@ def layer_metrics() -> dict:
     `lm_step` (residuals, Jacobian, J^T r and the eigh of J^T J) start from an
     empty memo; every other layer runs on its theta's full memo less its own
     entries, so that each time is that layer's alone.  `minimax_step` is one
-    iteration of the minimax stage from theta with B = I: the QP, cold-started
+    iteration of the minimax stage from theta, as `_polish` runs its first: the
+    curvature start model from the residual Jacobian, the QP, cold-started
     from the largest z_t, then values and Jacobian at theta + d, as for an
     accepted step, and the damped BFGS update; `qp_support` is the median
     size of that QP's support.  `_frechet` now times U
@@ -115,7 +115,7 @@ def layer_metrics() -> dict:
     from tpslab.hamiltonian import stationarity_gradient
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
-    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _Objective
+    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _factored, _Objective
     from tpslab.trajectory import SampledTrajectory
 
     pin_blas_threads()
@@ -135,11 +135,14 @@ def layer_metrics() -> dict:
         supports = []
 
         def minimax_step(theta):
-            z, g, l_inv = obj.sq_distances(theta), obj.sq_distance_jacobian(theta), np.eye(n * n)
+            z, g = obj.sq_distances(theta), obj.sq_distance_jacobian(theta)
+            j = obj.residual_jacobian(theta)
+            gn = 2.0 * j.T @ j
+            b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
             support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, np.array([np.argmax(z)]))
             d = l_inv.T @ e
             g_trial = obj.sq_distance_jacobian(theta + d)  # values and Jacobian, as an accepted step
-            _damped_bfgs(np.eye(n * n), d, lam @ (g_trial[support] - g[support]))
+            _damped_bfgs(b, d, lam @ (g_trial[support] - g[support]))
             supports.append(len(support))
 
         # layer -> (call, memo entries dropped before it; None drops them all)
@@ -226,8 +229,9 @@ def layer_metrics() -> dict:
 def optimize_seconds(pin: bool) -> dict:
     """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
     member of the benchmark's Sidon family, after one untimed call, in this
-    process, with the BLAS thread count it ran on and the least-squares
-    evaluations (summed `RestartSummary.iterations`) of the last timed call;
+    process, with the BLAS thread count it ran on, the least-squares
+    evaluations (summed `RestartSummary.iterations`) and the SQP steps (summed
+    `RestartSummary.minimax_steps`) of the last timed call;
     `pin` calls `pin_blas_threads` first.  Called by `library_metrics` in a
     fresh process."""
     import numpy as np
@@ -251,8 +255,12 @@ def optimize_seconds(pin: bool) -> dict:
     for get in _bundled_openblas("get_num_threads"):
         get.argtypes, get.restype = [], ctypes.c_int
         threads = max(threads, get())
-    lm_nfev = sum(r.iterations for r in result.restarts)
-    return {"seconds": float(np.median(elapsed)), "blas_threads": threads, "lm_nfev": lm_nfev}
+    return {
+        "seconds": float(np.median(elapsed)),
+        "blas_threads": threads,
+        "lm_nfev": sum(r.iterations for r in result.restarts),
+        "sqp_steps": sum(r.minimax_steps for r in result.restarts),
+    }
 
 
 def library_metrics() -> dict:
@@ -273,21 +281,21 @@ def library_metrics() -> dict:
         flat[f"library.optimize_s.{mode}"] = result["seconds"]
         flat[f"library.optimize.blas_threads.{mode}"] = result["blas_threads"]
     flat["library.optimize.lm_nfev"] = result["lm_nfev"]  # of the pinned run
+    flat["library.optimize.sqp_steps"] = result["sqp_steps"]
     return flat
 
 
 def environment() -> dict:
+    """nproc, the git HEAD, and the python and numpy versions that CLI reports give."""
     import numpy
-    import scipy
 
     # "-dirty" marks a snapshot of uncommitted changes on top of HEAD
     head = run(["git", "describe", "--always", "--dirty", "--abbrev=40"])
     return {
         "nproc": os.cpu_count(),
         "git_head": head.stdout.strip() if head.returncode == 0 else None,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
     }
 
 

@@ -29,9 +29,13 @@ performs two stages:
    z_t the cancellation-free squared product distance, solved by SQP: a damped
    BFGS model of the Lagrangian's Hessian, each QP solved in its dual by an
    active-set method warm-started from the last support, and a backtracking
-   line search on max_t z_t, so every step lowers it.  It needs numpy.linalg
-   only.  A start with max_t z_t <= EPIGRAPH_FTOL skips it, so its objective is
-   the least-squares endpoint's distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
+   line search on max_t z_t, so every step lowers it.  The model starts at
+   B0 = 2 J^T J + (tr 2 J^T J / n^2) I, J the least-squares Jacobian: near
+   product states z_t ~ sum_k |m_k(t)|^2, whose mean is the least-squares cost,
+   so 2 J^T J is the Gauss-Newton Hessian of the Lagrangian at uniform
+   multipliers; the ridge covers the null directions along local unitaries.  A
+   start with max_t z_t <= EPIGRAPH_FTOL skips it, so its objective is the
+   least-squares endpoint's distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
 
 The reported objective is the hard maximum of the chordal product distance on
 the sample grid, recomputed through `entanglement_profile`; each restart's
@@ -89,6 +93,7 @@ class RestartSummary:
     objective: float
     surrogate_final: float  # sum_k |m_k|^2 / T after the least-squares stage
     iterations: int  # residual evaluations of the least-squares stage, within its budget
+    minimax_steps: int  # accepted SQP steps of the minimax stage, 0 where it is skipped
 
 
 @dataclass(frozen=True)
@@ -298,41 +303,47 @@ def _epigraph_qp(z: np.ndarray, g: np.ndarray, support: np.ndarray):
     return support, lam, s, -(lam @ g[support])
 
 
-def _damped_bfgs(b: np.ndarray, step: np.ndarray, y: np.ndarray):
-    """The BFGS update of b on a step and its gradient change y, damped as Powell
-    (1978) does to keep b positive definite, and the inverse of b's Cholesky
-    factor; b resets to I where the factorization fails."""
-    bs = b @ step
-    sbs, sy = step @ bs, step @ y
-    if sy < 0.2 * sbs:
-        y = bs + (0.8 * sbs / (sbs - sy)) * (y - bs)
-    b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / (step @ y)
+def _factored(b: np.ndarray):
+    """b and the inverse of its Cholesky factor, or I and I where that fails."""
     try:
         return b, np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:
         return np.eye(len(b)), np.eye(len(b))
 
 
+def _damped_bfgs(b: np.ndarray, step: np.ndarray, y: np.ndarray):
+    """`_factored` of the BFGS update of b on a step and its gradient change y,
+    damped as Powell (1978) does to keep b positive definite."""
+    bs = b @ step
+    sbs, sy = step @ bs, step @ y
+    if sy < 0.2 * sbs:
+        y = bs + (0.8 * sbs / (sbs - sy)) * (y - bs)
+    return _factored(b - np.outer(bs, bs) / sbs + np.outer(y, y) / (step @ y))
+
+
 def _polish(obj: _Objective, theta: np.ndarray):
     """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SQP.
 
-    Each iteration solves the QP of the constraints linearized at theta, with
-    a model B = L L^T of the Lagrangian's Hessian, in the variable e = L^T d by
+    Each iteration solves the QP of the constraints linearized at theta, with a
+    model B = L L^T of the Lagrangian's Hessian, in the variable e = L^T d by
     `_epigraph_qp`, warm-started from the last support; backtracks from d on
     max_t z_t (Armijo) against the model's decrease; and updates B by
-    `_damped_bfgs` on the Lagrangian gradient G^T lam.  Every accepted step
-    lowers max_t z_t, so the last iterate is the best, and the trace holds
-    max_t z_t at the start and after each step.  A start with s0 = max_t z_t
-    <= EPIGRAPH_FTOL comes back as is with trace [s0], and its restart reports
-    sqrt(s0); the stage ends when the model predicts a decrease of at most
-    EPIGRAPH_FTOL.
+    `_damped_bfgs` on the Lagrangian gradient G^T lam.  B starts at the module's
+    B0, the Gauss-Newton Hessian near product states, built past the skip test,
+    or at I where its Cholesky fails.  Every accepted step lowers max_t z_t, so
+    the last iterate is the best, and the trace holds max_t z_t at the start and
+    after each step.  A start with s0 = max_t z_t <= EPIGRAPH_FTOL comes back as
+    is with trace [s0], and its restart reports sqrt(s0); the stage ends when
+    the model predicts a decrease of at most EPIGRAPH_FTOL.
     """
     z = obj.sq_distances(theta)
     trace = [float(z.max())]
     if trace[0] <= EPIGRAPH_FTOL:
         return theta, trace
     g, support = obj.sq_distance_jacobian(theta), np.array([np.argmax(z)])
-    b = l_inv = np.eye(len(theta))
+    j = obj.residual_jacobian(theta)  # one product: the memo holds the derivative stack
+    gn = 2.0 * j.T @ j
+    b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
     for _ in range(EPIGRAPH_MAXITER):
         support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, support)
         d = l_inv.T @ e
@@ -382,10 +393,9 @@ def optimize_tps(
         theta, surrogate, nfev = _levenberg_marquardt(
             obj.residuals, obj.residual_jacobian, theta, max_nfev
         )
-
         theta, polish_trace = _polish(obj, theta)
         objective = float(np.sqrt(polish_trace[-1]))
-        summaries.append(RestartSummary(r, objective, surrogate, nfev))
+        summaries.append(RestartSummary(r, objective, surrogate, nfev, len(polish_trace) - 1))
         if best is None or objective < best[0]:
             best = (objective, r, theta.copy())
 

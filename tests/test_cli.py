@@ -329,6 +329,10 @@ def test_optimize_report(files, tmp_path):
     # the reported distance keeps full precision down to exact product states
     assert results["objective"] < 1e-6
     assert len(results["restarts"]) == 2
+    keys = {"index", "objective", "surrogate_final", "iterations", "minimax_steps"}
+    assert all(set(entry) == keys for entry in results["restarts"])
+    # each restart reaches a product within the minimax tolerance and skips that stage
+    assert all(entry["minimax_steps"] == 0 for entry in results["restarts"])
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

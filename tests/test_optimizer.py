@@ -417,7 +417,11 @@ def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch)
     def no_qp(*args):
         raise AssertionError("the minimax stage ran from a start within its tolerance")
 
+    def no_jacobian(*args):
+        raise AssertionError("a skipped minimax stage built its start model")
+
     monkeypatch.setattr(optimizer, "_epigraph_qp", no_qp)
+    monkeypatch.setattr(objective, "residual_jacobian", no_jacobian)
     best_theta, trace = optimizer._polish(objective, theta)
     assert np.array_equal(best_theta, theta) and trace == [s0]
 
@@ -597,6 +601,63 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
     winner = runs[result.restart_index][2]
     assert abs(winner[-1] - result.objective**2) <= 1e-12 * result.objective**2
+    # the report counts each restart's accepted SQP steps
+    assert [s.minimax_steps for s in result.restarts] == [len(trace) - 1 for *_, trace in runs]
+    assert all(s.minimax_steps > 0 for s in result.restarts)
+
+
+def test_restarts_that_skip_the_minimax_stage_report_no_steps(cnot_result):
+    _, result = cnot_result
+    assert all(s.minimax_steps == 0 for s in result.restarts)
+
+
+def _least_squares_endpoint(objective):
+    """The identity restart's least-squares endpoint, on optimize_tps's budget."""
+    budget = optimizer.OBSTRUCTED_MAX_NFEV if objective.obstructed else optimizer.MINORS_MAX_NFEV
+    return optimizer._levenberg_marquardt(
+        objective.residuals, objective.residual_jacobian, np.zeros(objective.n**2), budget
+    )[0]
+
+
+def _first_qp_rows(objective, theta, monkeypatch):
+    """The constraint rows gl = g L^-T that `_polish` hands its first QP."""
+    rows, qp = [], optimizer._epigraph_qp
+
+    def recording_qp(z, gl, support):
+        rows.append(gl)
+        return qp(z, gl, support)
+
+    monkeypatch.setattr(optimizer, "_epigraph_qp", recording_qp)
+    optimizer._polish(objective, theta)
+    return rows[0]
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [lambda: sample(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    ids=["sidon", "random-2x3"],
+)
+def test_minimax_stage_starts_from_the_least_squares_curvature(make_sampled, monkeypatch):
+    # B0 = 2 J^T J + (tr 2 J^T J / n^2) I at the least-squares endpoint, so the
+    # first QP's rows satisfy gl gl^T = g B0^-1 g^T
+    objective = _Objective(make_sampled())
+    theta = _least_squares_endpoint(objective)
+    g = objective.sq_distance_jacobian(theta)
+    jac = objective.residual_jacobian(theta)
+    b0 = 2.0 * jac.T @ jac
+    b0 += np.trace(b0) / len(b0) * np.eye(len(b0))  # len(b0) = n^2 parameters
+    expected = g @ np.linalg.solve(b0, g.T)
+    gl = _first_qp_rows(objective, theta, monkeypatch)
+    assert np.abs(gl @ gl.T - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_minimax_stage_starts_from_the_identity_where_its_model_has_no_cholesky(monkeypatch):
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
+    theta = _least_squares_endpoint(objective)
+    g = objective.sq_distance_jacobian(theta)
+    rows = len(objective.residuals(theta))
+    monkeypatch.setattr(objective, "residual_jacobian", lambda theta: np.zeros((rows, 16)))
+    assert np.array_equal(_first_qp_rows(objective, theta, monkeypatch), g)
 
 
 def _planted(dims, samples):

@@ -88,6 +88,22 @@ def test_bench_snapshot_times_the_library_unpinned_and_pinned(tmp_path):
     assert 1 <= snapshot["library.optimize.blas_threads.unpinned"] <= os.cpu_count()
     assert snapshot["library.optimize.blas_threads.pinned"] == 1
     assert snapshot["library.optimize.lm_nfev"] > 0
+    assert snapshot["library.optimize.sqp_steps"] > 0
+
+
+def test_bench_snapshot_environment_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only, so the snapshot must not import it
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import bench_snapshot\n"
+        "print(json.dumps(bench_snapshot.environment()))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {"nproc", "git_head", "python", "numpy"}
 
 
 def test_bench_snapshot_counts_source_lines_next_to_tier1(tmp_path):
