@@ -77,21 +77,23 @@ def tier1_metrics() -> dict:
 
 
 def layer_metrics() -> dict:
-    """Per-theta medians, in microseconds, of the optimizer's layers, and the
+    """Per-point medians, in microseconds, of the optimizer's layers, and the
     per-call median of `schmidt_spectra`.
 
-    Fixed seeded random states (T = LAYER_SAMPLES) and theta, BLAS pinned to
-    one thread as in `bench/run.py`.  `_frechet` (U from one eigh) and
-    `lm_step` (residuals, Jacobian, J^T r and the eigh of J^T J) start from an
-    empty memo; every other layer runs on its theta's full memo less its own
-    entries, so that each time is that layer's alone.  `minimax_step` is one
-    iteration of the minimax stage from theta, as `_polish` runs its first: the
+    Fixed seeded random states (T = LAYER_SAMPLES) and points u =
+    `_Objective.start(theta)`, BLAS pinned to one thread as in `bench/run.py`.
+    `step` is one move of the chart, `_Objective.step(u, delta)` (one eigh),
+    on a fixed seeded delta.
+    `sq_distances` and `lm_step` (residuals, Jacobian, J^T r and the eigh of
+    J^T J) start from an empty memo; every other layer runs on its point's
+    full memo, so that each time is that layer's alone.  `minimax_step` is one
+    iteration of the minimax stage from u, as `_polish` runs its first: the
     curvature start model from the residual Jacobian, the QP, cold-started
-    from the largest z_t, then values and Jacobian at theta + d, as for an
+    from the largest z_t, then values and Jacobian at `step(u, d)`, as for an
     accepted step, and the damped BFGS update; `qp_support` is the median
-    size of that QP's support.  `_frechet` now times U
-    alone, and `derivative_stack` now includes the divided differences phi,
-    which earlier snapshots counted in `_frechet`.  Next to the times: the
+    size of that QP's support.  Earlier snapshots timed `_frechet` (U from
+    one eigh) and `derivative_stack` (the Frechet derivatives of exp) in
+    place of `step`.  Next to the times: the
     residual count and the largest relative gap between |residuals|^2 and
     sum_{t,k} |m_k(t)|^2 / T from the raw minors.  `schmidt_spectra` runs on
     its own seeded stack of SPECTRA_SAMPLES random matrices, next to its largest
@@ -127,49 +129,50 @@ def layer_metrics() -> dict:
         times = np.linspace(0, 1, LAYER_SAMPLES)
         obj = _Objective(SampledTrajectory(HilbertDims(n1, n2), times, states))
 
-        def lm_step(theta):
-            r, j = obj.residuals(theta), obj.residual_jacobian(theta)
+        delta = 0.1 * np.random.default_rng(2).normal(size=len(obj.basis))
+
+        def lm_step(u):
+            r, j = obj.residuals(u), obj.residual_jacobian(u)
             np.linalg.eigh(j.T @ j)
             return j.T @ r
 
         supports = []
 
-        def minimax_step(theta):
-            z, g = obj.sq_distances(theta), obj.sq_distance_jacobian(theta)
-            j = obj.residual_jacobian(theta)
+        def minimax_step(u):
+            z, g = obj.sq_distances(u), obj.sq_distance_jacobian(u)
+            j = obj.residual_jacobian(u)
             gn = 2.0 * j.T @ j
             b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
             support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, np.array([np.argmax(z)]))
             d = l_inv.T @ e
-            g_trial = obj.sq_distance_jacobian(theta + d)  # values and Jacobian, as an accepted step
+            # values and Jacobian, as an accepted step
+            g_trial = obj.sq_distance_jacobian(obj.step(u, d))
             _damped_bfgs(b, d, lam @ (g_trial[support] - g[support]))
             supports.append(len(support))
 
-        # layer -> (call, memo entries dropped before it; None drops them all)
+        # layer -> (call, whether it starts from an empty memo)
         layers = {
-            "_frechet": (obj._frechet, None),
-            "derivative_stack": (obj._derivatives, ("d_u",)),
-            "residuals": (obj.residuals, ()),
-            "residual_jacobian": (obj.residual_jacobian, ()),
-            "sq_distances": (obj.sq_distances, ("z", "y")),
-            "lm_step": (lm_step, None),
-            "minimax_step": (minimax_step, ()),
+            "step": (lambda u: obj.step(u, delta), False),
+            "residuals": (obj.residuals, False),
+            "residual_jacobian": (obj.residual_jacobian, False),
+            "sq_distances": (obj.sq_distances, True),
+            "lm_step": (lm_step, True),
+            "minimax_step": (minimax_step, False),
         }
         elapsed = {name: [] for name in layers}
         gap = 0.0
         for theta in rng.normal(scale=0.6, size=(LAYER_THETAS, n * n)):
-            obj.residual_jacobian(theta)
-            obj.sq_distances(theta)
+            u = obj.start(theta)
+            obj.sq_distances(u)
             full = dict(obj._memo)
             for _ in range(LAYER_REPEATS):
-                for name, (call, drop) in layers.items():
-                    kept = {} if drop is None else {k: v for k, v in full.items() if k not in drop}
-                    obj._memo = kept
+                for name, (call, empty) in layers.items():
+                    obj._memo = {} if empty else dict(full)
                     start = time.perf_counter()
-                    call(theta)
+                    call(u)
                     elapsed[name].append(time.perf_counter() - start)
-            r = obj.residuals(theta)
-            m = coefficient_minors(obj._coefficients(obj.unitary(theta)))
+            r = obj.residuals(u)
+            m = coefficient_minors(obj._coefficients(u))
             raw = np.sum(m.real**2 + m.imag**2) / LAYER_SAMPLES
             gap = max(gap, abs(r @ r - raw) / raw)
         key = f"layers.{n1}x{n2}"

@@ -79,21 +79,29 @@ def anti_hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def expm_frechet(a: np.ndarray):
-    """(u, w, mu), u = exp(A) = w diag(exp(i mu)) w^dag, from one eigh.  The Frechet
-    derivative of exp at A in direction E is w @ (phi * (w^dag E w)) @ w^dag
-    with phi = `frechet_phi(mu)` (Daleckii-Krein formula)."""
+def nonlocal_basis(n1: int, n2: int) -> np.ndarray:
+    """Orthonormal basis i (X_a (x) Y_b) of the anti-Hermitian directions orthogonal to
+    every local one, i (X (x) 1) and i (1 (x) Y), stacked ((n1^2 - 1)(n2^2 - 1), n, n).
+
+    X_a and Y_b run over an orthonormal basis of the traceless Hermitian matrices:
+    -i times the off-diagonal members of `anti_hermitian_basis`, then the
+    diagonal generalized Gell-Mann matrices diag(1, .., 1, -k, 0, ..) / sqrt(k (k + 1)).
+    """
+
+    def traceless(m):
+        k = np.arange(1, m)[:, None]
+        col = np.arange(m)
+        diag = (np.where(col < k, 1.0, 0.0) - k * (col == k)) / np.sqrt(k * (k + 1))
+        return np.concatenate([-1j * anti_hermitian_basis(m)[m:], diag[:, :, None] * np.eye(m)])
+
+    products = np.einsum("aij,bkl->abikjl", traceless(n1), traceless(n2))
+    return 1j * products.reshape(-1, n1 * n2, n1 * n2)
+
+
+def expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
+    """exp(A) = w diag(exp(i mu)) w^dag for anti-Hermitian A, from one eigh of -iA."""
     mu, w = np.linalg.eigh(-1j * a)
-    return (w * np.exp(1j * mu)) @ w.conj().T, w, mu
-
-
-def frechet_phi(mu: np.ndarray) -> np.ndarray:
-    """Divided differences of exp(i mu): (e^{i mu_j} - e^{i mu_k}) / (i (mu_j - mu_k)),
-    and e^{i mu_j} where |mu_j - mu_k| <= 1e-14."""
-    ea = np.exp(1j * mu)
-    diff = 1j * (mu[:, None] - mu[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(diff) > 1e-14, (ea[:, None] - ea[None, :]) / diff, ea[:, None])
+    return (w * np.exp(1j * mu)) @ w.conj().T
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

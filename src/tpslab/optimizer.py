@@ -1,9 +1,14 @@
 """Numerical search for the TPS minimizing worst-case distance to product states.
 
-The search runs over the full unitary group, U = exp(A) with A anti-Hermitian
-(n^2 real parameters), deliberately not quotiented by local unitaries: the
-redundancy (dimension n1^2 + n2^2 - 1) is harmless for descent.  Each restart
-performs two stages:
+The iterate is the basis change u itself, moved in the chart u <- exp(sum_d
+delta_d B_d) u (a multiplicative update, as in Abrudan, Eriksson & Koivunen,
+IEEE TSP 2008), with B_d the non-local basis i (X_a (x) Y_b) of
+`linalg.nonlocal_basis`: (n1^2 - 1)(n2^2 - 1) directions.  The search runs on
+the quotient by local unitaries: a left factor V1 (x) V2 changes neither the
+Schmidt spectra of u psi_t nor |m(t)|^2 below, so the n1^2 + n2^2 - 1 local
+directions, which change neither cost, are dropped exactly.  Restart r starts
+at exp(A) of n^2 normals in `anti_hermitian_basis`.  Each restart performs two
+stages:
 
 1. a least-squares stage on the paper's disentangling criterion: every 2x2
    minor m_k(t) = x_t^T E_k x_t of the rebased coefficients x_t = U psi_t (E_k
@@ -15,9 +20,7 @@ performs two stages:
    the real and imaginary parts of R c_k, 2 K min(T, n(n+1)/2) of them, and a
    step costs the same for any sample count.  It is solved by
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
-   accepted step: the damping keeps steps off the Jacobian's near-null
-   directions along local unitaries, where a Gauss-Newton step would move by
-   amounts set by rounding.  Its budget is MINORS_MAX_NFEV evaluations per
+   accepted step.  Its budget is MINORS_MAX_NFEV evaluations per
    restart, or OBSTRUCTED_MAX_NFEV where R's singular values certify, by
    `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
    every minor.  That is sound for any T: over K orthonormal c_k, |R c|^2 is
@@ -25,34 +28,32 @@ performs two stages:
    principle), which a rank above N - K makes positive for every U.  A
    trajectory with a disentangler has rank at most N - K and keeps the full
    budget;
-2. a minimax stage in epigraph form, min s subject to z_t(theta) <= s, with
+2. a minimax stage in epigraph form, min s subject to z_t(u) <= s, with
    z_t the cancellation-free squared product distance, solved by SQP: a damped
    BFGS model of the Lagrangian's Hessian, each QP solved in its dual by an
    active-set method warm-started from the last support, and a backtracking
    line search on max_t z_t, so every step lowers it.  The model starts at
-   B0 = 2 J^T J + (tr 2 J^T J / n^2) I, J the least-squares Jacobian: near
-   product states z_t ~ sum_k |m_k(t)|^2, whose mean is the least-squares cost,
-   so 2 J^T J is the Gauss-Newton Hessian of the Lagrangian at uniform
-   multipliers; the ridge covers the null directions along local unitaries.  A
+   B0 = 2 J^T J + (tr 2 J^T J / p) I, J the least-squares Jacobian in the
+   chart's p directions: near product states z_t ~ sum_k |m_k(t)|^2, whose
+   mean is the least-squares cost, so 2 J^T J is the Gauss-Newton Hessian of
+   the Lagrangian at uniform multipliers; the ridge only regularizes.  A
    start with max_t z_t <= EPIGRAPH_FTOL skips it, so its objective is the
    least-squares endpoint's distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
 
 The reported objective is the hard maximum of the chordal product distance on
 the sample grid, recomputed through `entanglement_profile`; each restart's
 summary objective is the same distance at its minimax point.  Derivatives are
-exact (first-order perturbation of sigma_1, the Daleckii-Krein formula for
-exp) and checked against finite differences in the tests.  No evaluation runs
+exact and taken at delta = 0, where the chart's derivative along B_d is B_d u;
+they are checked against finite differences in the tests.  No evaluation runs
 an SVD; one SVD of R, at most N x N, runs once per trajectory for the
-budget.  A distinct theta costs one n x n eigh, giving U; z_t adds a batched
-eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
-eigenvectors are closed form for n1 = 2.  Only a Jacobian builds, once per
-theta, the derivatives dU_d = W (phi * (W^dag B_d W)) W^dag along the basis
-B_d by two n^2 x n^2 products, and builds the divided differences phi with
-them, so rejected steps and line-search points pay for U only.  Both
-Jacobians are real, with one column per basis direction d, and each is one
-product against the flattened dU_d.  The least-squares one has the residuals'
-rows: real parts, then imaginary parts, each ordered by R's row, then by
-minor.  The minimax one has one row per sample.
+budget.  A step costs one n x n eigh, giving exp(delta . B); z_t adds a
+batched eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
+eigenvectors are closed form for n1 = 2.  Both Jacobians are real, with one
+column per direction d.  The least-squares one is one product of forms
+against the flattened B_d u, with the residuals' rows: real parts, then
+imaginary parts, each ordered by R's row, then by minor.  The minimax one
+has one row per sample, -2 Re(y_t^dag B_d x_t) (first-order perturbation of
+sigma_1), one product against the flattened B_d.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
-from .linalg import anti_hermitian_basis, expm_frechet, frechet_phi
+from .linalg import anti_hermitian_basis, expm_anti_hermitian, nonlocal_basis
 from .obstruction import DEFAULT_RANK_TOL, product_rank, sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory, sample
 
@@ -105,8 +106,8 @@ class OptimizationResult:
 
 
 class _Objective:
-    """Shared state for one trajectory: the QR-compressed minors and the Schmidt
-    top pairs, on one memo of exp(A) and, once asked for, its derivative stack.
+    """Shared state for one trajectory: the QR-compressed minors, the chart's
+    non-local basis and a memo of the Schmidt top pairs at the last u.
     `obstructed` says whether R's singular values certify that no U zeros
     every minor (`obstruction.product_rank` at DEFAULT_RANK_TOL)."""
 
@@ -114,8 +115,8 @@ class _Objective:
         self.dims = traj.dims
         self.states = traj.states  # (T, n)
         self.n = traj.dims.n
-        self.basis = anti_hermitian_basis(self.n)  # (n^2, n, n)
-        self._basis_flat = self.basis.reshape(self.n**2, -1)
+        self.basis = nonlocal_basis(traj.dims.n1, traj.dims.n2)  # (p, n, n)
+        self._basis_flat = self.basis.reshape(len(self.basis), -1)
         self._forms = minor_forms(traj.dims.n1, traj.dims.n2)  # (K, n, n)
         # the minors are Phi c with Phi = QR, so only R / sqrt(T) is kept, row j
         # as the symmetric form H_j with <H_j, S> = (R c(S))_j
@@ -128,96 +129,84 @@ class _Objective:
         h[:, q, p] += 0.5 * weights * r
         self._h = h.reshape(len(r), -1)  # (min(T, N), n^2)
         self._2h_cols = 2.0 * h.transpose(1, 0, 2).reshape(self.n, -1)  # 2 H_j side by side
-        self._memo = {}  # the last theta's bytes, u, its eigh and, once asked for, d_u and z
+        self._memo = {}  # the last u's bytes, its z and the x, y of its Jacobian
 
-    def _theta_to_a(self, theta: np.ndarray) -> np.ndarray:
-        return (theta @ self._basis_flat).reshape(self.n, self.n)
+    def start(self, theta: np.ndarray) -> np.ndarray:
+        """A restart's start: exp(A), A the `anti_hermitian_basis` combination of n^2 reals."""
+        a = theta @ anti_hermitian_basis(self.n).reshape(self.n**2, -1)
+        return expm_anti_hermitian(a.reshape(self.n, self.n))
 
-    def _frechet(self, theta: np.ndarray) -> dict:
-        """The memo of theta: u = exp(A) and the factors of its one eigh."""
-        key = theta.tobytes()
-        if self._memo.get("key") != key:
-            u, w, mu = expm_frechet(self._theta_to_a(theta))
-            self._memo = {"key": key, "u": u, "w": w, "mu": mu}
-        return self._memo
-
-    def _derivatives(self, theta: np.ndarray) -> np.ndarray:
-        """d_u, the derivatives of u along the basis, flattened, (n^2, n^2); built
-        with its phi once per theta, for a Jacobian only: W^dag B W = B P,
-        W X W^dag = X P^dag, P = kron(conj(W), W)."""
-        memo = self._frechet(theta)
-        if "d_u" not in memo:
-            w, phi = memo["w"], frechet_phi(memo["mu"])
-            p = (w.conj()[:, None, :, None] * w[None, :, None, :]).reshape(self.n**2, -1)
-            memo["d_u"] = ((self._basis_flat @ p) * phi.ravel()) @ p.conj().T
-        return memo["d_u"]
-
-    def unitary(self, theta: np.ndarray) -> np.ndarray:
-        return self._frechet(theta)["u"]
+    def step(self, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """The chart: exp(sum_d delta_d B_d) u, from one eigh."""
+        return expm_anti_hermitian((delta @ self._basis_flat).reshape(self.n, self.n)) @ u
 
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
         return (self.states @ u.T).reshape(-1, self.dims.n1, self.dims.n2)
 
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
+    def residuals(self, u: np.ndarray) -> np.ndarray:
         """Real, then imaginary parts of R c_k(U), shape (2 * min(T, N) * K,).
 
         Minor k at sample t is x_t^T E_k x_t = psi_t^T S_k psi_t with S_k =
         U^T E_k U, so it is Phi_t . c_k, c_k the Sym^2 coordinates of S_k, and
         |R c|^2 = |Phi c|^2 / T = sum_{t,k} |m_k(t)|^2 / T.
         """
-        u = self.unitary(theta)
         s = u.T @ self._forms @ u  # (K, n, n)
         rc = (self._h @ s.reshape(len(s), -1).T).ravel()  # <H_j, S_k>, (j, k) row-major
         return np.concatenate([rc.real, rc.imag])
 
-    def residual_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """d residuals / d theta, shape (2 * min(T, N) * K, n^2).
+    def residual_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """d residuals / d delta at delta = 0, shape (2 * min(T, N) * K, p).
 
-        Along dU_d, <H_j, S_k> moves by 2 <H_j, U^T E_k dU_d> = 2 <E_k U H_j, dU_d>,
+        Along dU_d = B_d U, <H_j, S_k> moves by 2 <H_j, U^T E_k dU_d> = 2 <E_k U H_j, dU_d>,
         as H_j is symmetric: the forms 2 E_k U H_j are one (K n, n) x (n, n min(T, N))
-        product, and the Jacobian one product of them against the stack.
+        product, and the Jacobian one product of them against the flattened B_d U.
         """
-        n, u, k = self.n, self.unitary(theta), len(self._forms)
+        n, k = self.n, len(self._forms)
         v = (self._forms.reshape(-1, n) @ u) @ self._2h_cols  # [(k, a), (j, q)]
         v = v.reshape(k, n, -1, n).transpose(2, 0, 1, 3).reshape(-1, n * n)  # [(j, k), (a, q)]
-        jac = v @ self._derivatives(theta).T
+        jac = v @ (self.basis @ u).reshape(len(self.basis), -1).T
         return np.concatenate([jac.real, jac.imag])
 
-    def sq_distances(self, theta: np.ndarray) -> np.ndarray:
+    def sq_distances(self, u: np.ndarray) -> np.ndarray:
         """Squared distances z_t = 2 - 2 sigma_1, shape (T,), with no SVD.
 
         w is the top eigenvector of the Gram matrix M M^dag and h = w^dag M,
         so sigma_1 = |h| and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full
         precision near product states.
         """
-        memo = self._frechet(theta)
-        if "z" not in memo:
-            m = self._coefficients(memo["u"])
+        key = u.tobytes()
+        if self._memo.get("key") != key:
+            m = self._coefficients(u)
             w = gram_top_vectors(m)
             h = np.einsum("ti,tij->tj", w.conj(), m)
             sigma1 = np.linalg.norm(h, axis=1)
             wh = w[:, :, None] * h[:, None, :]
             r = m - wh
             tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
-            memo["z"] = 2.0 * tail / (1.0 + sigma1)
-            memo["y"] = wh.reshape(len(wh), -1) / sigma1[:, None]
-        return memo["z"]
+            self._memo = {
+                "key": key,
+                "z": 2.0 * tail / (1.0 + sigma1),
+                "x": m.reshape(len(m), -1),
+                "y": wh.reshape(len(wh), -1) / sigma1[:, None],
+            }
+        return self._memo["z"]
 
-    def sq_distance_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """dz_t / dtheta, shape (T, n^2): the gradient on U is -2 y_t psi_t^dag,
-        y_t = w h / sigma_1."""
-        self.sq_distances(theta)
-        y = self._memo["y"]
-        # rows conj(y_t) (x) psi_t against the flattened dU_d
-        rows = (y.conj()[:, :, None] * self.states[:, None, :]).reshape(len(y), -1)
-        return -2.0 * (rows @ self._derivatives(theta).T).real
+    def sq_distance_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """dz_t / d delta at delta = 0, shape (T, p): -2 Re(y_t^dag B_d x_t), with
+        y_t = w h / sigma_1 the gradient of sigma_1 on M and x_t = U psi_t."""
+        self.sq_distances(u)
+        x, y = self._memo["x"], self._memo["y"]
+        rows = (y.conj()[:, :, None] * x[:, None, :]).reshape(len(y), -1)
+        return -2.0 * (rows @ self._basis_flat.T).real
 
 
-def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
+def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
     """Minimize |fun(x)|^2 by Levenberg-Marquardt with Nielsen's damping update
-    (Madsen, Nielsen & Tingleff 2004).  Returns the last accepted x, its
-    |fun|^2 and the fun call count; jac is asked only at the point fun last
-    evaluated, and each trial damping costs one solve and one fun."""
+    (Madsen, Nielsen & Tingleff 2004), in the chart x <- step(x, h): jac(x) is
+    d fun(step(x, h)) / dh at h = 0.  Returns the last accepted x, its |fun|^2
+    and the fun call count; jac is asked only at the point fun last evaluated,
+    and each trial damping costs one solve, one step and one fun.  It stops on
+    a gradient, a step |h| or a relative cost decrease of at most MINORS_TOL."""
     r = fun(x)
     cost = float(r @ r)
     nfev, mu, nu = 1, None, 2.0
@@ -230,8 +219,8 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
         mu = 1e-3 * lam[-1] if mu is None else mu
         while nfev < max_nfev:
             h = -v @ ((v.T @ g) / (lam + mu))
-            x_new = x + h
-            if np.array_equal(x_new, x):  # mu outgrew every step: end before it overflows
+            x_new = step(x, h)
+            if np.array_equal(x_new, x):  # h moves x by nothing at all: end before mu overflows
                 return x, cost, nfev
             r_new = fun(x_new)
             nfev += 1
@@ -242,7 +231,7 @@ def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
             mu, nu = mu * nu, 2.0 * nu
         else:
             break
-        small_step = np.linalg.norm(h) <= MINORS_TOL * (MINORS_TOL + np.linalg.norm(x))
+        small_step = np.linalg.norm(h) <= MINORS_TOL
         small_decrease = cost - cost_new <= MINORS_TOL * cost
         x, r, cost = x_new, r_new, cost_new
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
@@ -321,27 +310,29 @@ def _damped_bfgs(b: np.ndarray, step: np.ndarray, y: np.ndarray):
     return _factored(b - np.outer(bs, bs) / sbs + np.outer(y, y) / (step @ y))
 
 
-def _polish(obj: _Objective, theta: np.ndarray):
-    """Epigraph minimax stage: min s subject to z_t(theta) <= s, by SQP.
+def _polish(obj: _Objective, u: np.ndarray):
+    """Epigraph minimax stage: min s subject to z_t(u) <= s, by SQP.
 
-    Each iteration solves the QP of the constraints linearized at theta, with a
-    model B = L L^T of the Lagrangian's Hessian, in the variable e = L^T d by
-    `_epigraph_qp`, warm-started from the last support; backtracks from d on
-    max_t z_t (Armijo) against the model's decrease; and updates B by
-    `_damped_bfgs` on the Lagrangian gradient G^T lam.  B starts at the module's
-    B0, the Gauss-Newton Hessian near product states, built past the skip test,
-    or at I where its Cholesky fails.  Every accepted step lowers max_t z_t, so
-    the last iterate is the best, and the trace holds max_t z_t at the start and
-    after each step.  A start with s0 = max_t z_t <= EPIGRAPH_FTOL comes back as
-    is with trace [s0], and its restart reports sqrt(s0); the stage ends when
-    the model predicts a decrease of at most EPIGRAPH_FTOL.
+    Each iteration solves the QP of the constraints linearized in the chart
+    at u, with a model B = L L^T of the Lagrangian's Hessian over the p chart
+    directions, in the variable e = L^T d by `_epigraph_qp`, warm-started from
+    the last support; backtracks along `obj.step(u, alpha d)` on max_t z_t
+    (Armijo) against the model's decrease; and updates B by `_damped_bfgs` on
+    the Lagrangian gradient G^T lam, each G taken in the chart at its own
+    point.  B starts at the module's B0, the Gauss-Newton Hessian near product
+    states, built past the skip test, or at I where its Cholesky fails.  Every
+    accepted step lowers max_t z_t, so the last iterate is the best, and the
+    trace holds max_t z_t at the start and after each step.  A start with s0 =
+    max_t z_t <= EPIGRAPH_FTOL comes back as is with trace [s0], and its
+    restart reports sqrt(s0); the stage ends when the model predicts a
+    decrease of at most EPIGRAPH_FTOL.
     """
-    z = obj.sq_distances(theta)
+    z = obj.sq_distances(u)
     trace = [float(z.max())]
     if trace[0] <= EPIGRAPH_FTOL:
-        return theta, trace
-    g, support = obj.sq_distance_jacobian(theta), np.array([np.argmax(z)])
-    j = obj.residual_jacobian(theta)  # one product: the memo holds the derivative stack
+        return u, trace
+    g, support = obj.sq_distance_jacobian(u), np.array([np.argmax(z)])
+    j = obj.residual_jacobian(u)
     gn = 2.0 * j.T @ j
     b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
     for _ in range(EPIGRAPH_MAXITER):
@@ -352,7 +343,7 @@ def _polish(obj: _Objective, theta: np.ndarray):
             break
         alpha = 1.0
         while alpha >= 2.0**-30:
-            trial = theta + alpha * d
+            trial = obj.step(u, alpha * d)
             z_trial = obj.sq_distances(trial)
             if z_trial.max() < trace[-1] - 1e-4 * alpha * decrease:
                 break
@@ -361,9 +352,9 @@ def _polish(obj: _Objective, theta: np.ndarray):
             break
         g_trial = obj.sq_distance_jacobian(trial)
         b, l_inv = _damped_bfgs(b, alpha * d, lam @ (g_trial[support] - g[support]))
-        theta, z, g = trial, z_trial, g_trial
+        u, z, g = trial, z_trial, g_trial
         trace.append(float(z.max()))
-    return theta, trace
+    return u, trace
 
 
 def optimize_tps(
@@ -372,9 +363,10 @@ def optimize_tps(
     """Minimize sup_t d(U psi(t), product states) over basis changes U, with t on the
     grid of `trajectory.sample(traj, num_samples)`: any form, a sampled one as it is.
 
-    Deterministic for a fixed config: restart r draws its starting point from
-    an RNG stream seeded with (seed, r), restart 0 always starts at the
-    identity, and ties between restarts are broken by index.
+    Deterministic for a fixed config: restart r starts at exp(A), A the
+    `anti_hermitian_basis` combination of n^2 normals from an RNG stream
+    seeded with (seed, r), restart 0 always starts at the identity, and ties
+    between restarts are broken by index.
     """
     traj = sample(traj, num_samples)
     obj = _Objective(traj)
@@ -382,26 +374,25 @@ def optimize_tps(
     max_nfev = OBSTRUCTED_MAX_NFEV if obj.obstructed else MINORS_MAX_NFEV
 
     summaries = []
-    best = None  # (objective, index, theta)
+    best = None  # (objective, index, u)
     for r in range(config.restarts):
-        if r == 0:
-            theta = np.zeros(n_params)
-        else:
-            rng = np.random.default_rng([config.seed, r])
-            theta = rng.normal(scale=np.pi / 4, size=n_params)
+        theta = np.zeros(n_params)
+        if r > 0:
+            theta = np.random.default_rng([config.seed, r]).normal(scale=np.pi / 4, size=n_params)
+        u = obj.start(theta)
 
-        theta, surrogate, nfev = _levenberg_marquardt(
-            obj.residuals, obj.residual_jacobian, theta, max_nfev
+        u, surrogate, nfev = _levenberg_marquardt(
+            obj.residuals, obj.residual_jacobian, obj.step, u, max_nfev
         )
-        theta, polish_trace = _polish(obj, theta)
+        u, polish_trace = _polish(obj, u)
         objective = float(np.sqrt(polish_trace[-1]))
         summaries.append(RestartSummary(r, objective, surrogate, nfev, len(polish_trace) - 1))
         if best is None or objective < best[0]:
-            best = (objective, r, theta.copy())
+            best = (objective, r, u)
 
-    _, r_best, theta_best = best
-    # exp(A) from one eigh is unitary to rounding, so it needs no projection
-    tps = TPSpec(obj.unitary(theta_best), traj.dims)
+    _, r_best, u_best = best
+    # each step's exp from one eigh is unitary to rounding, so the product needs no projection
+    tps = TPSpec(u_best, traj.dims)
     # report the objective through the same code path users would take
     profile = entanglement_profile(traj, tps)
     return OptimizationResult(

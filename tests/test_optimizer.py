@@ -12,12 +12,7 @@ from tpslab.entanglement import (
     coefficient_minors,
     entanglement_profile,
 )
-from tpslab.linalg import (
-    anti_hermitian_basis,
-    expm_frechet,
-    frechet_phi,
-    haar_unitary,
-)
+from tpslab.linalg import anti_hermitian_basis, expm_anti_hermitian, haar_unitary, nonlocal_basis
 from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_products
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample
@@ -82,7 +77,20 @@ def test_restart_summaries_cover_all_restarts(cnot_result):
     assert winner.objective == min(s.objective for s in result.restarts)
 
 
-def _recorded_levenberg_marquardt(objective, theta):
+def _exp_of(theta, n):
+    """exp(A), A the `anti_hermitian_basis` combination of theta, as a restart starts."""
+    return expm_anti_hermitian((theta @ anti_hermitian_basis(n).reshape(n * n, -1)).reshape(n, n))
+
+
+def _fd_jacobian(f, objective, u, step=1e-6):
+    """Central differences of f along the chart, f(step(u, +-step e_d)), one column per d."""
+    cols = []
+    for e in step * np.eye(len(objective.basis)):
+        cols.append((f(objective.step(u, e)) - f(objective.step(u, -e))) / (2 * step))
+    return np.array(cols).T
+
+
+def _recorded_levenberg_marquardt(objective, u):
     """Run the least-squares stage on the residuals, logging each fun and jac point."""
     calls = []
 
@@ -94,7 +102,8 @@ def _recorded_levenberg_marquardt(objective, theta):
         calls.append(("jac", x.copy()))
         return objective.residual_jacobian(x)
 
-    return optimizer._levenberg_marquardt(fun, jac, theta, optimizer.MINORS_MAX_NFEV), calls
+    lm = optimizer._levenberg_marquardt
+    return lm(fun, jac, objective.step, u, optimizer.MINORS_MAX_NFEV), calls
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -103,11 +112,11 @@ def _recorded_levenberg_marquardt(objective, theta):
 )
 def test_levenberg_marquardt_contract(factory, seed):
     objective = _Objective(sample(factory(), 100))
-    theta = np.random.default_rng(seed).normal(scale=np.pi / 4, size=16)
-    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    u = _exp_of(np.random.default_rng(seed).normal(scale=np.pi / 4, size=16), 4)
+    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, u)
     # the start cost, at the first fun call
-    assert calls[0][0] == "fun" and np.array_equal(calls[0][1], theta)
-    start = np.sum(objective.residuals(theta) ** 2)
+    assert calls[0][0] == "fun" and np.array_equal(calls[0][1], u)
+    start = np.sum(objective.residuals(u) ** 2)
     assert abs(cost - np.sum(objective.residuals(x) ** 2)) <= 1e-12 * cost
     assert cost <= start
     assert nfev == sum(kind == "fun" for kind, _ in calls) <= optimizer.MINORS_MAX_NFEV
@@ -128,11 +137,11 @@ def test_levenberg_marquardt_stops_at_a_zero_residual_start(n1, n2):
     products = np.einsum("ti,tj->tij", a, b).reshape(40, dims.n)
     products /= np.linalg.norm(products, axis=1)[:, None]
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 40), products))
-    theta = np.zeros(dims.n**2)
-    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, theta)
+    u = np.eye(dims.n, dtype=complex)
+    (x, cost, nfev), calls = _recorded_levenberg_marquardt(objective, u)
     assert nfev == 1 and [kind for kind, _ in calls] == ["fun", "jac"]
-    assert np.array_equal(x, theta)
-    r = objective.residuals(theta)
+    assert np.array_equal(x, u)
+    r = objective.residuals(u)
     assert cost == r @ r < 1e-30
 
 
@@ -141,15 +150,9 @@ def test_analytic_gradients_match_finite_differences(seed):
     sampled = sample(fixtures.cnot_trajectory(), 40)
     objective = _Objective(sampled)
     rng = np.random.default_rng(seed)
-    theta = rng.normal(scale=0.6, size=16)
-    step = 1e-6
-
-    jac = objective.residual_jacobian(theta)
-    fd = np.empty_like(jac)
-    for d in range(16):
-        e = np.zeros(16)
-        e[d] = step
-        fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (2 * step)
+    u = _exp_of(rng.normal(scale=0.6, size=16), 4)
+    jac = objective.residual_jacobian(u)
+    fd = _fd_jacobian(objective.residuals, objective, u)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -163,17 +166,10 @@ def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
     rng = np.random.default_rng(6)
     states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
-    n_params = dims.n**2
-    theta = rng.normal(scale=0.6, size=n_params)
-    z, jac = objective.sq_distances(theta), objective.sq_distance_jacobian(theta)
-    assert z.shape == (30,) and jac.shape == (30, n_params)
-    step = 1e-6
-    fd = np.empty_like(jac)
-    for d in range(n_params):
-        e = np.zeros(n_params)
-        e[d] = step
-        plus, minus = objective.sq_distances(theta + e), objective.sq_distances(theta - e)
-        fd[:, d] = (plus - minus) / (2 * step)
+    u = _exp_of(rng.normal(scale=0.6, size=dims.n**2), dims.n)
+    z, jac = objective.sq_distances(u), objective.sq_distance_jacobian(u)
+    assert z.shape == (30,) and jac.shape == (30, (n1**2 - 1) * (n2**2 - 1))
+    fd = _fd_jacobian(objective.sq_distances, objective, u)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -190,18 +186,8 @@ def _residual_length(n1, n2, samples):
     return 2 * n_minors * min(samples, n * (n + 1) // 2)
 
 
-def _fd_residual_jacobian(objective, theta, step=1e-6):
-    fd = np.empty((len(objective.residuals(theta)), len(theta)))
-    for d in range(len(theta)):
-        e = np.zeros(len(theta))
-        e[d] = step
-        fd[:, d] = (objective.residuals(theta + e) - objective.residuals(theta - e)) / (2 * step)
-    return fd
-
-
-def _raw_minor_cost(objective, theta):
+def _raw_minor_cost(objective, u):
     """sum_{t,k} |m_k(t)|^2 / T from the coefficient minors of U psi_t."""
-    u = expm_frechet(objective._theta_to_a(theta))[0]
     m = coefficient_minors(objective._coefficients(u))
     return np.sum(m.real**2 + m.imag**2) / len(objective.states)
 
@@ -212,10 +198,10 @@ def _raw_minor_cost(objective, theta):
 def test_residual_jacobian_matches_finite_differences(n1, n2):
     # non-square coefficient matrices pin the layout of the minor forms
     objective, rng = _random_objective(n1, n2, 30, 9)
-    theta = rng.normal(scale=0.5, size=(n1 * n2) ** 2)
-    jac = objective.residual_jacobian(theta)
-    assert jac.shape == (_residual_length(n1, n2, 30), len(theta))
-    fd = _fd_residual_jacobian(objective, theta)
+    u = _exp_of(rng.normal(scale=0.5, size=(n1 * n2) ** 2), n1 * n2)
+    jac = objective.residual_jacobian(u)
+    assert jac.shape == (_residual_length(n1, n2, 30), (n1**2 - 1) * (n2**2 - 1))
+    fd = _fd_jacobian(objective.residuals, objective, u)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -223,9 +209,9 @@ def test_residual_length_does_not_grow_with_samples():
     lengths = set()
     for samples in (30, 400):
         objective, rng = _random_objective(2, 3, samples, 10)
-        theta = rng.normal(scale=0.5, size=36)
-        r, jac = objective.residuals(theta), objective.residual_jacobian(theta)
-        assert r.shape == (_residual_length(2, 3, samples),) and jac.shape == (len(r), 36)
+        u = _exp_of(rng.normal(scale=0.5, size=36), 6)
+        r, jac = objective.residuals(u), objective.residual_jacobian(u)
+        assert r.shape == (_residual_length(2, 3, samples),) and jac.shape == (len(r), 24)
         lengths.add(len(r))
     assert lengths == {2 * 3 * 21}
 
@@ -233,25 +219,23 @@ def test_residual_length_does_not_grow_with_samples():
 def test_residuals_with_fewer_samples_than_sym2_coordinates():
     # 3x3 at T = 20 < N = 45: R is 20 x 45, upper trapezoidal
     objective, rng = _random_objective(3, 3, 20, 11)
-    theta = rng.normal(scale=0.5, size=81)
-    r, jac = objective.residuals(theta), objective.residual_jacobian(theta)
+    u = _exp_of(rng.normal(scale=0.5, size=81), 9)
+    r, jac = objective.residuals(u), objective.residual_jacobian(u)
     assert r.shape == (_residual_length(3, 3, 20),) == (2 * 9 * 20,)
-    fd = _fd_residual_jacobian(objective, theta)
+    fd = _fd_jacobian(objective.residuals, objective, u)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
-    raw = _raw_minor_cost(objective, theta)
+    raw = _raw_minor_cost(objective, u)
     assert abs(r @ r - raw) <= 1e-12 * raw
 
 
-def _loop_minors_jacobian(objective, theta):
+def _loop_minors_jacobian(objective, u):
     """Per-(sample, direction) chain rule on the raw minors / sqrt(T), (Re, Im)
-    stacked: the reference for what the compressed residuals must reproduce.
+    stacked, along dU = B_d U: the reference for what the compressed residuals
+    must reproduce.
 
     Minors are bilinear, so the first-order part of minors(M + dM) is
     minors(M + dM) - minors(M) - minors(dM), exactly.
     """
-    a = sum(coef * b for coef, b in zip(theta, objective.basis))
-    u, wexp, mu = expm_frechet(a)
-    phi = frechet_phi(mu)
     shape = (objective.dims.n1, objective.dims.n2)
     scale = 1.0 / np.sqrt(len(objective.states))
 
@@ -262,13 +246,13 @@ def _loop_minors_jacobian(objective, theta):
     minors = real_stack([coefficient_minors((u @ psi).reshape(shape)) for psi in objective.states])
     cols = []
     for b in objective.basis:
-        d_u = wexp @ (phi * (wexp.conj().T @ b @ wexp)) @ wexp.conj().T
+        d_u = b @ u
         col = []
         for psi in objective.states:
             m, dm = (u @ psi).reshape(shape), (d_u @ psi).reshape(shape)
             col.append(coefficient_minors(m + dm) - coefficient_minors(m) - coefficient_minors(dm))
         cols.append(real_stack(col))
-    return a, minors, np.array(cols).T
+    return minors, np.array(cols).T
 
 
 @pytest.mark.parametrize(
@@ -277,18 +261,17 @@ def _loop_minors_jacobian(objective, theta):
 def test_batched_chain_rule_matches_loop_reference(n1, n2):
     # Levenberg-Marquardt reads the residuals only through |r|^2, J^T r and J^T J
     objective, rng = _random_objective(n1, n2, 20, 4)
-    theta = rng.normal(scale=0.7, size=(n1 * n2) ** 2)
-    a, minors, jac = _loop_minors_jacobian(objective, theta)
-    assert np.array_equal(objective._theta_to_a(theta), a)
-    r, j = objective.residuals(theta), objective.residual_jacobian(theta)
+    u = _exp_of(rng.normal(scale=0.7, size=(n1 * n2) ** 2), n1 * n2)
+    minors, jac = _loop_minors_jacobian(objective, u)
+    r, j = objective.residuals(u), objective.residual_jacobian(u)
     for got, want in [(r @ r, minors @ minors), (j.T @ r, jac.T @ minors), (j.T @ j, jac.T @ jac)]:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _svd_distances(objective, theta):
+def _svd_distances(objective, u):
     """The cancellation-free distance from the Schmidt spectra of a plain SVD (not
     `schmidt_spectra`, whose 2 x n closed form shares the Gram entries under test)."""
-    mats = objective._coefficients(objective.unitary(theta))
+    mats = objective._coefficients(u)
     return _distances(np.linalg.svd(mats, compute_uv=False))
 
 
@@ -300,24 +283,17 @@ def test_gram_top_pair_distance_matches_svd_spectra(n1, n2):
     rng = np.random.default_rng(12)
     states = np.array([random_state(rng, dims).amplitudes for _ in range(200)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 200), states))
-    theta = rng.normal(scale=0.6, size=dims.n**2)
-    z = objective.sq_distances(theta)
-    assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
-
-
-def _theta_of(u):
-    """Coordinates of the anti-Hermitian log of a unitary in the exp(A) basis."""
-    lam, v = np.linalg.eig(u)
-    a = (v * (1j * np.angle(lam))) @ np.linalg.inv(v)
-    return np.array([np.vdot(b, a).real for b in anti_hermitian_basis(len(u))])
+    u = _exp_of(rng.normal(scale=0.6, size=dims.n**2), dims.n)
+    z = objective.sq_distances(u)
+    assert np.abs(np.sqrt(z) - _svd_distances(objective, u)).max() <= 1e-15
 
 
 def test_gram_top_pair_is_exact_at_the_cnot_disentangler():
     sampled = sample(fixtures.cnot_trajectory(), 200)
     objective = _Objective(sampled)
-    theta = _theta_of(fixtures.cnot_disentangler().basis_change)
-    z = objective.sq_distances(theta)
-    reference = _svd_distances(objective, theta)
+    u = np.array(fixtures.cnot_disentangler().basis_change)
+    z = objective.sq_distances(u)
+    reference = _svd_distances(objective, u)
     assert reference.max() < 1e-14  # the point is a disentangler
     assert np.abs(np.sqrt(z) - reference).max() <= 1e-15
 
@@ -330,24 +306,23 @@ def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
     # U psi_t = a_t (x) b_t + size * noise, so d_t is of order size or rounding
     dims = HilbertDims(n1, n2)
     rng = np.random.default_rng(31)
-    theta = rng.normal(scale=0.6, size=dims.n**2)
-    u = expm_frechet(np.tensordot(theta, anti_hermitian_basis(dims.n), axes=1))[0]
+    u = _exp_of(rng.normal(scale=0.6, size=dims.n**2), dims.n)
     a, b = (rng.normal(size=(50, k)) + 1j * rng.normal(size=(50, k)) for k in (n1, n2))
     products = np.einsum("ti,tj->tij", a, b).reshape(50, dims.n)
     products /= np.linalg.norm(products, axis=1)[:, None]
     products += size * (rng.normal(size=products.shape) + 1j * rng.normal(size=products.shape))
     products /= np.linalg.norm(products, axis=1)[:, None]
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 50), products @ u.conj()))
-    z = objective.sq_distances(theta)
-    assert np.abs(np.sqrt(z) - _svd_distances(objective, theta)).max() <= 1e-15
+    z = objective.sq_distances(u)
+    assert np.abs(np.sqrt(z) - _svd_distances(objective, u)).max() <= 1e-15
 
 
 def test_equal_top_schmidt_values_give_finite_distance_and_gradient():
-    # at theta = 0 the C-NOT fixture ends in the Bell state, sigma_1 = sigma_2
+    # at U = 1 the C-NOT fixture ends in the Bell state, sigma_1 = sigma_2
     sampled = sample(fixtures.cnot_trajectory(), 200)
     assert sampled.times[-1] == np.pi / 2
-    objective = _Objective(sampled)
-    z, grad = objective.sq_distances(np.zeros(16)), objective.sq_distance_jacobian(np.zeros(16))
+    objective, u = _Objective(sampled), np.eye(4, dtype=complex)
+    z, grad = objective.sq_distances(u), objective.sq_distance_jacobian(u)
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(grad))
     assert abs(z[-1] - (2 - np.sqrt(2))) <= 1e-15
 
@@ -361,57 +336,66 @@ def test_derivative_stack_memo_is_invisible():
         return _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
 
     objective = fresh_objective()
-    theta1, theta2 = rng.normal(scale=0.6, size=(2, dims.n**2))
+    u1, u2 = (_exp_of(theta, dims.n) for theta in rng.normal(scale=0.6, size=(2, dims.n**2)))
 
-    def evaluate(obj, theta):
-        r, z = obj.residuals(theta), obj.sq_distances(theta)
-        return [r, z, obj.residual_jacobian(theta), obj.sq_distance_jacobian(theta)]
+    def evaluate(obj, u):
+        r, z = obj.residuals(u), obj.sq_distances(u)
+        return [r, z, obj.residual_jacobian(u), obj.sq_distance_jacobian(u)]
 
-    interleaved = [evaluate(objective, th) for th in (theta1, theta2, theta1)]
-    for theta, got in zip((theta1, theta2, theta1), interleaved):
-        fresh = evaluate(fresh_objective(), theta)
+    interleaved = [evaluate(objective, u) for u in (u1, u2, u1)]
+    for u, got in zip((u1, u2, u1), interleaved):
+        fresh = evaluate(fresh_objective(), u)
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
     # the Levenberg-Marquardt cost is the raw minors' sum_{t,k} |m_k(t)|^2 / T
-    r, raw = objective.residuals(theta1), _raw_minor_cost(objective, theta1)
+    r, raw = objective.residuals(u1), _raw_minor_cost(objective, u1)
     assert abs(r @ r - raw) <= 1e-12 * raw
 
 
 def test_derivative_stack_is_built_only_for_a_jacobian():
+    # B_d U lives inside the residual Jacobian; the memo keeps z's state alone
     objective, rng = _random_objective(2, 3, 30, 8)
-    theta = rng.normal(scale=0.6, size=36)
-    objective.residuals(theta)
-    objective.sq_distances(theta)
-    # values hold U, its eigh and z; neither the stack nor its divided differences
-    assert set(objective._memo) == {"key", "u", "w", "mu", "z", "y"}
-    objective.residual_jacobian(theta)
-    d_u = objective._memo["d_u"]
-    objective.sq_distance_jacobian(theta)
-    assert objective._memo["d_u"] is d_u  # one stack per theta, shared by both Jacobians
+    u = _exp_of(rng.normal(scale=0.6, size=36), 6)
+    objective.residuals(u)
+    objective.sq_distances(u)
+    memo = objective._memo
+    assert set(memo) == {"key", "z", "x", "y"}
+    objective.residual_jacobian(u)
+    objective.sq_distance_jacobian(u)
+    assert objective._memo is memo and set(memo) == {"key", "z", "x", "y"}
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
 @pytest.mark.parametrize("scale", [0.0, 0.6], ids=["theta0", "random"])
-def test_deferred_stack_equals_the_stack_of_expm_frechet(n1, n2, scale):
-    # theta = 0 has all eigenvalues equal, where phi takes its |dmu| <= 1e-14 branch
+def test_jacobian_stack_is_the_basis_times_u(n1, n2, scale):
+    # the chart's derivative at delta = 0 is dU_d = B_d U; the residuals are
+    # quadratic in U, so their central difference along U +- B_d U is exact
     objective, rng = _random_objective(n1, n2, 30, 5)
-    theta = rng.normal(scale=scale, size=(n1 * n2) ** 2)
-    objective.sq_distances(theta)
-    d_u = objective._derivatives(theta)
-    _, w, mu = expm_frechet(objective._theta_to_a(theta))
-    p = np.kron(w.conj(), w)
-    eager = ((objective._basis_flat @ p) * frechet_phi(mu).ravel()) @ p.conj().T
-    assert np.array_equal(d_u, eager)
-    if scale == 0.0:
-        assert np.array_equal(frechet_phi(mu), np.ones((n1 * n2,) * 2))
-        assert np.abs(d_u - objective._basis_flat).max() <= 1e-15  # d exp at 0 is the identity
+    u = _exp_of(rng.normal(scale=scale, size=(n1 * n2) ** 2), n1 * n2)
+    d_u = objective.basis @ u
+    exact = np.array([(objective.residuals(u + d) - objective.residuals(u - d)) / 2 for d in d_u])
+    jac = objective.residual_jacobian(u)
+    assert np.abs(jac - exact.T).max() <= 1e-13 * np.abs(exact).max()
+    # U + s B_d U keeps |U psi| to first order, so z_t's derivative along it is dz_t / d delta_d
+    s, z = 1e-6, objective.sq_distances
+    fd = np.array([z(u + s * d) - z(u - s * d) for d in d_u]).T / (2 * s)
+    g = objective.sq_distance_jacobian(u)
+    assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
+
+
+def _least_squares_from_the_identity(objective, budget=optimizer.MINORS_MAX_NFEV):
+    return optimizer._levenberg_marquardt(
+        objective.residuals,
+        objective.residual_jacobian,
+        objective.step,
+        np.eye(objective.n, dtype=complex),
+        budget,
+    )[0]
 
 
 def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch):
     objective = _Objective(sample(fixtures.cnot_trajectory(), 100))
-    theta, _, _ = optimizer._levenberg_marquardt(
-        objective.residuals, objective.residual_jacobian, np.zeros(16), optimizer.MINORS_MAX_NFEV
-    )
-    s0 = objective.sq_distances(theta).max()
+    u = _least_squares_from_the_identity(objective)
+    s0 = objective.sq_distances(u).max()
     assert s0 <= optimizer.EPIGRAPH_FTOL
 
     def no_qp(*args):
@@ -422,17 +406,15 @@ def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch)
 
     monkeypatch.setattr(optimizer, "_epigraph_qp", no_qp)
     monkeypatch.setattr(objective, "residual_jacobian", no_jacobian)
-    best_theta, trace = optimizer._polish(objective, theta)
-    assert np.array_equal(best_theta, theta) and trace == [s0]
+    best_u, trace = optimizer._polish(objective, u)
+    assert np.array_equal(best_u, u) and trace == [s0]
 
 
 def test_minimax_stage_runs_from_an_obstructed_start(monkeypatch):
     # at 100 samples the identity's least-squares endpoint is already minimax-stationary
     objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
-    theta, _, _ = optimizer._levenberg_marquardt(
-        objective.residuals, objective.residual_jacobian, np.zeros(16), optimizer.MINORS_MAX_NFEV
-    )
-    assert objective.sq_distances(theta).max() > optimizer.EPIGRAPH_FTOL
+    u = _least_squares_from_the_identity(objective)
+    assert objective.sq_distances(u).max() > optimizer.EPIGRAPH_FTOL
     supports, qp = [], optimizer._epigraph_qp
 
     def recording_qp(*args):
@@ -441,7 +423,7 @@ def test_minimax_stage_runs_from_an_obstructed_start(monkeypatch):
         return result
 
     monkeypatch.setattr(optimizer, "_epigraph_qp", recording_qp)
-    _, trace = optimizer._polish(objective, theta)
+    _, trace = optimizer._polish(objective, u)
     # one trace entry per accepted step, each after one QP
     assert len(trace) > 2 and len(supports) >= len(trace) - 1
     assert trace[-1] <= trace[0]
@@ -509,8 +491,8 @@ def test_epigraph_qp_with_a_single_constraint():
 def test_epigraph_qp_on_rows_equal_to_rounding(scale):
     # the sample grid holds both ends of [0, 2 pi], where the Sidon state is the same
     objective = _Objective(sample(fixtures.sidon_trajectory(), 100))
-    theta = np.random.default_rng(4).normal(scale=scale, size=16)
-    z, g = objective.sq_distances(theta), objective.sq_distance_jacobian(theta)
+    u = _exp_of(np.random.default_rng(4).normal(scale=scale, size=16), 4)
+    z, g = objective.sq_distances(u), objective.sq_distance_jacobian(u)
     pair = [0, len(z) - 1]
     assert np.abs(g[0] - g[-1]).max() <= 1e-14 and abs(z[0] - z[-1]) <= 1e-15
     cases = [(z[pair], g[pair], warm) for warm in ([0], [1], [0, 1])] + [(z, g, pair)]
@@ -585,25 +567,83 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
     runs = []
     polish = optimizer._polish
 
-    def recording_polish(obj, theta):
-        best_theta, trace = polish(obj, theta)
-        runs.append((obj, best_theta, trace))
-        return best_theta, trace
+    def recording_polish(obj, u):
+        best_u, trace = polish(obj, u)
+        runs.append((obj, best_u, trace))
+        return best_u, trace
 
     monkeypatch.setattr(optimizer, "_polish", recording_polish)
     result = optimize_tps(sampled, OptimizerConfig(restarts=3, seed=0))
     assert len(runs) == 3
-    for obj, best_theta, trace in runs:
+    for obj, best_u, trace in runs:
         assert trace[-1] <= trace[0]
         assert np.all(np.diff(trace) < 0)
         # the trace's last entry is the max squared distance at the returned point
-        zmax = obj.sq_distances(best_theta).max()
+        zmax = obj.sq_distances(best_u).max()
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
     winner = runs[result.restart_index][2]
     assert abs(winner[-1] - result.objective**2) <= 1e-12 * result.objective**2
     # the report counts each restart's accepted SQP steps
     assert [s.minimax_steps for s in result.restarts] == [len(trace) - 1 for *_, trace in runs]
     assert all(s.minimax_steps > 0 for s in result.restarts)
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [lambda: sample(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    ids=["sidon", "random-2x3"],
+)
+def test_best_tps_stays_unitary_through_the_chart(make_sampled):
+    # a product of per-step exponentials, each unitary to rounding, with no projection
+    u = optimize_tps(make_sampled(), OptimizerConfig(restarts=3, seed=0)).best_tps.basis_change
+    assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_chart_basis_is_the_non_local_directions(n1, n2):
+    basis, n = nonlocal_basis(n1, n2), n1 * n2
+    flat = basis.reshape(len(basis), -1)
+    assert len(basis) == (n1**2 - 1) * (n2**2 - 1)
+    assert np.abs((flat.conj() @ flat.T).real - np.eye(len(basis))).max() <= 1e-15
+    assert np.array_equal(basis, -basis.conj().transpose(0, 2, 1))
+    # every local direction i (X (x) 1) and i (1 (x) Y), X and Y Hermitian
+    local = [np.kron(a, np.eye(n2)) for a in anti_hermitian_basis(n1)]
+    local += [np.kron(np.eye(n1), b) for b in anti_hermitian_basis(n2)]
+    local = np.array(local).reshape(len(local), -1)
+    assert np.abs((local.conj() @ flat.T).real).max() <= 1e-15
+    # together they span the n^2 anti-Hermitian directions
+    both = np.concatenate([flat, local])
+    assert np.linalg.matrix_rank(np.concatenate([both.real, both.imag], axis=1)) == n * n
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_costs_are_invariant_under_local_unitaries(n1, n2):
+    # why the chart drops the local directions: U -> (V1 (x) V2) U changes neither cost
+    objective, rng = _random_objective(n1, n2, 30, 13)
+    u = _exp_of(rng.normal(scale=0.6, size=(n1 * n2) ** 2), n1 * n2)
+    for _ in range(3):
+        local = np.kron(haar_unitary(n1, rng), haar_unitary(n2, rng))
+        r, r_local = objective.residuals(u), objective.residuals(local @ u)
+        assert abs(r @ r - r_local @ r_local) <= 1e-14
+        z = objective.sq_distances(u)
+        assert np.abs(z - objective.sq_distances(local @ u)).max() <= 1e-14
+
+
+def test_restarts_start_at_exp_of_their_seeded_draw(monkeypatch):
+    sampled, config = sample(fixtures.sidon_trajectory(), 40), OptimizerConfig(restarts=3, seed=7)
+    starts, lm = [], optimizer._levenberg_marquardt
+
+    def recording_lm(fun, jac, step, x, max_nfev):
+        starts.append(x)
+        return lm(fun, jac, step, x, max_nfev)
+
+    monkeypatch.setattr(optimizer, "_levenberg_marquardt", recording_lm)
+    optimize_tps(sampled, config)
+    assert np.array_equal(starts[0], np.eye(4))
+    for r, start in enumerate(starts):
+        draw = np.random.default_rng([7, r]).normal(scale=np.pi / 4, size=16)
+        theta = draw if r else np.zeros(16)
+        assert np.array_equal(start, _exp_of(theta, 4))
 
 
 def test_restarts_that_skip_the_minimax_stage_report_no_steps(cnot_result):
@@ -614,12 +654,10 @@ def test_restarts_that_skip_the_minimax_stage_report_no_steps(cnot_result):
 def _least_squares_endpoint(objective):
     """The identity restart's least-squares endpoint, on optimize_tps's budget."""
     budget = optimizer.OBSTRUCTED_MAX_NFEV if objective.obstructed else optimizer.MINORS_MAX_NFEV
-    return optimizer._levenberg_marquardt(
-        objective.residuals, objective.residual_jacobian, np.zeros(objective.n**2), budget
-    )[0]
+    return _least_squares_from_the_identity(objective, budget)
 
 
-def _first_qp_rows(objective, theta, monkeypatch):
+def _first_qp_rows(objective, u, monkeypatch):
     """The constraint rows gl = g L^-T that `_polish` hands its first QP."""
     rows, qp = [], optimizer._epigraph_qp
 
@@ -628,7 +666,7 @@ def _first_qp_rows(objective, theta, monkeypatch):
         return qp(z, gl, support)
 
     monkeypatch.setattr(optimizer, "_epigraph_qp", recording_qp)
-    optimizer._polish(objective, theta)
+    optimizer._polish(objective, u)
     return rows[0]
 
 
@@ -638,26 +676,26 @@ def _first_qp_rows(objective, theta, monkeypatch):
     ids=["sidon", "random-2x3"],
 )
 def test_minimax_stage_starts_from_the_least_squares_curvature(make_sampled, monkeypatch):
-    # B0 = 2 J^T J + (tr 2 J^T J / n^2) I at the least-squares endpoint, so the
+    # B0 = 2 J^T J + (tr 2 J^T J / p) I at the least-squares endpoint, so the
     # first QP's rows satisfy gl gl^T = g B0^-1 g^T
     objective = _Objective(make_sampled())
-    theta = _least_squares_endpoint(objective)
-    g = objective.sq_distance_jacobian(theta)
-    jac = objective.residual_jacobian(theta)
+    u = _least_squares_endpoint(objective)
+    g = objective.sq_distance_jacobian(u)
+    jac = objective.residual_jacobian(u)
     b0 = 2.0 * jac.T @ jac
-    b0 += np.trace(b0) / len(b0) * np.eye(len(b0))  # len(b0) = n^2 parameters
+    b0 += np.trace(b0) / len(b0) * np.eye(len(b0))  # len(b0) = p chart directions
     expected = g @ np.linalg.solve(b0, g.T)
-    gl = _first_qp_rows(objective, theta, monkeypatch)
+    gl = _first_qp_rows(objective, u, monkeypatch)
     assert np.abs(gl @ gl.T - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_minimax_stage_starts_from_the_identity_where_its_model_has_no_cholesky(monkeypatch):
     objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
-    theta = _least_squares_endpoint(objective)
-    g = objective.sq_distance_jacobian(theta)
-    rows = len(objective.residuals(theta))
-    monkeypatch.setattr(objective, "residual_jacobian", lambda theta: np.zeros((rows, 16)))
-    assert np.array_equal(_first_qp_rows(objective, theta, monkeypatch), g)
+    u = _least_squares_endpoint(objective)
+    g = objective.sq_distance_jacobian(u)
+    shape = (len(objective.residuals(u)), len(objective.basis))
+    monkeypatch.setattr(objective, "residual_jacobian", lambda u: np.zeros(shape))
+    assert np.array_equal(_first_qp_rows(objective, u, monkeypatch), g)
 
 
 def _planted(dims, samples):

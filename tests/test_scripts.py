@@ -50,8 +50,7 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     snapshot = json.loads(proc.stdout)
     layers = [
-        "_frechet",
-        "derivative_stack",
+        "step",
         "residuals",
         "residual_jacobian",
         "sq_distances",
@@ -63,8 +62,9 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
     for dims, count in [("2x2", 2 * 1 * 10), ("2x3", 2 * 3 * 21)]:
         assert all(snapshot[f"layers.{dims}.{name}_us"] > 0 for name in layers)
         assert snapshot[f"layers.{dims}.residuals.count"] == count
-        # at most one row more than the n^2 parameters: the support is affinely independent
-        assert 1 <= snapshot[f"layers.{dims}.qp_support"] <= (int(dims[0]) * int(dims[2])) ** 2 + 1
+        # at most one row more than the p chart directions: the support is affinely independent
+        n1, n2 = int(dims[0]), int(dims[2])
+        assert 1 <= snapshot[f"layers.{dims}.qp_support"] <= (n1**2 - 1) * (n2**2 - 1) + 1
         assert snapshot[f"layers.{dims}.cost_rel_gap"] < 1e-12
         assert snapshot[f"layers.{dims}.schmidt_spectra.svd_gap"] < 1e-14
     assert snapshot["layers.construct_us"] > 0
