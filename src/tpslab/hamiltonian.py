@@ -36,16 +36,6 @@ def rebase_operator(tps: TPSpec, h) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def partial_trace_second(h: np.ndarray, dims: HilbertDims) -> np.ndarray:
-    """Trace out the second factor; result is n1 x n1."""
-    return h.reshape(dims.n1, dims.n2, dims.n1, dims.n2).trace(axis1=1, axis2=3)
-
-
-def partial_trace_first(h: np.ndarray, dims: HilbertDims) -> np.ndarray:
-    """Trace out the first factor; result is n2 x n2."""
-    return h.reshape(dims.n1, dims.n2, dims.n1, dims.n2).trace(axis1=0, axis2=2)
-
-
 def _separable_sum(h1, h2, trace_part, dims: HilbertDims) -> np.ndarray:
     """h1 (x) 1 + 1 (x) h2 + trace_part * 1."""
     return np.kron(h1, np.eye(dims.n2)) + np.kron(np.eye(dims.n1), h2) + trace_part * np.eye(dims.n)
@@ -80,9 +70,10 @@ def separable_projection(h, dims: HilbertDims) -> SeparableDecomposition:
     """
     h = _check_hermitian(h, dims)
     tr = np.trace(h).real
-    h1 = partial_trace_second(h, dims) / dims.n2 - (tr / dims.n) * np.eye(dims.n1)
+    blocks = h.reshape(dims.n1, dims.n2, dims.n1, dims.n2)  # ptr_2, ptr_1: its traces
+    h1 = blocks.trace(axis1=1, axis2=3) / dims.n2 - (tr / dims.n) * np.eye(dims.n1)
     h1 = (h1 + h1.conj().T) / 2
-    h2 = partial_trace_first(h, dims) / dims.n1 - (tr / dims.n) * np.eye(dims.n2)
+    h2 = blocks.trace(axis1=0, axis2=2) / dims.n1 - (tr / dims.n) * np.eye(dims.n2)
     h2 = (h2 + h2.conj().T) / 2
     trace_part = float(tr / dims.n)
     interaction = h - _separable_sum(h1, h2, trace_part, dims)

@@ -20,9 +20,10 @@ stages:
    the real and imaginary parts of R c_k, 2 K min(T, n(n+1)/2) of them, and a
    step costs the same for any sample count.  It is solved by
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
-   accepted step.  Its budget is MINORS_MAX_NFEV evaluations per
-   restart, or OBSTRUCTED_MAX_NFEV where R's singular values certify, by
-   `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
+   accepted step, which stops on a small gradient, relative decrease or
+   step, the step tested before it is tried.  Its budget is MINORS_MAX_NFEV
+   evaluations per restart, or OBSTRUCTED_MAX_NFEV where R's singular values
+   certify, by `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
    every minor.  That is sound for any T: over K orthonormal c_k, |R c|^2 is
    at least the sum of the K smallest sigma_k^2 (Ky Fan's minimum
    principle), which a rank above N - K makes positive for every U.  A
@@ -206,37 +207,36 @@ def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
     d fun(step(x, h)) / dh at h = 0.  Returns the last accepted x, its |fun|^2
     and the fun call count; jac is asked only at the point fun last evaluated,
     and each trial damping costs one solve, one step and one fun.  It stops on
-    a gradient, a step |h| or a relative cost decrease of at most MINORS_TOL."""
+    a gradient or a relative cost decrease of at most MINORS_TOL, and on a step
+    |h| <= MINORS_TOL before trying it, so it ends in any chart: a rejection
+    only grows the damping, which shrinks h."""
     r = fun(x)
     cost = float(r @ r)
-    nfev, mu, nu = 1, None, 2.0
+    nfev, mu, nu, rho = 1, None, 2.0, 1.0
     while nfev < max_nfev:
-        j = jac(x)
-        g = j.T @ r
-        if np.abs(g).max() <= MINORS_TOL:
-            break
-        lam, v = np.linalg.eigh(j.T @ j)
-        mu = 1e-3 * lam[-1] if mu is None else mu
-        while nfev < max_nfev:
-            h = -v @ ((v.T @ g) / (lam + mu))
-            x_new = step(x, h)
-            if np.array_equal(x_new, x):  # h moves x by nothing at all: end before mu overflows
-                return x, cost, nfev
-            r_new = fun(x_new)
-            nfev += 1
-            cost_new = float(r_new @ r_new)
-            rho = (cost - cost_new) / (h @ (mu * h - g))  # against the model's full decrease
-            if rho > 0:
+        if rho > 0:  # the start or an accepted step: a new J
+            j = jac(x)
+            g = j.T @ r
+            if np.abs(g).max() <= MINORS_TOL:
                 break
-            mu, nu = mu * nu, 2.0 * nu
+            lam, v = np.linalg.eigh(j.T @ j)
+            mu = 1e-3 * lam[-1] if mu is None else mu
+        h = -v @ ((v.T @ g) / (lam + mu))
+        if np.linalg.norm(h) <= MINORS_TOL:
+            break
+        x_new = step(x, h)
+        r_new = fun(x_new)
+        nfev += 1
+        cost_new = float(r_new @ r_new)
+        rho = (cost - cost_new) / (h @ (mu * h - g))  # against the model's full decrease
+        if rho > 0:
+            small_decrease = cost - cost_new <= MINORS_TOL * cost
+            x, r, cost = x_new, r_new, cost_new
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            if small_decrease:
+                break
         else:
-            break
-        small_step = np.linalg.norm(h) <= MINORS_TOL
-        small_decrease = cost - cost_new <= MINORS_TOL * cost
-        x, r, cost = x_new, r_new, cost_new
-        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-        if small_step or small_decrease:
-            break
+            mu, nu = mu * nu, 2.0 * nu
     return x, cost, nfev
 
 

@@ -817,3 +817,37 @@ def test_least_squares_stage_ends_before_its_damping_overflows():
     assert not _Objective(sample(traj, 200)).obstructed
     assert all(s.iterations < optimizer.MINORS_MAX_NFEV for s in result.restarts)
     assert result.objective == pytest.approx(0.0963955, rel=1e-6)
+
+
+def _unitary_chart():
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 50))
+    return np.eye(objective.n, dtype=complex), len(objective.basis), objective.step
+
+
+def _flat_chart():
+    return np.ones(9), 9, lambda x, h: x + h
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chart", [_unitary_chart, _flat_chart], ids=["unitary", "flat"])
+def test_least_squares_stage_ends_a_run_of_rejections_in_any_chart(chart):
+    # 1 + sum |x - x0| rises on every move, so every trial is rejected and only the
+    # step-size test ends the run: h = -1 / (p + mu) along 1, and mu grows by 2, 4, 8, ...
+    x0, p, step = chart()
+    x, cost, nfev = optimizer._levenberg_marquardt(
+        lambda x: np.array([1.0 + np.abs(x - x0).sum()]), lambda x: np.ones((1, p)), step, x0, 100
+    )
+    assert np.array_equal(x, x0) and cost == 1.0
+    assert nfev == 12
+
+
+def test_least_squares_stage_solves_a_linear_problem_in_the_flat_chart():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(30, 8)), rng.normal(size=30)
+    x, cost, nfev = optimizer._levenberg_marquardt(
+        lambda x: a @ x - b, lambda x: a, lambda x, h: x + h, np.zeros(8), 100
+    )
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.abs(x - expected).max() < 1e-10
+    assert cost == pytest.approx(np.sum((a @ expected - b) ** 2), rel=1e-12)
+    assert nfev < 100
