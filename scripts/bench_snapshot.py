@@ -83,19 +83,16 @@ def layer_metrics() -> dict:
     Fixed seeded random states (T = LAYER_SAMPLES) and points u =
     `_Objective.start(theta)`, BLAS pinned to one thread as in `bench/run.py`.
     `step` is one move of the chart, `_Objective.step(u, delta)` (one eigh),
-    on a fixed seeded delta.
-    `sq_distances` and `lm_step` (residuals, Jacobian, J^T r and the eigh of
-    J^T J) start from an empty memo; every other layer runs on its point's
-    full memo, so that each time is that layer's alone.  `minimax_step` is one
-    iteration of the minimax stage from u, as `_polish` runs its first: the
-    curvature start model from the residual Jacobian, the QP, cold-started
-    from the largest z_t, then values and Jacobian at `step(u, d)`, as for an
-    accepted step, and the damped BFGS update; `qp_support` is the median
-    size of that QP's support.  Earlier snapshots timed `_frechet` (U from
-    one eigh) and `derivative_stack` (the Frechet derivatives of exp) in
-    place of `step`.  Next to the times: the
-    residual count and the largest relative gap between |residuals|^2 and
-    sum_{t,k} |m_k(t)|^2 / T from the raw minors.  `schmidt_spectra` runs on
+    on a fixed seeded delta.  `lm_step` is residuals, Jacobian, J^T r and the
+    eigh of J^T J.  `minimax_step` is one iteration of the minimax stage from
+    u, as `_polish` runs its first, given z and its Jacobian thunk at u from
+    `sq_distances`, taken outside the timer: the Jacobian from the thunk,
+    `_start_model`, the QP, cold-started from the largest z_t, then values and
+    Jacobian at `step(u, d)`, as for an accepted step, and the damped BFGS
+    update; `qp_support` is the median size of that QP's support.  Next to the
+    times: the residual count and the largest relative gap between
+    |residuals|^2 and sum_{t,k} |m_k(t)|^2 / T from the raw minors.
+    `schmidt_spectra` runs on
     its own seeded stack of SPECTRA_SAMPLES random matrices, next to its largest
     gap to a per-matrix `np.linalg.svd`.  `construct_disentangler` is timed per
     call on the C-NOT evolution and on one seeded member of the benchmark's
@@ -117,7 +114,7 @@ def layer_metrics() -> dict:
     from tpslab.hamiltonian import stationarity_gradient
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
-    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _factored, _Objective
+    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _Objective, _start_model
     from tpslab.trajectory import SampledTrajectory
 
     pin_blas_threads()
@@ -138,36 +135,31 @@ def layer_metrics() -> dict:
 
         supports = []
 
-        def minimax_step(u):
-            z, g = obj.sq_distances(u), obj.sq_distance_jacobian(u)
-            j = obj.residual_jacobian(u)
-            gn = 2.0 * j.T @ j
-            b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
+        def minimax_step(u, z, jacobian):
+            g = jacobian()
+            b, l_inv = _start_model(obj, u)
             support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, np.array([np.argmax(z)]))
             d = l_inv.T @ e
             # values and Jacobian, as an accepted step
-            g_trial = obj.sq_distance_jacobian(obj.step(u, d))
+            g_trial = obj.sq_distances(obj.step(u, d))[1]()
             _damped_bfgs(b, d, lam @ (g_trial[support] - g[support]))
             supports.append(len(support))
 
-        # layer -> (call, whether it starts from an empty memo)
         layers = {
-            "step": (lambda u: obj.step(u, delta), False),
-            "residuals": (obj.residuals, False),
-            "residual_jacobian": (obj.residual_jacobian, False),
-            "sq_distances": (obj.sq_distances, True),
-            "lm_step": (lm_step, True),
-            "minimax_step": (minimax_step, False),
+            "step": lambda u: obj.step(u, delta),
+            "residuals": obj.residuals,
+            "residual_jacobian": obj.residual_jacobian,
+            "sq_distances": obj.sq_distances,
+            "lm_step": lm_step,
+            "minimax_step": lambda u: minimax_step(u, *at_u),
         }
         elapsed = {name: [] for name in layers}
         gap = 0.0
         for theta in rng.normal(scale=0.6, size=(LAYER_THETAS, n * n)):
             u = obj.start(theta)
-            obj.sq_distances(u)
-            full = dict(obj._memo)
+            at_u = obj.sq_distances(u)  # z and its Jacobian thunk, for minimax_step
             for _ in range(LAYER_REPEATS):
-                for name, (call, empty) in layers.items():
-                    obj._memo = {} if empty else dict(full)
+                for name, call in layers.items():
                     start = time.perf_counter()
                     call(u)
                     elapsed[name].append(time.perf_counter() - start)

@@ -253,7 +253,7 @@ def main(argv=None) -> int:
             return cmd_reproduce(args)
         report(args)
         return EXIT_OK
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (DimensionMismatch, NotUnitary, NotHermitian, NotNormalizable, TooFewSamples) as exc:

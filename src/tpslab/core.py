@@ -127,29 +127,30 @@ def operator_schmidt_values(v: np.ndarray, dims: HilbertDims) -> np.ndarray:
     return np.linalg.svd(reshuffle(v, dims.n1, dims.n2), compute_uv=False)
 
 
+def _is_product(v: np.ndarray, dims: HilbertDims, tol: float) -> bool:
+    """Whether the unitary v is V1 (x) V2: the second singular value of the
+    reshuffled n1^2 x n2^2 matrix is below `tol` times the first (a relative
+    threshold, so the test survives overall scaling)."""
+    sv = operator_schmidt_values(v, dims)
+    return bool(sv[1] < tol * sv[0])
+
+
 def is_local_product_unitary(
     v, dims: HilbertDims, tol: float = LOCAL_PRODUCT_TOL
 ) -> bool:
-    """Test whether the unitary `v` factorizes as V1 (x) V2.
-
-    Decided through the operator-Schmidt rank: `v` is reshuffled into an
-    n1^2 x n2^2 matrix and declared a product when its second singular value
-    is below `tol` times the first (a relative threshold, so the test
-    survives overall scaling).
-    """
+    """Test whether the unitary `v` factorizes as V1 (x) V2, by its
+    operator-Schmidt rank (`_is_product`), after checking shape and unitarity."""
     v = np.asarray(v, dtype=complex)
     n = dims.n
     if v.shape != (n, n):
         raise DimensionMismatch(f"matrix is {v.shape}, dims require ({n}, {n})")
     require_unitary(v)
-    sv = operator_schmidt_values(v, dims)
-    return bool(sv[1] < tol * sv[0])
+    return _is_product(v, dims, tol)
 
 
 def tps_equivalent(t1: TPSpec, t2: TPSpec, tol: float = LOCAL_PRODUCT_TOL) -> bool:
-    """Whether two representatives define the same TPS (differ by V1 (x) V2)."""
+    """Whether two representatives define the same TPS (differ by V1 (x) V2).
+    Both were validated when built, so their product is tested as it is."""
     if t1.dims != t2.dims:
         raise DimensionMismatch("cannot compare TPSs on different bipartitions")
-    return is_local_product_unitary(
-        t2.basis_change @ t1.basis_change.conj().T, t1.dims, tol
-    )
+    return _is_product(t2.basis_change @ t1.basis_change.conj().T, t1.dims, tol)

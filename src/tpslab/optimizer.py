@@ -107,10 +107,10 @@ class OptimizationResult:
 
 
 class _Objective:
-    """Shared state for one trajectory: the QR-compressed minors, the chart's
-    non-local basis and a memo of the Schmidt top pairs at the last u.
-    `obstructed` says whether R's singular values certify that no U zeros
-    every minor (`obstruction.product_rank` at DEFAULT_RANK_TOL)."""
+    """What one trajectory fixes, unchanged after it is built: the
+    QR-compressed minors and the chart's non-local basis.  `obstructed` says
+    whether R's singular values certify that no U zeros every minor
+    (`obstruction.product_rank` at DEFAULT_RANK_TOL)."""
 
     def __init__(self, traj: SampledTrajectory):
         self.dims = traj.dims
@@ -130,7 +130,6 @@ class _Objective:
         h[:, q, p] += 0.5 * weights * r
         self._h = h.reshape(len(r), -1)  # (min(T, N), n^2)
         self._2h_cols = 2.0 * h.transpose(1, 0, 2).reshape(self.n, -1)  # 2 H_j side by side
-        self._memo = {}  # the last u's bytes, its z and the x, y of its Jacobian
 
     def start(self, theta: np.ndarray) -> np.ndarray:
         """A restart's start: exp(A), A the `anti_hermitian_basis` combination of n^2 reals."""
@@ -168,37 +167,31 @@ class _Objective:
         jac = v @ (self.basis @ u).reshape(len(self.basis), -1).T
         return np.concatenate([jac.real, jac.imag])
 
-    def sq_distances(self, u: np.ndarray) -> np.ndarray:
-        """Squared distances z_t = 2 - 2 sigma_1, shape (T,), with no SVD.
+    def sq_distances(self, u: np.ndarray):
+        """Squared distances z_t = 2 - 2 sigma_1, shape (T,), with no SVD, and
+        a thunk for their Jacobian at u.
 
         w is the top eigenvector of the Gram matrix M M^dag and h = w^dag M,
         so sigma_1 = |h| and z_t = 2 |M - w h|_F^2 / (1 + sigma_1) keeps full
-        precision near product states.
+        precision near product states.  `jacobian()` is dz_t / d delta at
+        delta = 0, shape (T, p): -2 Re(y_t^dag B_d x_t), with y_t = w h / sigma_1
+        the gradient of sigma_1 on M and x_t = U psi_t, both of this call; a
+        thunk, so a trial the line search rejects costs no Jacobian.
         """
-        key = u.tobytes()
-        if self._memo.get("key") != key:
-            m = self._coefficients(u)
-            w = gram_top_vectors(m)
-            h = np.einsum("ti,tij->tj", w.conj(), m)
-            sigma1 = np.linalg.norm(h, axis=1)
-            wh = w[:, :, None] * h[:, None, :]
-            r = m - wh
-            tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
-            self._memo = {
-                "key": key,
-                "z": 2.0 * tail / (1.0 + sigma1),
-                "x": m.reshape(len(m), -1),
-                "y": wh.reshape(len(wh), -1) / sigma1[:, None],
-            }
-        return self._memo["z"]
+        m = self._coefficients(u)
+        w = gram_top_vectors(m)
+        h = np.einsum("ti,tij->tj", w.conj(), m)
+        sigma1 = np.linalg.norm(h, axis=1)
+        wh = w[:, :, None] * h[:, None, :]
+        r = m - wh
+        tail = np.sum(r.real**2 + r.imag**2, axis=(1, 2))
 
-    def sq_distance_jacobian(self, u: np.ndarray) -> np.ndarray:
-        """dz_t / d delta at delta = 0, shape (T, p): -2 Re(y_t^dag B_d x_t), with
-        y_t = w h / sigma_1 the gradient of sigma_1 on M and x_t = U psi_t."""
-        self.sq_distances(u)
-        x, y = self._memo["x"], self._memo["y"]
-        rows = (y.conj()[:, :, None] * x[:, None, :]).reshape(len(y), -1)
-        return -2.0 * (rows @ self._basis_flat.T).real
+        def jacobian():
+            x, y = m.reshape(len(m), -1), wh.reshape(len(wh), -1) / sigma1[:, None]
+            rows = (y.conj()[:, :, None] * x[:, None, :]).reshape(len(y), -1)
+            return -2.0 * (rows @ self._basis_flat.T).real
+
+        return 2.0 * tail / (1.0 + sigma1), jacobian
 
 
 def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
@@ -310,6 +303,13 @@ def _damped_bfgs(b: np.ndarray, step: np.ndarray, y: np.ndarray):
     return _factored(b - np.outer(bs, bs) / sbs + np.outer(y, y) / (step @ y))
 
 
+def _start_model(obj: _Objective, u: np.ndarray):
+    """`_factored` of the minimax stage's start model B0 at u (module docstring)."""
+    j = obj.residual_jacobian(u)
+    gn = 2.0 * j.T @ j
+    return _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
+
+
 def _polish(obj: _Objective, u: np.ndarray):
     """Epigraph minimax stage: min s subject to z_t(u) <= s, by SQP.
 
@@ -319,7 +319,7 @@ def _polish(obj: _Objective, u: np.ndarray):
     the last support; backtracks along `obj.step(u, alpha d)` on max_t z_t
     (Armijo) against the model's decrease; and updates B by `_damped_bfgs` on
     the Lagrangian gradient G^T lam, each G taken in the chart at its own
-    point.  B starts at the module's B0, the Gauss-Newton Hessian near product
+    point.  B starts at `_start_model`, the Gauss-Newton Hessian near product
     states, built past the skip test, or at I where its Cholesky fails.  Every
     accepted step lowers max_t z_t, so the last iterate is the best, and the
     trace holds max_t z_t at the start and after each step.  A start with s0 =
@@ -327,14 +327,12 @@ def _polish(obj: _Objective, u: np.ndarray):
     restart reports sqrt(s0); the stage ends when the model predicts a
     decrease of at most EPIGRAPH_FTOL.
     """
-    z = obj.sq_distances(u)
+    z, jacobian = obj.sq_distances(u)
     trace = [float(z.max())]
     if trace[0] <= EPIGRAPH_FTOL:
         return u, trace
-    g, support = obj.sq_distance_jacobian(u), np.array([np.argmax(z)])
-    j = obj.residual_jacobian(u)
-    gn = 2.0 * j.T @ j
-    b, l_inv = _factored(gn + np.mean(np.diag(gn)) * np.eye(len(gn)))
+    g, support = jacobian(), np.array([np.argmax(z)])
+    b, l_inv = _start_model(obj, u)
     for _ in range(EPIGRAPH_MAXITER):
         support, lam, _, e = _epigraph_qp(z, g @ l_inv.T, support)
         d = l_inv.T @ e
@@ -344,13 +342,13 @@ def _polish(obj: _Objective, u: np.ndarray):
         alpha = 1.0
         while alpha >= 2.0**-30:
             trial = obj.step(u, alpha * d)
-            z_trial = obj.sq_distances(trial)
+            z_trial, jacobian = obj.sq_distances(trial)
             if z_trial.max() < trace[-1] - 1e-4 * alpha * decrease:
                 break
             alpha *= 0.5
         else:
             break
-        g_trial = obj.sq_distance_jacobian(trial)
+        g_trial = jacobian()
         b, l_inv = _damped_bfgs(b, alpha * d, lam @ (g_trial[support] - g[support]))
         u, z, g = trial, z_trial, g_trial
         trace.append(float(z.max()))

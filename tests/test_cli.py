@@ -370,6 +370,16 @@ def test_missing_file_is_input_error(tmp_path):
     assert main(["profile", "--input", str(tmp_path / "nope.json")]) == 2
 
 
+def test_directory_as_input_is_input_error(tmp_path, capsys):
+    assert main(["profile", "--input", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_directory_as_output_is_input_error(files, tmp_path, capsys):
+    assert main(["certify", "--input", files["cnot"], "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_dimension_mismatch_is_validity_error(files, tmp_path):
     doc = {"dims": [2, 3], "matrix": [[[1 if i == j else 0, 0] for j in range(6)] for i in range(6)]}
     path = tmp_path / "tps6.json"

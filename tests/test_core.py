@@ -204,6 +204,20 @@ def test_tps_equivalent_under_local_composition(seed):
     assert tps_equivalent(t2, t1)
 
 
+def test_tps_equivalent_accepts_representatives_at_the_unitarity_tolerance():
+    # each is unitary to 9.0e-11, inside 1e-10, but their product t2 t1^dag
+    # deviates by 1.8e-10: both were validated, so the product is not checked again
+    rng = np.random.default_rng(3)
+    u = haar_unitary(4, rng)
+    t1 = TPSpec(u * (1 + 4.5e-11), QBITS)
+    t2 = TPSpec(random_local_unitary(rng) @ u * (1 + 4.5e-11), QBITS)
+    other = TPSpec(fixtures.cnot_disentangler().basis_change @ u * (1 + 4.5e-11), QBITS)
+    product = t2.basis_change @ t1.basis_change.conj().T
+    assert np.abs(product.conj().T @ product - np.eye(4)).max() > 1e-10
+    assert tps_equivalent(t1, t1) and tps_equivalent(t1, t2)
+    assert not tps_equivalent(t1, other)
+
+
 def test_identity_not_equivalent_to_reference_disentangler():
     assert not tps_equivalent(TPSpec.identity(QBITS), fixtures.cnot_disentangler())
 

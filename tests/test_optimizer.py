@@ -167,9 +167,10 @@ def test_sq_distance_jacobian_matches_finite_differences(n1, n2):
     states = np.array([random_state(rng, dims).amplitudes for _ in range(30)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 30), states))
     u = _exp_of(rng.normal(scale=0.6, size=dims.n**2), dims.n)
-    z, jac = objective.sq_distances(u), objective.sq_distance_jacobian(u)
+    z, jacobian = objective.sq_distances(u)
+    jac = jacobian()
     assert z.shape == (30,) and jac.shape == (30, (n1**2 - 1) * (n2**2 - 1))
-    fd = _fd_jacobian(objective.sq_distances, objective, u)
+    fd = _fd_jacobian(lambda x: objective.sq_distances(x)[0], objective, u)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -284,7 +285,7 @@ def test_gram_top_pair_distance_matches_svd_spectra(n1, n2):
     states = np.array([random_state(rng, dims).amplitudes for _ in range(200)])
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 200), states))
     u = _exp_of(rng.normal(scale=0.6, size=dims.n**2), dims.n)
-    z = objective.sq_distances(u)
+    z = objective.sq_distances(u)[0]
     assert np.abs(np.sqrt(z) - _svd_distances(objective, u)).max() <= 1e-15
 
 
@@ -292,7 +293,7 @@ def test_gram_top_pair_is_exact_at_the_cnot_disentangler():
     sampled = sample(fixtures.cnot_trajectory(), 200)
     objective = _Objective(sampled)
     u = np.array(fixtures.cnot_disentangler().basis_change)
-    z = objective.sq_distances(u)
+    z = objective.sq_distances(u)[0]
     reference = _svd_distances(objective, u)
     assert reference.max() < 1e-14  # the point is a disentangler
     assert np.abs(np.sqrt(z) - reference).max() <= 1e-15
@@ -313,7 +314,7 @@ def test_gram_top_pair_is_exact_near_planted_products(n1, n2, size):
     products += size * (rng.normal(size=products.shape) + 1j * rng.normal(size=products.shape))
     products /= np.linalg.norm(products, axis=1)[:, None]
     objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, 50), products @ u.conj()))
-    z = objective.sq_distances(u)
+    z = objective.sq_distances(u)[0]
     assert np.abs(np.sqrt(z) - _svd_distances(objective, u)).max() <= 1e-15
 
 
@@ -322,7 +323,8 @@ def test_equal_top_schmidt_values_give_finite_distance_and_gradient():
     sampled = sample(fixtures.cnot_trajectory(), 200)
     assert sampled.times[-1] == np.pi / 2
     objective, u = _Objective(sampled), np.eye(4, dtype=complex)
-    z, grad = objective.sq_distances(u), objective.sq_distance_jacobian(u)
+    z, jacobian = objective.sq_distances(u)
+    grad = jacobian()
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(grad))
     assert abs(z[-1] - (2 - np.sqrt(2))) <= 1e-15
 
@@ -339,29 +341,35 @@ def test_derivative_stack_memo_is_invisible():
     u1, u2 = (_exp_of(theta, dims.n) for theta in rng.normal(scale=0.6, size=(2, dims.n**2)))
 
     def evaluate(obj, u):
-        r, z = obj.residuals(u), obj.sq_distances(u)
-        return [r, z, obj.residual_jacobian(u), obj.sq_distance_jacobian(u)]
+        r, (z, jacobian) = obj.residuals(u), obj.sq_distances(u)
+        return [r, z, obj.residual_jacobian(u), jacobian]
 
+    # every thunk is called only after all three points were evaluated
     interleaved = [evaluate(objective, u) for u in (u1, u2, u1)]
-    for u, got in zip((u1, u2, u1), interleaved):
-        fresh = evaluate(fresh_objective(), u)
+    for u, (*got, jacobian) in zip((u1, u2, u1), interleaved):
+        *fresh, fresh_jacobian = evaluate(fresh_objective(), u)
+        got, fresh = got + [jacobian()], fresh + [fresh_jacobian()]
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
     # the Levenberg-Marquardt cost is the raw minors' sum_{t,k} |m_k(t)|^2 / T
     r, raw = objective.residuals(u1), _raw_minor_cost(objective, u1)
     assert abs(r @ r - raw) <= 1e-12 * raw
 
 
-def test_derivative_stack_is_built_only_for_a_jacobian():
-    # B_d U lives inside the residual Jacobian; the memo keeps z's state alone
-    objective, rng = _random_objective(2, 3, 30, 8)
-    u = _exp_of(rng.normal(scale=0.6, size=36), 6)
-    objective.residuals(u)
-    objective.sq_distances(u)
-    memo = objective._memo
-    assert set(memo) == {"key", "z", "x", "y"}
-    objective.residual_jacobian(u)
-    objective.sq_distance_jacobian(u)
-    assert objective._memo is memo and set(memo) == {"key", "z", "x", "y"}
+def test_both_stages_leave_the_objective_as_it_was_built():
+    # the objective holds the trajectory's fixed data only: a run rebinds and
+    # writes none of its attributes
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
+
+    def contents(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    before = {name: (value, contents(value)) for name, value in vars(objective).items()}
+    u = _least_squares_from_the_identity(objective)
+    _, trace = optimizer._polish(objective, u)
+    assert len(trace) > 2  # the minimax stage ran
+    assert set(vars(objective)) == set(before)
+    for name, (value, data) in before.items():
+        assert vars(objective)[name] is value and contents(value) == data
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
@@ -376,9 +384,12 @@ def test_jacobian_stack_is_the_basis_times_u(n1, n2, scale):
     jac = objective.residual_jacobian(u)
     assert np.abs(jac - exact.T).max() <= 1e-13 * np.abs(exact).max()
     # U + s B_d U keeps |U psi| to first order, so z_t's derivative along it is dz_t / d delta_d
-    s, z = 1e-6, objective.sq_distances
+    def z(x):
+        return objective.sq_distances(x)[0]
+
+    s = 1e-6
     fd = np.array([z(u + s * d) - z(u - s * d) for d in d_u]).T / (2 * s)
-    g = objective.sq_distance_jacobian(u)
+    g = objective.sq_distances(u)[1]()
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -395,7 +406,7 @@ def _least_squares_from_the_identity(objective, budget=optimizer.MINORS_MAX_NFEV
 def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch):
     objective = _Objective(sample(fixtures.cnot_trajectory(), 100))
     u = _least_squares_from_the_identity(objective)
-    s0 = objective.sq_distances(u).max()
+    s0 = objective.sq_distances(u)[0].max()
     assert s0 <= optimizer.EPIGRAPH_FTOL
 
     def no_qp(*args):
@@ -414,7 +425,7 @@ def test_minimax_stage_runs_from_an_obstructed_start(monkeypatch):
     # at 100 samples the identity's least-squares endpoint is already minimax-stationary
     objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
     u = _least_squares_from_the_identity(objective)
-    assert objective.sq_distances(u).max() > optimizer.EPIGRAPH_FTOL
+    assert objective.sq_distances(u)[0].max() > optimizer.EPIGRAPH_FTOL
     supports, qp = [], optimizer._epigraph_qp
 
     def recording_qp(*args):
@@ -492,7 +503,8 @@ def test_epigraph_qp_on_rows_equal_to_rounding(scale):
     # the sample grid holds both ends of [0, 2 pi], where the Sidon state is the same
     objective = _Objective(sample(fixtures.sidon_trajectory(), 100))
     u = _exp_of(np.random.default_rng(4).normal(scale=scale, size=16), 4)
-    z, g = objective.sq_distances(u), objective.sq_distance_jacobian(u)
+    z, jacobian = objective.sq_distances(u)
+    g = jacobian()
     pair = [0, len(z) - 1]
     assert np.abs(g[0] - g[-1]).max() <= 1e-14 and abs(z[0] - z[-1]) <= 1e-15
     cases = [(z[pair], g[pair], warm) for warm in ([0], [1], [0, 1])] + [(z, g, pair)]
@@ -579,7 +591,7 @@ def test_minimax_stage_never_ends_above_its_start(make_sampled, monkeypatch):
         assert trace[-1] <= trace[0]
         assert np.all(np.diff(trace) < 0)
         # the trace's last entry is the max squared distance at the returned point
-        zmax = obj.sq_distances(best_u).max()
+        zmax = obj.sq_distances(best_u)[0].max()
         assert abs(zmax - trace[-1]) <= 1e-12 * trace[-1]
     winner = runs[result.restart_index][2]
     assert abs(winner[-1] - result.objective**2) <= 1e-12 * result.objective**2
@@ -625,8 +637,8 @@ def test_costs_are_invariant_under_local_unitaries(n1, n2):
         local = np.kron(haar_unitary(n1, rng), haar_unitary(n2, rng))
         r, r_local = objective.residuals(u), objective.residuals(local @ u)
         assert abs(r @ r - r_local @ r_local) <= 1e-14
-        z = objective.sq_distances(u)
-        assert np.abs(z - objective.sq_distances(local @ u)).max() <= 1e-14
+        z = objective.sq_distances(u)[0]
+        assert np.abs(z - objective.sq_distances(local @ u)[0]).max() <= 1e-14
 
 
 def test_restarts_start_at_exp_of_their_seeded_draw(monkeypatch):
@@ -680,7 +692,7 @@ def test_minimax_stage_starts_from_the_least_squares_curvature(make_sampled, mon
     # first QP's rows satisfy gl gl^T = g B0^-1 g^T
     objective = _Objective(make_sampled())
     u = _least_squares_endpoint(objective)
-    g = objective.sq_distance_jacobian(u)
+    g = objective.sq_distances(u)[1]()
     jac = objective.residual_jacobian(u)
     b0 = 2.0 * jac.T @ jac
     b0 += np.trace(b0) / len(b0) * np.eye(len(b0))  # len(b0) = p chart directions
@@ -692,7 +704,7 @@ def test_minimax_stage_starts_from_the_least_squares_curvature(make_sampled, mon
 def test_minimax_stage_starts_from_the_identity_where_its_model_has_no_cholesky(monkeypatch):
     objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
     u = _least_squares_endpoint(objective)
-    g = objective.sq_distance_jacobian(u)
+    g = objective.sq_distances(u)[1]()
     shape = (len(objective.residuals(u)), len(objective.basis))
     monkeypatch.setattr(objective, "residual_jacobian", lambda u: np.zeros(shape))
     assert np.array_equal(_first_qp_rows(objective, u, monkeypatch), g)

@@ -42,8 +42,13 @@ def test_search_demo_runs(tmp_path):
 
 
 def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
-    # the layers section alone, in its own process: the section pins BLAS threads
-    code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.layer_metrics()))"
+    # the layers section alone, in its own process: the section pins BLAS threads;
+    # one repeat per point is enough for the values asserted here
+    code = (
+        "import json, bench_snapshot\n"
+        "bench_snapshot.LAYER_REPEATS = 1\n"
+        "print(json.dumps(bench_snapshot.layer_metrics()))"
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
     argv = [sys.executable, "-c", code]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
