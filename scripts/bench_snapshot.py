@@ -84,12 +84,16 @@ def layer_metrics() -> dict:
     `_Objective.start(theta)`, BLAS pinned to one thread as in `bench/run.py`.
     `step` is one move of the chart, `_Objective.step(u, delta)` (one eigh),
     on a fixed seeded delta.  `lm_step` is residuals, Jacobian, J^T r and the
-    eigh of J^T J.  `minimax_step` is one iteration of the minimax stage from
-    u, as `_polish` runs its first, given z and its Jacobian thunk at u from
-    `sq_distances`, taken outside the timer: the Jacobian from the thunk,
-    `_start_model`, the QP, cold-started from the largest z_t, then values and
-    Jacobian at `step(u, d)`, as for an accepted step, and the damped BFGS
-    update; `qp_support` is the median size of that QP's support.  Next to the
+    eigh of J^T J.  `lm_round_r4` is one lockstep pass of the least-squares
+    stage on a stack of 4 starts near u (fixed seeded offsets of theta): the
+    stage at a budget of 2 evaluations, its start's residuals, Jacobian and
+    eigh, then one solve, step and residuals for all 4.  `minimax_step` is
+    one iteration of the minimax stage from u, as `_polish` runs its first,
+    given z and its Jacobian thunk at u from `sq_distances`, taken outside
+    the timer: the Jacobian from the thunk, `_start_model`, the QP,
+    cold-started from the largest z_t, then values and Jacobian at
+    `step(u, d)`, as for an accepted step, and the damped BFGS update;
+    `qp_support` is the median size of that QP's support.  Next to the
     times: the residual count and the largest relative gap between
     |residuals|^2 and sum_{t,k} |m_k(t)|^2 / T from the raw minors.
     `schmidt_spectra` runs on
@@ -114,7 +118,13 @@ def layer_metrics() -> dict:
     from tpslab.hamiltonian import stationarity_gradient
     from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
-    from tpslab.optimizer import _damped_bfgs, _epigraph_qp, _Objective, _start_model
+    from tpslab.optimizer import (
+        _damped_bfgs,
+        _epigraph_qp,
+        _levenberg_marquardt,
+        _Objective,
+        _start_model,
+    )
     from tpslab.trajectory import SampledTrajectory
 
     pin_blas_threads()
@@ -127,6 +137,7 @@ def layer_metrics() -> dict:
         obj = _Objective(SampledTrajectory(HilbertDims(n1, n2), times, states))
 
         delta = 0.1 * np.random.default_rng(2).normal(size=len(obj.basis))
+        offsets = 0.1 * np.random.default_rng(3).normal(size=(4, n * n))
 
         def lm_step(u):
             r, j = obj.residuals(u), obj.residual_jacobian(u)
@@ -151,12 +162,15 @@ def layer_metrics() -> dict:
             "residual_jacobian": obj.residual_jacobian,
             "sq_distances": obj.sq_distances,
             "lm_step": lm_step,
+            "lm_round_r4": lambda u: _levenberg_marquardt(
+                obj.residuals, obj.residual_jacobian, obj.step, u4, 2
+            ),
             "minimax_step": lambda u: minimax_step(u, *at_u),
         }
         elapsed = {name: [] for name in layers}
         gap = 0.0
         for theta in rng.normal(scale=0.6, size=(LAYER_THETAS, n * n)):
-            u = obj.start(theta)
+            u, u4 = obj.start(theta), obj.start(theta + offsets)
             at_u = obj.sq_distances(u)  # z and its Jacobian thunk, for minimax_step
             for _ in range(LAYER_REPEATS):
                 for name, call in layers.items():

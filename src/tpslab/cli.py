@@ -14,7 +14,8 @@ them in the one-line JSON report every command but `reproduce` emits (sha256
 of the --input and --tps files, `parameters` = every option but --input and
 --output, results, versions, wall time), or emits `profile --format csv`'s CSV.
 Exit codes: 0 success, 1 reproduction-check failure, 2 input or configuration
-error, 3 dimension or validity error, 4 unsupported form.
+error, 3 dimension or validity error, 4 unsupported form.  Any other
+exception, a bare `ValueError` included, is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import HilbertDims, TPSpec
 from .entanglement import entanglement_profile
 from .errors import (
     DimensionMismatch,
+    InvalidInput,
     NotHermitian,
     NotNormalizable,
     NotUnitary,
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
             return cmd_reproduce(args)
         report(args)
         return EXIT_OK
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, InvalidInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (DimensionMismatch, NotUnitary, NotHermitian, NotNormalizable, TooFewSamples) as exc:

@@ -72,7 +72,7 @@ import numpy as np
 
 from .core import HilbertDims, TPSpec
 from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
-from .errors import UnsupportedForm
+from .errors import InvalidInput, UnsupportedForm
 from .linalg import nearest_unitary, reshuffle
 from .trajectory import SampledTrajectory, TrigTrajectory
 
@@ -90,7 +90,7 @@ class ConstructConfig:
 
     def __post_init__(self):
         if not 0 < self.verify_tol < math.inf:
-            raise ValueError("verify_tol must be finite and positive")
+            raise InvalidInput("verify_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

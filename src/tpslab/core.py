@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotUnitary
+from .errors import DimensionMismatch, InvalidInput, NotHermitian, NotUnitary
 from .linalg import frozen_complex, reshuffle
 
 UNITARITY_TOL = 1e-10
@@ -34,7 +34,7 @@ class HilbertDims:
 
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("both factor dimensions must be at least 2")
+            raise InvalidInput("both factor dimensions must be at least 2")
 
     @property
     def n(self) -> int:
@@ -56,7 +56,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
+            raise InvalidInput(f"state norm {norm!r} is not 1 within {STATE_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
     @staticmethod
@@ -65,7 +65,7 @@ class StateVector:
         amps = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(amps)
         if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+            raise InvalidInput("cannot normalize the zero vector")
         return StateVector(amps / norm, dims)
 
 

@@ -27,3 +27,7 @@ class TooFewSamples(TpslabError):
 
 class UnsupportedForm(TpslabError):
     """The input has a shape the requested algorithm does not handle."""
+
+
+class InvalidInput(TpslabError, ValueError):
+    """An argument or input value lies outside what the call accepts."""

@@ -248,7 +248,7 @@ def _read_json(path):
         return path
     try:
         doc = json.loads(path if isinstance(path, bytes) else Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError("<document>", f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "<document>", "top level must be an object")
     return doc

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import ctypes
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .errors import InvalidInput
 
 
 def _bundled_openblas(name: str):
@@ -32,7 +35,7 @@ def frozen_complex(a, shape=None) -> np.ndarray:
     """Copy `a` into an immutable complex ndarray, optionally checking shape."""
     arr = np.array(a, dtype=complex)
     if shape is not None and arr.shape != tuple(shape):
-        raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
+        raise InvalidInput(f"expected shape {tuple(shape)}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -60,8 +63,9 @@ def reshuffle(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return v.reshape(*lead, n1, n2, n1, n2).swapaxes(-3, -2).reshape(*lead, n1 * n1, n2 * n2)
 
 
+@lru_cache(maxsize=None)
 def anti_hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the anti-Hermitian n x n matrices, stacked (n^2, n, n).
+    """Orthonormal basis of the anti-Hermitian n x n matrices, stacked (n^2, n, n), read-only.
 
     Orthonormal with respect to the real inner product Re tr(A^dag B); this is
     the tangent space of the unitary group at the identity, of real dimension
@@ -76,12 +80,13 @@ def anti_hermitian_basis(n: int) -> np.ndarray:
     re = n + 2 * np.arange(len(k))
     basis[re, k, l], basis[re, l, k] = r, -r
     basis[re + 1, k, l] = basis[re + 1, l, k] = 1j * r
-    return basis
+    return frozen_complex(basis)  # shared by every caller
 
 
+@lru_cache(maxsize=None)
 def nonlocal_basis(n1: int, n2: int) -> np.ndarray:
-    """Orthonormal basis i (X_a (x) Y_b) of the anti-Hermitian directions orthogonal to
-    every local one, i (X (x) 1) and i (1 (x) Y), stacked ((n1^2 - 1)(n2^2 - 1), n, n).
+    """Orthonormal basis i (X_a (x) Y_b) of the anti-Hermitian directions orthogonal to every
+    local one, i (X (x) 1) and i (1 (x) Y), stacked ((n1^2 - 1)(n2^2 - 1), n, n), read-only.
 
     X_a and Y_b run over an orthonormal basis of the traceless Hermitian matrices:
     -i times the off-diagonal members of `anti_hermitian_basis`, then the
@@ -95,20 +100,20 @@ def nonlocal_basis(n1: int, n2: int) -> np.ndarray:
         return np.concatenate([-1j * anti_hermitian_basis(m)[m:], diag[:, :, None] * np.eye(m)])
 
     products = np.einsum("aij,bkl->abikjl", traceless(n1), traceless(n2))
-    return 1j * products.reshape(-1, n1 * n2, n1 * n2)
+    return frozen_complex(1j * products.reshape(-1, n1 * n2, n1 * n2))  # shared by every caller
 
 
 def expm_anti_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp(A) = w diag(exp(i mu)) w^dag for anti-Hermitian A, from one eigh of -iA."""
+    """exp(A) = w diag(exp(i mu)) w^dag for anti-Hermitian A, or each of a stack, from eigh(-iA)."""
     mu, w = np.linalg.eigh(-1j * a)
-    return (w * np.exp(1j * mu)) @ w.conj().T
+    return (w * np.exp(1j * mu)[..., None, :]) @ w.conj().swapaxes(-1, -2)
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     """Trapezoid-rule quadrature weights for an increasing sample grid."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
-        raise ValueError("need at least two sample times")
+        raise InvalidInput("need at least two sample times")
     w = np.empty_like(t)
     w[0] = (t[1] - t[0]) / 2
     w[-1] = (t[-1] - t[-2]) / 2

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertDims
-from .errors import TooFewSamples
+from .errors import InvalidInput, TooFewSamples
 from .linalg import trapezoid_weights
 from .trajectory import sample
 
@@ -130,7 +130,7 @@ def certify_no_disentangling(
     """
     traj = sample(traj, num_samples)
     if not 0 < rank_tol < 1:
-        raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
+        raise InvalidInput(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
     rows = sym2_products(traj.states)
     full = len(rows)
     if len(traj) < OVERSAMPLING_FACTOR * full:

@@ -21,7 +21,8 @@ stages:
    step costs the same for any sample count.  It is solved by
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
    accepted step, which stops on a small gradient, relative decrease or
-   step, the step tested before it is tried.  Its budget is MINORS_MAX_NFEV
+   step, the step tested before it is tried.  All restarts run it in lockstep
+   on one stack, each to the bits of its run alone.  Its budget is MINORS_MAX_NFEV
    evaluations per restart, or OBSTRUCTED_MAX_NFEV where R's singular values
    certify, by `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
    every minor.  That is sound for any T: over K orthonormal c_k, |R c|^2 is
@@ -65,6 +66,7 @@ import numpy as np
 
 from .core import TPSpec
 from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
+from .errors import InvalidInput
 from .linalg import anti_hermitian_basis, expm_anti_hermitian, nonlocal_basis
 from .obstruction import DEFAULT_RANK_TOL, product_rank, sym2_coordinates, sym2_products
 from .trajectory import SampledTrajectory, sample
@@ -84,9 +86,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.restarts <= 0:
-            raise ValueError("restarts must be positive")
+            raise InvalidInput("restarts must be positive")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -132,40 +134,43 @@ class _Objective:
         self._2h_cols = 2.0 * h.transpose(1, 0, 2).reshape(self.n, -1)  # 2 H_j side by side
 
     def start(self, theta: np.ndarray) -> np.ndarray:
-        """A restart's start: exp(A), A the `anti_hermitian_basis` combination of n^2 reals."""
-        a = theta @ anti_hermitian_basis(self.n).reshape(self.n**2, -1)
-        return expm_anti_hermitian(a.reshape(self.n, self.n))
+        """Restart starts: exp(A), A the `anti_hermitian_basis` combination of n^2 reals per row."""
+        a = (theta[..., None, :] @ anti_hermitian_basis(self.n).reshape(self.n**2, -1))[..., 0, :]
+        return expm_anti_hermitian(a.reshape(*theta.shape[:-1], self.n, self.n))
 
     def step(self, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """The chart: exp(sum_d delta_d B_d) u, from one eigh."""
-        return expm_anti_hermitian((delta @ self._basis_flat).reshape(self.n, self.n)) @ u
+        """The chart: exp(sum_d delta_d B_d) u, from one eigh (per member, for a stack)."""
+        a = (delta[..., None, :] @ self._basis_flat)[..., 0, :]
+        return expm_anti_hermitian(a.reshape(u.shape)) @ u
 
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
         return (self.states @ u.T).reshape(-1, self.dims.n1, self.dims.n2)
 
     def residuals(self, u: np.ndarray) -> np.ndarray:
-        """Real, then imaginary parts of R c_k(U), shape (2 * min(T, N) * K,).
+        """Real, then imaginary parts of R c_k(U), shape (..., 2 * min(T, N) * K) for u (..., n, n).
 
         Minor k at sample t is x_t^T E_k x_t = psi_t^T S_k psi_t with S_k =
         U^T E_k U, so it is Phi_t . c_k, c_k the Sym^2 coordinates of S_k, and
         |R c|^2 = |Phi c|^2 / T = sum_{t,k} |m_k(t)|^2 / T.
         """
-        s = u.T @ self._forms @ u  # (K, n, n)
-        rc = (self._h @ s.reshape(len(s), -1).T).ravel()  # <H_j, S_k>, (j, k) row-major
-        return np.concatenate([rc.real, rc.imag])
+        u = u[..., None, :, :]
+        s = u.swapaxes(-1, -2) @ self._forms @ u  # (..., K, n, n)
+        rc = self._h @ s.reshape(*s.shape[:-2], -1).swapaxes(-1, -2)  # <H_j, S_k>, (..., j, k)
+        return np.concatenate([rc.real, rc.imag], axis=-2).reshape(*s.shape[:-3], -1)
 
     def residual_jacobian(self, u: np.ndarray) -> np.ndarray:
-        """d residuals / d delta at delta = 0, shape (2 * min(T, N) * K, p).
+        """d residuals / d delta at delta = 0, shape (..., 2 * min(T, N) * K, p).
 
         Along dU_d = B_d U, <H_j, S_k> moves by 2 <H_j, U^T E_k dU_d> = 2 <E_k U H_j, dU_d>,
         as H_j is symmetric: the forms 2 E_k U H_j are one (K n, n) x (n, n min(T, N))
         product, and the Jacobian one product of them against the flattened B_d U.
         """
-        n, k = self.n, len(self._forms)
-        v = (self._forms.reshape(-1, n) @ u) @ self._2h_cols  # [(k, a), (j, q)]
-        v = v.reshape(k, n, -1, n).transpose(2, 0, 1, 3).reshape(-1, n * n)  # [(j, k), (a, q)]
-        jac = v @ (self.basis @ u).reshape(len(self.basis), -1).T
-        return np.concatenate([jac.real, jac.imag])
+        n, k, lead = self.n, len(self._forms), u.shape[:-2]
+        v = (self._forms.reshape(-1, n) @ u) @ self._2h_cols  # [..., (k, a), (j, q)]
+        v = v.reshape(*lead, k, n, -1, n).swapaxes(-2, -3).swapaxes(-3, -4)  # [..., j, k, a, q]
+        d_u = (self.basis @ u[..., None, :, :]).reshape(*lead, len(self.basis), -1)
+        jac = v.reshape(*lead, -1, n * n) @ d_u.swapaxes(-1, -2)
+        return np.concatenate([jac.real, jac.imag], axis=-2)
 
     def sq_distances(self, u: np.ndarray):
         """Squared distances z_t = 2 - 2 sigma_1, shape (T,), with no SVD, and
@@ -194,43 +199,62 @@ class _Objective:
         return 2.0 * tail / (1.0 + sigma1), jacobian
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b per member of a stack, as (1, m) @ (m, 1): the bits of each member's own a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _normal_equations(j: np.ndarray, r: np.ndarray):
+    """J^T r and the eigenpairs of J^T J, per member of a stack."""
+    return ((j.swapaxes(-1, -2) @ r[..., None])[..., 0], *np.linalg.eigh(j.swapaxes(-1, -2) @ j))
+
+
+def _rows(keep: np.ndarray, *stacks):
+    """The members of each stack where keep holds; the stacks themselves where it holds for all."""
+    return stacks if keep.all() else tuple(s[keep] for s in stacks)
+
+
 def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
-    """Minimize |fun(x)|^2 by Levenberg-Marquardt with Nielsen's damping update
-    (Madsen, Nielsen & Tingleff 2004), in the chart x <- step(x, h): jac(x) is
-    d fun(step(x, h)) / dh at h = 0.  Returns the last accepted x, its |fun|^2
-    and the fun call count; jac is asked only at the point fun last evaluated,
-    and each trial damping costs one solve, one step and one fun.  It stops on
-    a gradient or a relative cost decrease of at most MINORS_TOL, and on a step
-    |h| <= MINORS_TOL before trying it, so it ends in any chart: a rejection
-    only grows the damping, which shrinks h."""
-    r = fun(x)
-    cost = float(r @ r)
-    nfev, mu, nu, rho = 1, None, 2.0, 1.0
-    while nfev < max_nfev:
-        if rho > 0:  # the start or an accepted step: a new J
-            j = jac(x)
-            g = j.T @ r
-            if np.abs(g).max() <= MINORS_TOL:
-                break
-            lam, v = np.linalg.eigh(j.T @ j)
-            mu = 1e-3 * lam[-1] if mu is None else mu
-        h = -v @ ((v.T @ g) / (lam + mu))
-        if np.linalg.norm(h) <= MINORS_TOL:
-            break
-        x_new = step(x, h)
+    """Minimize |fun(x_i)|^2 for each member x_i of a stack x (R, ...) by
+    Levenberg-Marquardt with Nielsen's damping update (Madsen, Nielsen &
+    Tingleff 2004), in the chart x <- step(x, h): jac(x) is d fun(step(x, h)) /
+    dh at h = 0, and all three answer per member of a stack.  Returns each
+    member's last accepted x, its |fun|^2 and its fun call count.  The members
+    run in lockstep, each to the bits of its run alone: a pass makes one solve,
+    step and fun for the running members, then jac, at the point fun last
+    evaluated, and one eigh of J^T J for those it moved.  A member stops at
+    max_nfev, on a gradient or a relative cost decrease of at most MINORS_TOL,
+    and on a step |h| <= MINORS_TOL before trying it, so it ends in any chart:
+    a rejection only grows the damping, which shrinks h."""
+    x, r = x.copy(), fun(x)
+    cost, nfev = _dot(r, r), np.ones(len(x), dtype=int)
+    if max_nfev < 2:
+        return x, cost, nfev
+    # the running members' indices, r, J^T r, eigenpairs of J^T J and damping mu, nu
+    run, (g, lam, v) = np.arange(len(x)), _normal_equations(jac(x), r)
+    mu, nu = 1e-3 * lam[:, -1], np.full(len(x), 2.0)
+    while True:
+        keep = np.abs(g).max(axis=-1) > MINORS_TOL  # the gradient test: only a new J fails it
+        run, r, g, lam, v, mu, nu = _rows(keep, run, r, g, lam, v, mu, nu)
+        h = (-v @ ((v.swapaxes(-1, -2) @ g[..., None]) / (lam + mu[:, None])[..., None]))[..., 0]
+        keep = np.sqrt(_dot(h, h)) > MINORS_TOL
+        run, r, g, lam, v, mu, nu, h = _rows(keep, run, r, g, lam, v, mu, nu, h)
+        if not len(run):
+            return x, cost, nfev
+        x_new = step(x[run], h)
         r_new = fun(x_new)
-        nfev += 1
-        cost_new = float(r_new @ r_new)
-        rho = (cost - cost_new) / (h @ (mu * h - g))  # against the model's full decrease
-        if rho > 0:
-            small_decrease = cost - cost_new <= MINORS_TOL * cost
-            x, r, cost = x_new, r_new, cost_new
-            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-            if small_decrease:
-                break
-        else:
-            mu, nu = mu * nu, 2.0 * nu
-    return x, cost, nfev
+        nfev[run] += 1
+        c, c_new = cost[run], _dot(r_new, r_new)
+        rho = (c - c_new) / _dot(h, mu[:, None] * h - g)  # against the model's full decrease
+        up = rho > 0
+        # Nielsen's max(1/3, 1 - (2 rho - 1)^3), by pow() as numpy's array power rounds otherwise
+        factor = [max(1 / 3, 1 - (2 * q - 1) ** 3) if 0 < q < 1 else 1 / 3 for q in rho.tolist()]
+        mu, nu = np.where(up, mu * factor, mu * nu), np.where(up, 2.0, 2.0 * nu)
+        x[run[up]], cost[run[up]], r[up] = x_new[up], c_new[up], r_new[up]
+        keep = (nfev[run] < max_nfev) & ~(up & (c - c_new <= MINORS_TOL * c))
+        run, r, g, lam, v, mu, nu, up, x_new = _rows(keep, run, r, g, lam, v, mu, nu, up, x_new)
+        if up.any():
+            g[up], lam[up], v[up] = _normal_equations(jac(x_new[up]), r[up])
 
 
 def _epigraph_qp(z: np.ndarray, g: np.ndarray, support: np.ndarray):
@@ -368,34 +392,28 @@ def optimize_tps(
     """
     traj = sample(traj, num_samples)
     obj = _Objective(traj)
-    n_params = traj.dims.n**2
     max_nfev = OBSTRUCTED_MAX_NFEV if obj.obstructed else MINORS_MAX_NFEV
 
-    summaries = []
-    best = None  # (objective, index, u)
-    for r in range(config.restarts):
-        theta = np.zeros(n_params)
-        if r > 0:
-            theta = np.random.default_rng([config.seed, r]).normal(scale=np.pi / 4, size=n_params)
-        u = obj.start(theta)
-
-        u, surrogate, nfev = _levenberg_marquardt(
-            obj.residuals, obj.residual_jacobian, obj.step, u, max_nfev
-        )
-        u, polish_trace = _polish(obj, u)
-        objective = float(np.sqrt(polish_trace[-1]))
-        summaries.append(RestartSummary(r, objective, surrogate, nfev, len(polish_trace) - 1))
-        if best is None or objective < best[0]:
-            best = (objective, r, u)
-
-    _, r_best, u_best = best
+    thetas = np.zeros((config.restarts, obj.n**2))
+    for r in range(1, config.restarts):
+        thetas[r] = np.random.default_rng([config.seed, r]).normal(scale=np.pi / 4, size=obj.n**2)
+    us, surrogates, nfevs = _levenberg_marquardt(
+        obj.residuals, obj.residual_jacobian, obj.step, obj.start(thetas), max_nfev
+    )
+    polished = [_polish(obj, u) for u in us]  # (u, trace of max_t z_t) per restart
+    objectives = [float(np.sqrt(trace[-1])) for _, trace in polished]
+    steps = [len(trace) - 1 for _, trace in polished]
+    summaries = tuple(
+        map(RestartSummary, range(len(us)), objectives, surrogates.tolist(), nfevs.tolist(), steps)
+    )
+    r_best = min(range(len(us)), key=objectives.__getitem__)  # ties go to the lower index
     # each step's exp from one eigh is unitary to rounding, so the product needs no projection
-    tps = TPSpec(u_best, traj.dims)
+    tps = TPSpec(polished[r_best][0], traj.dims)
     # report the objective through the same code path users would take
     profile = entanglement_profile(traj, tps)
     return OptimizationResult(
         best_tps=tps,
         objective=float(profile.max_distance),
         restart_index=r_best,
-        restarts=tuple(summaries),
+        restarts=summaries,
     )

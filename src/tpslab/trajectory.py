@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HilbertDims, StateVector, require_hermitian
-from .errors import DimensionMismatch, NotNormalizable
+from .errors import DimensionMismatch, InvalidInput, NotNormalizable
 from .linalg import frozen_complex
 
 SPHERE_TOL = 1e-9
@@ -46,7 +46,7 @@ class Harmonic:
 
     def __post_init__(self):
         if self.frequency < 1:
-            raise ValueError("harmonic frequency must be a positive integer")
+            raise InvalidInput("harmonic frequency must be a positive integer")
         object.__setattr__(self, "cos_coeffs", frozen_complex(self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", frozen_complex(self.sin_coeffs))
 
@@ -69,7 +69,7 @@ class TrigTrajectory:
             if h.cos_coeffs.shape != (n,) or h.sin_coeffs.shape != (n,):
                 raise DimensionMismatch("harmonic coefficient length != dims.n")
         if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+            raise InvalidInput("t_max must be positive")
         freqs, rows = [0.0], [self.constant]
         for h in self.harmonics:
             freqs += [h.frequency, -h.frequency]
@@ -111,7 +111,7 @@ class HamiltonianTrajectory:
         if self.initial.dims != self.dims:
             raise DimensionMismatch("initial state dims differ from trajectory dims")
         if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+            raise InvalidInput("t_max must be positive")
         object.__setattr__(self, "hamiltonian", h)
 
     def exponentials(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +133,9 @@ class SampledTrajectory:
         t = np.array(self.times, dtype=float)
         s = np.array(self.states, dtype=complex)
         if t.ndim != 1 or t.size < 2:
-            raise ValueError("need at least two samples")
+            raise InvalidInput("need at least two samples")
         if not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise InvalidInput("sample times must be strictly increasing")
         if s.shape != (t.size, self.dims.n):
             raise DimensionMismatch(
                 f"states have shape {s.shape}, expected ({t.size}, {self.dims.n})"
@@ -168,7 +168,7 @@ def sample(traj, num_samples: int) -> SampledTrajectory:
     if isinstance(traj, SampledTrajectory):
         return traj
     if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
+        raise InvalidInput("num_samples must be at least 2")
     times = np.linspace(0.0, traj.t_max, num_samples)
     freqs, rows = traj.exponentials()
     return SampledTrajectory(traj.dims, times, np.exp(1j * np.outer(times, freqs)) @ rows)

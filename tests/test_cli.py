@@ -309,6 +309,16 @@ def test_optimize_rejects_negative_seed_before_solving(files, monkeypatch, capsy
     assert "seed" in capsys.readouterr().err
 
 
+def test_a_library_fault_is_not_reported_as_an_input_error(files, monkeypatch):
+    # a bare ValueError is a bug in the program, not in its input, so main lets it through
+    def broken(self, u):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(tpslab.optimizer._Objective, "residuals", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run(["optimize", "--input", files["cnot"], "--restarts", "2"])
+
+
 def test_optimize_report(files, tmp_path):
     out = tmp_path / "opt.json"
     code = run(
@@ -364,6 +374,13 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert main(["profile", "--input", str(path)]) == 2
     expected = "<document>: invalid JSON: Expecting ':' delimiter: line 1 column 24 (char 23)"
     assert capsys.readouterr().err == f"input error: {expected}\n"
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dims": [2, 2], "name": "\xe9"}')
+    assert main(["profile", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: <document>: invalid JSON: ")
 
 
 def test_missing_file_is_input_error(tmp_path):

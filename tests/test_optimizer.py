@@ -91,19 +91,22 @@ def _fd_jacobian(f, objective, u, step=1e-6):
 
 
 def _recorded_levenberg_marquardt(objective, u):
-    """Run the least-squares stage on the residuals, logging each fun and jac point."""
+    """Run the least-squares stage on a stack of one u, logging each fun and jac point."""
     calls = []
 
     def fun(x):
-        calls.append(("fun", x.copy()))
+        assert x.shape == (1,) + u.shape
+        calls.append(("fun", x[0].copy()))
         return objective.residuals(x)
 
     def jac(x):
-        calls.append(("jac", x.copy()))
+        assert x.shape == (1,) + u.shape
+        calls.append(("jac", x[0].copy()))
         return objective.residual_jacobian(x)
 
     lm = optimizer._levenberg_marquardt
-    return lm(fun, jac, objective.step, u, optimizer.MINORS_MAX_NFEV), calls
+    x, cost, nfev = lm(fun, jac, objective.step, u[None], optimizer.MINORS_MAX_NFEV)
+    return (x[0], cost[0], nfev[0]), calls
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -393,14 +396,15 @@ def test_jacobian_stack_is_the_basis_times_u(n1, n2, scale):
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
 
-def _least_squares_from_the_identity(objective, budget=optimizer.MINORS_MAX_NFEV):
+def _stacked_least_squares(objective, us, budget=optimizer.MINORS_MAX_NFEV):
+    """The least-squares stage on the stack us: (x, cost, nfev), one row per member."""
     return optimizer._levenberg_marquardt(
-        objective.residuals,
-        objective.residual_jacobian,
-        objective.step,
-        np.eye(objective.n, dtype=complex),
-        budget,
-    )[0]
+        objective.residuals, objective.residual_jacobian, objective.step, us, budget
+    )
+
+
+def _least_squares_from_the_identity(objective, budget=optimizer.MINORS_MAX_NFEV):
+    return _stacked_least_squares(objective, np.eye(objective.n, dtype=complex)[None], budget)[0][0]
 
 
 def test_minimax_stage_is_skipped_from_a_start_within_its_tolerance(monkeypatch):
@@ -629,6 +633,15 @@ def test_chart_basis_is_the_non_local_directions(n1, n2):
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_chart_bases_are_built_once_and_read_only(n1, n2):
+    for build, args in ((anti_hermitian_basis, (n1 * n2,)), (nonlocal_basis, (n1, n2))):
+        basis = build(*args)
+        assert build(*args) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
 def test_costs_are_invariant_under_local_unitaries(n1, n2):
     # why the chart drops the local directions: U -> (V1 (x) V2) U changes neither cost
     objective, rng = _random_objective(n1, n2, 30, 13)
@@ -651,8 +664,10 @@ def test_restarts_start_at_exp_of_their_seeded_draw(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_levenberg_marquardt", recording_lm)
     optimize_tps(sampled, config)
-    assert np.array_equal(starts[0], np.eye(4))
-    for r, start in enumerate(starts):
+    # one stage for every restart, on the stack of their starts
+    assert len(starts) == 1 and starts[0].shape == (3, 4, 4)
+    assert np.array_equal(starts[0][0], np.eye(4))
+    for r, start in enumerate(starts[0]):
         draw = np.random.default_rng([7, r]).normal(scale=np.pi / 4, size=16)
         theta = draw if r else np.zeros(16)
         assert np.array_equal(start, _exp_of(theta, 4))
@@ -846,20 +861,106 @@ def test_least_squares_stage_ends_a_run_of_rejections_in_any_chart(chart):
     # 1 + sum |x - x0| rises on every move, so every trial is rejected and only the
     # step-size test ends the run: h = -1 / (p + mu) along 1, and mu grows by 2, 4, 8, ...
     x0, p, step = chart()
+
+    def fun(x):
+        return 1.0 + np.abs(x - x0).reshape(len(x), -1).sum(axis=1, keepdims=True)
+
     x, cost, nfev = optimizer._levenberg_marquardt(
-        lambda x: np.array([1.0 + np.abs(x - x0).sum()]), lambda x: np.ones((1, p)), step, x0, 100
+        fun, lambda x: np.ones((len(x), 1, p)), step, x0[None], 100
     )
-    assert np.array_equal(x, x0) and cost == 1.0
-    assert nfev == 12
+    assert np.array_equal(x[0], x0) and cost[0] == 1.0
+    assert nfev[0] == 12
+
+
+def _sequential_least_squares(objective, u, max_nfev=optimizer.MINORS_MAX_NFEV):
+    """The least-squares stage on one u as a scalar loop: the reference for each member."""
+    r = objective.residuals(u)
+    cost = float(r @ r)
+    nfev, mu, nu, rho = 1, None, 2.0, 1.0
+    while nfev < max_nfev:
+        if rho > 0:
+            j = objective.residual_jacobian(u)
+            g = j.T @ r
+            if np.abs(g).max() <= optimizer.MINORS_TOL:
+                break
+            lam, v = np.linalg.eigh(j.T @ j)
+            mu = 1e-3 * lam[-1] if mu is None else mu
+        h = -v @ ((v.T @ g) / (lam + mu))
+        if np.linalg.norm(h) <= optimizer.MINORS_TOL:
+            break
+        u_new = objective.step(u, h)
+        r_new = objective.residuals(u_new)
+        nfev += 1
+        cost_new = float(r_new @ r_new)
+        rho = (cost - cost_new) / (h @ (mu * h - g))
+        if rho > 0:
+            small_decrease = cost - cost_new <= optimizer.MINORS_TOL * cost
+            u, r, cost = u_new, r_new, cost_new
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            if small_decrease:
+                break
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return u, cost, nfev
+
+
+def _assert_runs_alone(objective, starts, x, cost, nfev):
+    """Each member of a stacked run ends with the bits and count of a stack of one,
+    and of the scalar loop."""
+    for i, u in enumerate(starts):
+        x_i, cost_i, nfev_i = _stacked_least_squares(objective, u[None])
+        assert nfev[i] == nfev_i[0] and cost[i] == cost_i[0]
+        assert np.array_equal(x[i], x_i[0])
+        u_ref, cost_ref, nfev_ref = _sequential_least_squares(objective, u)
+        assert nfev[i] == nfev_ref and cost[i] == cost_ref
+        assert np.array_equal(x[i], u_ref)
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [
+        lambda: sample(fixtures.sidon_trajectory(), 100),
+        lambda: _random_sidon_2x3(100),
+        lambda: sample(fixtures.cnot_trajectory(), 100),
+        lambda: sample(fixtures.lowdim_trajectory(), 100),
+    ],
+    ids=["sidon", "random-2x3", "cnot", "lowdim"],
+)
+def test_least_squares_stage_runs_each_member_of_a_stack_as_a_stack_of_one(make_sampled):
+    # lowdim's members stop after 7 to 9 evaluations, each on a pass of its own;
+    # the others run to the budget
+    objective = _Objective(make_sampled())
+    thetas = np.random.default_rng(4).normal(scale=np.pi / 4, size=(4, objective.n**2))
+    starts = objective.start(thetas)
+    x, cost, nfev = _stacked_least_squares(objective, starts)
+    assert x.shape == starts.shape and cost.shape == nfev.shape == (4,)
+    _assert_runs_alone(objective, starts, x, cost, nfev)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_least_squares_stage_stops_a_member_at_a_disentangler_while_the_others_run():
+    objective = _Objective(sample(fixtures.cnot_trajectory(), 100))
+    u = np.array(fixtures.cnot_disentangler().basis_change)
+    assert np.sum(objective.residuals(u) ** 2) < 1e-30
+    thetas = np.random.default_rng(6).normal(scale=np.pi / 4, size=(2, 16))
+    starts = objective.start(thetas)
+    x, cost, nfev = _stacked_least_squares(objective, np.stack([starts[0], u, starts[1]]))
+    assert nfev[1] == 1 and np.array_equal(x[1], u)
+    assert nfev[0] > 1 and nfev[2] > 1
+    _assert_runs_alone(objective, [starts[0], u, starts[1]], x, cost, nfev)
 
 
 def test_least_squares_stage_solves_a_linear_problem_in_the_flat_chart():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(30, 8)), rng.normal(size=30)
     x, cost, nfev = optimizer._levenberg_marquardt(
-        lambda x: a @ x - b, lambda x: a, lambda x, h: x + h, np.zeros(8), 100
+        lambda x: x @ a.T - b,
+        lambda x: np.broadcast_to(a, (len(x),) + a.shape),
+        lambda x, h: x + h,
+        np.zeros((1, 8)),
+        100,
     )
     expected = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.abs(x - expected).max() < 1e-10
-    assert cost == pytest.approx(np.sum((a @ expected - b) ** 2), rel=1e-12)
-    assert nfev < 100
+    assert np.abs(x[0] - expected).max() < 1e-10
+    assert cost[0] == pytest.approx(np.sum((a @ expected - b) ** 2), rel=1e-12)
+    assert nfev[0] < 100

@@ -60,6 +60,7 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         "residual_jacobian",
         "sq_distances",
         "lm_step",
+        "lm_round_r4",
         "minimax_step",
         "schmidt_spectra",
     ]
