@@ -4,10 +4,10 @@
 Runs each `bench/run.py` workload once at a fixed seed, each in its own
 process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
-constructor, the certificate and the stationarity gradient in this process,
-then `optimize_tps` as a library caller runs it, with BLAS threads unpinned
-and pinned, next to its least-squares evaluation and SQP step counts, and
-writes their metric lines, with nproc, the git HEAD and the Python and numpy
+constructor, the certificate and the stationarity gradient in LAYER_RUNS
+fresh processes and keeps each key's median, then `optimize_tps` as a
+library caller runs it, with BLAS threads unpinned and pinned, next to its
+objective and its least-squares evaluation and SQP step counts, and writes their metric lines, with nproc, the git HEAD and the Python and numpy
 versions, to the file named on the command line.  The file has no gate: it is a
 record to set beside the snapshot of another commit.  Run it from a full
 checkout.
@@ -20,6 +20,7 @@ import ctypes
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ LAYER_DIMS = ((2, 2), (2, 3))
 LAYER_SAMPLES = 200
 LAYER_THETAS = 16
 LAYER_REPEATS = 20
+LAYER_RUNS = 3  # fresh processes for the layers section, so one burst of host load is outvoted
 SPECTRA_SAMPLES = 1000
 LIBRARY_REPEATS = 3
 
@@ -235,12 +237,28 @@ def layer_metrics() -> dict:
     return flat
 
 
+def layer_medians() -> dict:
+    """`layer_metrics` in LAYER_RUNS fresh processes, each key's median: a
+    burst of host load during one run no longer lands in the snapshot.  The
+    keys that are not timings are deterministic, so their median is their value."""
+    paths = [str(ROOT / "scripts"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.layer_metrics()))"
+    runs = []
+    for _ in range(LAYER_RUNS):
+        proc = run([sys.executable, "-c", code], env)
+        if proc.returncode != 0:
+            raise SystemExit(f"layer_metrics failed:\n{proc.stderr}")
+        runs.append(json.loads(proc.stdout))
+    return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+
+
 def optimize_seconds(pin: bool) -> dict:
     """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
     member of the benchmark's Sidon family, after one untimed call, in this
-    process, with the BLAS thread count it ran on, the least-squares
-    evaluations (summed `RestartSummary.iterations`) and the SQP steps (summed
-    `RestartSummary.minimax_steps`) of the last timed call;
+    process, with the BLAS thread count it ran on, and the objective, the
+    least-squares evaluations (summed `RestartSummary.iterations`) and the SQP
+    steps (summed `RestartSummary.minimax_steps`) of the last timed call;
     `pin` calls `pin_blas_threads` first.  Called by `library_metrics` in a
     fresh process."""
     import numpy as np
@@ -267,6 +285,7 @@ def optimize_seconds(pin: bool) -> dict:
     return {
         "seconds": float(np.median(elapsed)),
         "blas_threads": threads,
+        "objective": result.objective,
         "lm_nfev": sum(r.iterations for r in result.restarts),
         "sqp_steps": sum(r.minimax_steps for r in result.restarts),
     }
@@ -289,7 +308,8 @@ def library_metrics() -> dict:
         result = json.loads(proc.stdout)
         flat[f"library.optimize_s.{mode}"] = result["seconds"]
         flat[f"library.optimize.blas_threads.{mode}"] = result["blas_threads"]
-    flat["library.optimize.lm_nfev"] = result["lm_nfev"]  # of the pinned run
+    flat["library.optimize.objective"] = result["objective"]  # of the pinned run
+    flat["library.optimize.lm_nfev"] = result["lm_nfev"]
     flat["library.optimize.sqp_steps"] = result["sqp_steps"]
     return flat
 
@@ -320,7 +340,7 @@ def main():
     for workload in WORKLOADS:
         snapshot.update(bench_metrics(workload, args.seed, args.seconds))
     snapshot.update(tier1_metrics())
-    snapshot.update(layer_metrics())
+    snapshot.update(layer_medians())
     snapshot.update(library_metrics())
     Path(args.output).write_text(json.dumps(snapshot, indent=1) + "\n")
 

@@ -136,8 +136,8 @@ def minor_forms(n1: int, n2: int) -> np.ndarray:
 
 def _qubit_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries a, b, c of the Gram [[a, b], [conj(b), c]] of each (2, n) matrix in m."""
-    a, c = np.moveaxis(np.sum(m.real**2 + m.imag**2, axis=-1), -1, 0)
-    return a, np.sum(m[..., 0, :] * m[..., 1, :].conj(), axis=-1), c
+    ac = (m.real**2 + m.imag**2).sum(axis=-1)
+    return ac[..., 0], (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1), ac[..., 1]
 
 
 def gram_top_vectors(m: np.ndarray) -> np.ndarray:
@@ -147,11 +147,13 @@ def gram_top_vectors(m: np.ndarray) -> np.ndarray:
     if m.shape[1] != 2:
         return np.linalg.eigh(m @ m.conj().swapaxes(1, 2))[1][:, :, -1]
     a, b, c = _qubit_gram(m)
-    s = 0.5 * np.abs(a - c) + np.hypot(0.5 * (a - c), np.abs(b))
-    w = np.where((a >= c)[:, None], np.stack([s, b.conj()], 1), np.stack([b, s], 1))
-    norm = np.hypot(s, np.abs(b))  # sqrt(s^2 + |b|^2) would underflow at |b| ~ 1e-300
-    w[norm == 0, 0], norm[norm == 0] = 1.0, 1.0  # G = aI: any unit vector, take e_0
-    return w / norm[:, None]
+    d, abs_b, first, w = a - c, np.abs(b), a >= c, np.empty((len(m), 2), dtype=complex)
+    s = 0.5 * np.abs(d) + np.hypot(0.5 * d, abs_b)
+    w[:, 0], w[:, 1] = np.where(first, s, b), np.where(first, b.conj(), s)
+    norm = np.hypot(s, abs_b)  # sqrt(s^2 + |b|^2) would underflow at |b| ~ 1e-300
+    if (zero := norm == 0).any():  # G = aI: any unit vector, take e_0
+        w[zero, 0], norm[zero] = 1.0, 1.0
+    return np.divide(w, norm[:, None], out=w)
 
 
 def schmidt_values(psi: StateVector) -> np.ndarray:

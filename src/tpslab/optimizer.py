@@ -267,46 +267,56 @@ def _epigraph_qp(z: np.ndarray, g: np.ndarray, support: np.ndarray):
     multiplier until none is left.  Then the most violated constraint t enters:
     lam_t grows, the others follow the KKT solution, until t is active or
     another multiplier reaches 0 and leaves S, so S never holds rows that are
-    affinely dependent.  Returns (S, lam_S, s, e).
+    affinely dependent.  S carries its rows g_S and lam_S.  Returns (S, lam_S, s, e).
     """
+    at, rows, lams = np.empty(len(z), dtype=int), np.empty(g.shape), np.empty(len(z))
+    at[: len(support)], rows[: len(support)] = support, g[support]
+    support, gs, lam = (buf[: len(support)] for buf in (at, rows, lams))  # views, kept in step
 
-    def kkt(idx, top, last):
-        m = np.ones((len(idx) + 1,) * 2)
-        m[:-1, :-1], m[-1, -1] = g[idx] @ g[idx].T, 0.0
-        rhs = np.append(top, last)
+    def kkt(gs, top, last):
+        m = np.ones((len(gs) + 1, len(gs) + 2))  # [g_S g_S^T, 1, top; 1^T, 0, last]
+        # a gemm of two buffers, as syrk (one buffer times its transpose) rounds otherwise
+        m[:-1, :-2], m[-1, -2], m[:-1, -1], m[-1, -1] = gs @ gs.copy().T, 0.0, top, last
         try:
-            sol = np.linalg.solve(m, rhs)
+            sol = np.linalg.solve(m[:, :-1], m[:, -1])
         except np.linalg.LinAlgError:  # a warm support that holds equal rows
-            sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
+            sol = np.linalg.lstsq(m[:, :-1], m[:, -1], rcond=None)[0]
         return sol[:-1], sol[-1]
 
-    lam, s = kkt(support, z[support], 1.0)
+    def without(k):  # the views with member k shifted out, rows kept in order
+        for view in (support, gs, lam):
+            view[k:-1] = view[k + 1 :]
+        return support[:-1], gs[:-1], lam[:-1]
+
+    lam[:], s = kkt(gs, z[support], 1.0)
     while lam.min() < 0:
-        support = np.delete(support, np.argmin(lam))
-        lam, s = kkt(support, z[support], 1.0)
+        support, gs, lam = without(lam.argmin())
+        lam[:], s = kkt(gs, z[support], 1.0)
+    z_max = np.abs(z).max()
     for _ in range(2 * len(z)):  # a guard: each entry raises the dual objective
-        ge = g @ -(lam @ g[support])
+        ge = g @ -(lam @ gs)
         violation = z + ge - s
-        t = np.argmax(violation)
+        t = violation.argmax()
         v, tau = violation[t], 0.0
         # above rounding, and above what the active constraints show of it
-        if v <= 1e-14 * (np.abs(z).max() + np.abs(ge).max()) + np.abs(violation[support]).max():
+        if v <= 1e-14 * (z_max + np.abs(ge).max()) + np.abs(violation[support]).max():
             break
         while len(support):
-            dlam, ds = kkt(support, -(g[support] @ g[t]), -1.0)  # d(lam_S, s) / d lam_t
-            w = g[t] + dlam @ g[support]
+            dlam, ds = kkt(gs, -(gs @ g[t]), -1.0)  # d(lam_S, s) / d lam_t
+            w = g[t] + dlam @ gs
             slope = w @ w  # -dv / d lam_t: |w|^2, as g_S w = -ds and sum(dlam) = -1
-            shrink = np.flatnonzero(dlam < 0)  # never empty
+            shrink = (dlam < 0).nonzero()[0]  # never empty
             ratios = np.maximum(lam[shrink], 0.0) / -dlam[shrink]
-            step = min(v / slope if slope > 0 else np.inf, ratios.min())
-            lam, s, tau, v = lam + step * dlam, s + step * ds, tau + step, v - step * slope
-            if step < ratios.min():  # t is active
+            k = ratios.argmin()
+            step = min(v / slope if slope > 0 else np.inf, ratios[k])
+            lam[:], s, tau, v = lam + step * dlam, s + step * ds, tau + step, v - step * slope
+            if step < ratios[k]:  # t is active
                 break
-            k = shrink[np.argmin(ratios)]
-            support, lam = np.delete(support, k), np.delete(lam, k)
-        support, lam = np.append(support, t), np.append(lam, tau)
-        s = z[t] - g[t] @ (lam @ g[support])
-    return support, lam, s, -(lam @ g[support])
+            support, gs, lam = without(shrink[k])
+        support, gs, lam = (buf[: len(support) + 1] for buf in (at, rows, lams))
+        support[-1], gs[-1], lam[-1] = t, g[t], tau
+        s = z[t] - g[t] @ (lam @ gs)
+    return support, lam, s, -(lam @ gs)
 
 
 def _factored(b: np.ndarray):
@@ -410,10 +420,5 @@ def optimize_tps(
     # each step's exp from one eigh is unitary to rounding, so the product needs no projection
     tps = TPSpec(polished[r_best][0], traj.dims)
     # report the objective through the same code path users would take
-    profile = entanglement_profile(traj, tps)
-    return OptimizationResult(
-        best_tps=tps,
-        objective=float(profile.max_distance),
-        restart_index=r_best,
-        restarts=summaries,
-    )
+    objective = float(entanglement_profile(traj, tps).max_distance)
+    return OptimizationResult(tps, objective, r_best, summaries)

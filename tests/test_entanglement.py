@@ -25,7 +25,14 @@ from tpslab.errors import DimensionMismatch
 from tpslab.linalg import haar_unitary
 from tpslab.trajectory import SampledTrajectory, sample
 
-from helpers import QBITS, bell_state, random_local_unitary, random_state
+from helpers import (
+    QBITS,
+    bell_state,
+    random_local_unitary,
+    random_state,
+    reference_gram_top_vectors,
+    reference_schmidt_spectra,
+)
 
 S2 = np.sqrt(2)
 
@@ -344,16 +351,19 @@ def test_closed_form_qubit_top_vectors_match_eigh(n2):
     assert np.abs(_top_pair_sq_distances(m, w) - _top_pair_sq_distances(m, ref)).max() <= 1e-15
 
 
+DEGENERATE_QUBIT_GRAMS = np.array(
+    [
+        np.eye(2) / S2,  # G = I/2: every unit vector is a top eigenvector
+        np.diag([0.6, 0.8]),  # b = 0 with a < c
+        np.array([[1.0, 0.0], [1e-300, 1.0]]) / S2,  # |b| ~ 1e-300 with a = c
+        np.array([[0.6, 0.0], [1e-300, 0.8]]),  # |b| ~ 1e-300 with a < c
+    ],
+    dtype=complex,
+)
+
+
 def test_closed_form_qubit_top_vectors_on_degenerate_grams():
-    m = np.array(
-        [
-            np.eye(2) / S2,  # G = I/2: every unit vector is a top eigenvector
-            np.diag([0.6, 0.8]),  # b = 0 with a < c
-            np.array([[1.0, 0.0], [1e-300, 1.0]]) / S2,  # |b| ~ 1e-300 with a = c
-            np.array([[0.6, 0.0], [1e-300, 0.8]]),  # |b| ~ 1e-300 with a < c
-        ],
-        dtype=complex,
-    )
+    m = DEGENERATE_QUBIT_GRAMS
     w, ref = gram_top_vectors(m), _eigh_top_vectors(m)
     assert np.array_equal(w[0], [1.0, 0.0])
     # s^2 + |b|^2 underflows to 0 in the third case, hypot does not
@@ -361,6 +371,24 @@ def test_closed_form_qubit_top_vectors_on_degenerate_grams():
     assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() <= 1e-15
     assert _phase_free_gap(w[[1, 3]], ref[[1, 3]]) <= 1e-15
     assert np.abs(_top_pair_sq_distances(m, w) - _top_pair_sq_distances(m, ref)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (4, 25, 2, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_qubit_kernels_equal_their_references_to_the_bit(shape, seed):
+    # the same floating-point operations in the same order as the earlier code
+    rng = np.random.default_rng(60 + seed)
+    m = rng.normal(size=(200, *shape)) + 1j * rng.normal(size=(200, *shape))
+    m /= np.linalg.norm(m, axis=(-2, -1))[..., None, None]
+    assert np.array_equal(schmidt_spectra(m), reference_schmidt_spectra(m))
+    if m.ndim == 3 and shape[0] == 2:
+        assert np.array_equal(gram_top_vectors(m), reference_gram_top_vectors(m))
+
+
+def test_qubit_kernels_equal_their_references_on_degenerate_grams():
+    m = DEGENERATE_QUBIT_GRAMS
+    assert np.array_equal(gram_top_vectors(m), reference_gram_top_vectors(m))
+    assert np.array_equal(schmidt_spectra(m), reference_schmidt_spectra(m))
 
 
 def test_rebased_coefficients_match_rebase_state():

@@ -17,7 +17,7 @@ from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_products
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
 from tpslab.trajectory import SampledTrajectory, sample
 
-from helpers import QBITS, random_state
+from helpers import QBITS, random_state, reference_epigraph_qp
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +519,47 @@ def test_epigraph_qp_on_rows_equal_to_rounding(scale):
         assert np.isfinite(s) and np.all(np.isfinite(e))
 
 
+def _assert_qp_equals_its_reference(z, g, support):
+    """(S, lam, s, e) of `_epigraph_qp` equal to the bit to the earlier implementation's."""
+    got, ref = optimizer._epigraph_qp(z, g, support), reference_epigraph_qp(z, g, support)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("params", [9, 24])  # the chart's directions on 2x2 and 2x3
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("seed", range(4))
+def test_epigraph_qp_equals_its_reference_to_the_bit(params, start, seed):
+    z, g = _qp_instance(200, params, 100 * params + seed)
+    rng = np.random.default_rng(seed)
+    if start == "cold":
+        support = np.array([np.argmax(z)])
+    else:  # a warm random support of at most p + 1 rows
+        support = rng.choice(200, size=rng.integers(1, params + 2), replace=False)
+    _assert_qp_equals_its_reference(z, g, support)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3], ids=["theta0", "random"])
+def test_epigraph_qp_equals_its_reference_on_rows_equal_to_rounding(scale, monkeypatch):
+    # built as test_epigraph_qp_on_rows_equal_to_rounding builds it, at 200 samples
+    objective = _Objective(sample(fixtures.sidon_trajectory(), 200))
+    u = _exp_of(np.random.default_rng(4).normal(scale=scale, size=16), 4)
+    z, jacobian = objective.sq_distances(u)
+    g = jacobian()
+    pair = [0, len(z) - 1]
+    cases = [(z[pair], g[pair], warm) for warm in ([0], [1], [0, 1])] + [(z, g, pair)]
+    cases.append((z[[0, 0]], g[[0, 0]], [0, 1]))  # rows equal to the bit: a singular KKT system
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    for zs, gs, warm in cases:
+        _assert_qp_equals_its_reference(zs, gs, np.array(warm))
+    assert calls  # the least-squares branch ran
+
+
 def test_damped_bfgs_keeps_the_secant_condition_and_positive_definiteness():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(6, 6))
@@ -714,6 +755,28 @@ def test_minimax_stage_starts_from_the_least_squares_curvature(make_sampled, mon
     expected = g @ np.linalg.solve(b0, g.T)
     gl = _first_qp_rows(objective, u, monkeypatch)
     assert np.abs(gl @ gl.T - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [lambda: sample(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    ids=["sidon", "random-2x3"],
+)
+def test_epigraph_qp_equals_its_reference_along_the_minimax_stage(make_sampled, monkeypatch):
+    # every QP of one minimax stage, each warm-started from the support of the last
+    objective = _Objective(make_sampled())
+    calls, qp = [], optimizer._epigraph_qp
+
+    def recording_qp(z, gl, support):
+        calls.append((z, gl, support))
+        return qp(z, gl, support)
+
+    monkeypatch.setattr(optimizer, "_epigraph_qp", recording_qp)
+    optimizer._polish(objective, _least_squares_endpoint(objective))
+    monkeypatch.undo()
+    assert len(calls) > 5 and max(len(support) for *_, support in calls) > 1
+    for z, gl, support in calls:
+        _assert_qp_equals_its_reference(z, gl, support)
 
 
 def test_minimax_stage_starts_from_the_identity_where_its_model_has_no_cholesky(monkeypatch):

@@ -93,8 +93,28 @@ def test_bench_snapshot_times_the_library_unpinned_and_pinned(tmp_path):
     assert snapshot["library.optimize_s.pinned"] > 0
     assert 1 <= snapshot["library.optimize.blas_threads.unpinned"] <= os.cpu_count()
     assert snapshot["library.optimize.blas_threads.pinned"] == 1
+    assert snapshot["library.optimize.objective"] > 1e-3  # an obstructed Sidon member
     assert snapshot["library.optimize.lm_nfev"] > 0
     assert snapshot["library.optimize.sqp_steps"] > 0
+
+
+def test_bench_snapshot_keeps_each_layer_key_median_over_fresh_processes(monkeypatch):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_snapshot
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    runs = iter([{"a_us": 5.0, "n": 3}, {"a_us": 90.0, "n": 3}, {"a_us": 7.0, "n": 3}])
+    argvs = []
+
+    def fake_run(argv, env=None):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, json.dumps(next(runs)), "")
+
+    monkeypatch.setattr(bench_snapshot, "run", fake_run)
+    assert bench_snapshot.layer_medians() == {"a_us": 7.0, "n": 3}
+    assert len(argvs) == bench_snapshot.LAYER_RUNS == 3
+    assert all("layer_metrics()" in argv[-1] for argv in argvs)
 
 
 def test_bench_snapshot_environment_needs_no_scipy(tmp_path):
