@@ -6,17 +6,16 @@ process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
 constructor, the certificate and the stationarity gradient in LAYER_RUNS
 fresh processes and keeps each key's median, then `optimize_tps` as a
-library caller runs it, with BLAS threads unpinned and pinned, next to its
-objective and its least-squares evaluation and SQP step counts, and writes their metric lines, with nproc, the git HEAD and the Python and numpy
-versions, to the file named on the command line.  The file has no gate: it is a
-record to set beside the snapshot of another commit.  Run it from a full
-checkout.
+library caller runs it, next to its objective and its least-squares
+evaluation and SQP step counts, and writes their metric lines, with nproc,
+the git HEAD and the Python and numpy versions, to the file named on the
+command line.  The file has no gate: it is a record to set beside the
+snapshot of another commit.  Run it from a full checkout.
 
 Usage: python scripts/bench_snapshot.py OUT.json [--seed 11] [--seconds 30]
 """
 
 import argparse
-import ctypes
 import json
 import os
 import re
@@ -83,7 +82,8 @@ def layer_metrics() -> dict:
     per-call median of `schmidt_spectra`.
 
     Fixed seeded random states (T = LAYER_SAMPLES) and points u =
-    `_Objective.start(theta)`, BLAS pinned to one thread as in `bench/run.py`.
+    `_Objective.start(theta)`, on the BLAS threads of the environment (one
+    under `layer_medians`).
     `step` is one move of the chart, `_Objective.step(u, delta)` (one eigh),
     on a fixed seeded delta.  `lm_step` is residuals, Jacobian, J^T r and the
     eigh of J^T J.  `lm_round_r4` is one lockstep pass of the least-squares
@@ -118,7 +118,6 @@ def layer_metrics() -> dict:
     from tpslab.core import HilbertDims
     from tpslab.entanglement import coefficient_minors, schmidt_spectra
     from tpslab.hamiltonian import stationarity_gradient
-    from tpslab.linalg import pin_blas_threads
     from tpslab.obstruction import certify_no_disentangling
     from tpslab.optimizer import (
         _damped_bfgs,
@@ -129,7 +128,6 @@ def layer_metrics() -> dict:
     )
     from tpslab.trajectory import SampledTrajectory
 
-    pin_blas_threads()
     flat = {}
     for n1, n2 in LAYER_DIMS:
         n, rng = n1 * n2, np.random.default_rng(0)
@@ -238,11 +236,13 @@ def layer_metrics() -> dict:
 
 
 def layer_medians() -> dict:
-    """`layer_metrics` in LAYER_RUNS fresh processes, each key's median: a
-    burst of host load during one run no longer lands in the snapshot.  The
-    keys that are not timings are deterministic, so their median is their value."""
+    """`layer_metrics` in LAYER_RUNS fresh processes on one BLAS thread, each
+    key's median: a burst of host load during one run no longer lands in the
+    snapshot.  The keys that are not timings are deterministic, so their
+    median is their value."""
     paths = [str(ROOT / "scripts"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env["OPENBLAS_NUM_THREADS"] = "1"  # fixed before numpy loads, as `bench/run.py` fixes it
     code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.layer_metrics()))"
     runs = []
     for _ in range(LAYER_RUNS):
@@ -253,23 +253,19 @@ def layer_medians() -> dict:
     return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
 
 
-def optimize_seconds(pin: bool) -> dict:
+def optimize_seconds() -> dict:
     """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
     member of the benchmark's Sidon family, after one untimed call, in this
-    process, with the BLAS thread count it ran on, and the objective, the
-    least-squares evaluations (summed `RestartSummary.iterations`) and the SQP
-    steps (summed `RestartSummary.minimax_steps`) of the last timed call;
-    `pin` calls `pin_blas_threads` first.  Called by `library_metrics` in a
-    fresh process."""
+    process, and the objective, the least-squares evaluations (summed
+    `RestartSummary.iterations`) and the SQP steps (summed
+    `RestartSummary.minimax_steps`) of the last timed call.  Called by
+    `library_metrics` in a fresh process."""
     import numpy as np
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from bench_inputs import sidon
-    from tpslab.linalg import _bundled_openblas, pin_blas_threads
     from tpslab.optimizer import OptimizerConfig, optimize_tps
 
-    if pin:
-        pin_blas_threads()
     traj = trig(sidon((2, 3), np.random.default_rng(0)))
     config = OptimizerConfig(restarts=2, seed=0)
     optimize_tps(traj, config)  # untimed warm-up
@@ -278,13 +274,8 @@ def optimize_seconds(pin: bool) -> dict:
         start = time.perf_counter()
         result = optimize_tps(traj, config)
         elapsed.append(time.perf_counter() - start)
-    threads = 0
-    for get in _bundled_openblas("get_num_threads"):
-        get.argtypes, get.restype = [], ctypes.c_int
-        threads = max(threads, get())
     return {
         "seconds": float(np.median(elapsed)),
-        "blas_threads": threads,
         "objective": result.objective,
         "lm_nfev": sum(r.iterations for r in result.restarts),
         "sqp_steps": sum(r.minimax_steps for r in result.restarts),
@@ -292,26 +283,23 @@ def optimize_seconds(pin: bool) -> dict:
 
 
 def library_metrics() -> dict:
-    """`optimize_seconds` in two fresh processes without OPENBLAS_NUM_THREADS:
-    `bench/run.py` pins BLAS before numpy loads, so it cannot time a library
-    caller, who runs unpinned unless they call `pin_blas_threads` (the CLI does)."""
+    """`optimize_seconds` in one fresh process without OPENBLAS_NUM_THREADS, as
+    a library caller runs it: `bench/run.py` fixes one BLAS thread before numpy
+    loads, so it cannot time that caller."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     paths = [str(ROOT / "scripts"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    flat = {}
-    for mode, pin in (("unpinned", False), ("pinned", True)):
-        call = f"bench_snapshot.optimize_seconds({pin})"
-        code = f"import json, bench_snapshot; print(json.dumps({call}))"
-        proc = run([sys.executable, "-c", code], env)
-        if proc.returncode != 0:
-            raise SystemExit(f"optimize_seconds({pin}) failed:\n{proc.stderr}")
-        result = json.loads(proc.stdout)
-        flat[f"library.optimize_s.{mode}"] = result["seconds"]
-        flat[f"library.optimize.blas_threads.{mode}"] = result["blas_threads"]
-    flat["library.optimize.objective"] = result["objective"]  # of the pinned run
-    flat["library.optimize.lm_nfev"] = result["lm_nfev"]
-    flat["library.optimize.sqp_steps"] = result["sqp_steps"]
-    return flat
+    code = "import json, bench_snapshot; print(json.dumps(bench_snapshot.optimize_seconds()))"
+    proc = run([sys.executable, "-c", code], env)
+    if proc.returncode != 0:
+        raise SystemExit(f"optimize_seconds failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    return {
+        "library.optimize_s": result["seconds"],
+        "library.optimize.objective": result["objective"],
+        "library.optimize.lm_nfev": result["lm_nfev"],
+        "library.optimize.sqp_steps": result["sqp_steps"],
+    }
 
 
 def environment() -> dict:

@@ -57,7 +57,6 @@ from .hamiltonian import (
     separable_projection,
     stationarity_gradient,
 )
-from .linalg import pin_blas_threads
 from .obstruction import DEFAULT_CERTIFY_SAMPLES, DEFAULT_RANK_TOL, certify_no_disentangling
 from .optimizer import DEFAULT_OPTIMIZE_SAMPLES, OptimizerConfig, optimize_tps
 from .trajectory import sample
@@ -92,8 +91,9 @@ def _load_tps_arg(args, dims: HilbertDims) -> TPSpec:
 
 
 def cmd_profile(args) -> dict | str:
-    sampled = sample(load_trajectory(_read(args, "input")), args.samples)
-    profile = entanglement_profile(sampled, _load_tps_arg(args, sampled.dims))
+    traj = load_trajectory(_read(args, "input"))
+    tps = _load_tps_arg(args, traj.dims)  # a bad --tps fails before any sampling
+    profile = entanglement_profile(sample(traj, args.samples), tps)
     if args.format == "csv":
         return profile_to_csv(profile)
     return {
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    pin_blas_threads()  # the work is small products, which BLAS threads slow down
     try:
         if args.command == "reproduce":
             return cmd_reproduce(args)

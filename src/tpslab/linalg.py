@@ -6,29 +6,11 @@ no attempt is made at sparse or structured representations.
 
 from __future__ import annotations
 
-import ctypes
-import os
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInput
-
-
-def _bundled_openblas(name: str):
-    """`scipy_openblas_<name>64_` of the OpenBLAS bundled with numpy, where it has one."""
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        if function := getattr(ctypes.CDLL(str(path)), f"scipy_openblas_{name}64_", None):
-            yield function
-
-
-def pin_blas_threads() -> None:
-    """Pin numpy's bundled OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set."""
-    if "OPENBLAS_NUM_THREADS" not in os.environ:
-        for set_threads in _bundled_openblas("set_num_threads"):
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
 
 
 def frozen_complex(a, shape=None) -> np.ndarray:

@@ -128,9 +128,9 @@ def certify_no_disentangling(
     dependencies); anything else is inconclusive.  A rank counted low or a
     span counted high can only turn a verdict into `INCONCLUSIVE`.
     """
-    traj = sample(traj, num_samples)
     if not 0 < rank_tol < 1:
         raise InvalidInput(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
+    traj = sample(traj, num_samples)
     rows = sym2_products(traj.states)
     full = len(rows)
     if len(traj) < OVERSAMPLING_FACTOR * full:

@@ -11,6 +11,7 @@ import pytest
 import tpslab
 from tpslab import fixtures, reproduce
 from tpslab.cli import build_parser, main
+from tpslab.core import HilbertDims
 from tpslab.fileio import save_matrix_document, save_trajectory
 from tpslab.obstruction import DEFAULT_CERTIFY_SAMPLES
 from tpslab.optimizer import DEFAULT_OPTIMIZE_SAMPLES
@@ -404,6 +405,20 @@ def test_dimension_mismatch_is_validity_error(files, tmp_path):
     assert main(["profile", "--input", files["cnot"], "--tps", str(path)]) == 3
 
 
+@pytest.mark.parametrize("tps, code", [("missing", 2), ("2x3", 3)])
+def test_profile_checks_the_tps_before_sampling(files, tmp_path, monkeypatch, tps, code):
+    # a missing or mismatched --tps costs no sampling, at any --samples
+    def no_sampling(*args):
+        raise AssertionError("sampled before the --tps check")
+
+    monkeypatch.setattr(tpslab.cli, "sample", no_sampling)
+    path = tmp_path / f"{tps}.json"
+    if tps == "2x3":
+        save_matrix_document(np.eye(6), HilbertDims(2, 3), path)
+    argv = ["profile", "--input", files["cnot"], "--tps", str(path), "--samples", "1000000"]
+    assert main(argv) == code
+
+
 def test_reproduce_list(capsys):
     assert main(["reproduce", "--list"]) == 0
     out = capsys.readouterr().out
@@ -507,36 +522,3 @@ def test_no_command_loads_scipy(files, tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == [[argv[0], 0, []] for argv in commands]
     assert read(out)["results"]["objective"] > 0.1  # the last report: optimize's
-
-
-_BLAS_THREADS = """
-import ctypes, json
-from tpslab import cli, linalg
-
-def counts():
-    getters = list(linalg._bundled_openblas("get_num_threads"))
-    for get in getters:
-        get.argtypes, get.restype = [], ctypes.c_int
-    return [get() for get in getters]
-
-before = counts()
-cli.main(["reproduce", "--list"])
-print(json.dumps([before, counts()]))
-"""
-
-
-@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "set"])
-def test_main_pins_bundled_blas_to_one_thread_unless_set(setting):
-    src = str(Path(tpslab.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    if setting is not None:
-        env["OPENBLAS_NUM_THREADS"] = setting
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout.splitlines()[-1])
-    if not before:
-        pytest.skip("no bundled OpenBLAS with thread-count symbols")
-    assert after == ([1] * len(before) if setting is None else before)

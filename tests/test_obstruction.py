@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import tpslab.obstruction
 from tpslab import fixtures
 from tpslab.construct import ConstructConfig, construct_disentangler
 from tpslab.core import HilbertDims
-from tpslab.errors import TooFewSamples
+from tpslab.errors import InvalidInput, TooFewSamples
 from tpslab.linalg import haar_unitary
 from tpslab.obstruction import (
     Verdict,
@@ -232,6 +233,17 @@ def test_certify_uses_a_sampled_input_as_it_is():
 def test_certify_rejects_a_single_sample_of_a_closed_form(form):
     with pytest.raises(ValueError, match="num_samples"):
         certify_no_disentangling(_FORMS[form](), num_samples=1)
+
+
+@pytest.mark.parametrize("rank_tol", [2.0, float("nan")])
+def test_certify_checks_rank_tol_before_sampling(rank_tol, monkeypatch):
+    # a bad threshold costs no sampling, at any num_samples
+    def no_sampling(*args):
+        raise AssertionError("sampled before the rank_tol check")
+
+    monkeypatch.setattr(tpslab.obstruction, "sample", no_sampling)
+    with pytest.raises(InvalidInput, match="rank_tol"):
+        certify_no_disentangling(fixtures.sidon_trajectory(), rank_tol, num_samples=10**6)
 
 
 def test_certify_samples_closed_forms_at_400_points_by_default():
