@@ -6,8 +6,9 @@ process, then the tier-1 test suite once and counts the package's source
 lines, then times the optimizer's layers, the Schmidt kernel, the
 constructor, the certificate and the stationarity gradient in LAYER_RUNS
 fresh processes and keeps each key's median, then `optimize_tps` as a
-library caller runs it, next to its objective and its least-squares
-evaluation and SQP step counts, and writes their metric lines, with nproc,
+library caller runs it, on a 2x3 Sidon member and on C-NOT at 32 restarts,
+next to its objective, its least-squares evaluation and SQP step counts and
+the restarts a certified one cut, and writes their metric lines, with nproc,
 the git HEAD and the Python and numpy versions, to the file named on the
 command line.  The file has no gate: it is a record to set beside the
 snapshot of another commit.  Run it from a full checkout.
@@ -253,21 +254,15 @@ def layer_medians() -> dict:
     return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
 
 
-def optimize_seconds() -> dict:
-    """Median seconds of `optimize_tps` (2 restarts, 200 samples) on one seeded 2x3
-    member of the benchmark's Sidon family, after one untimed call, in this
-    process, and the objective, the least-squares evaluations (summed
-    `RestartSummary.iterations`) and the SQP steps (summed
-    `RestartSummary.minimax_steps`) of the last timed call.  Called by
-    `library_metrics` in a fresh process."""
+def _timed_optimize(traj, config) -> dict:
+    """Median seconds of `optimize_tps` on traj after one untimed call, and the
+    objective, the least-squares evaluations (summed `RestartSummary.iterations`),
+    the SQP steps (summed `RestartSummary.minimax_steps`) and the restarts cut by
+    a certified one (`reproduce.restarts_cut`) of the last timed call."""
     import numpy as np
+    from tpslab.optimizer import DEFAULT_OPTIMIZE_SAMPLES, optimize_tps
+    from tpslab.reproduce import restarts_cut
 
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    from bench_inputs import sidon
-    from tpslab.optimizer import OptimizerConfig, optimize_tps
-
-    traj = trig(sidon((2, 3), np.random.default_rng(0)))
-    config = OptimizerConfig(restarts=2, seed=0)
     optimize_tps(traj, config)  # untimed warm-up
     elapsed = []
     for _ in range(LIBRARY_REPEATS):
@@ -279,6 +274,26 @@ def optimize_seconds() -> dict:
         "objective": result.objective,
         "lm_nfev": sum(r.iterations for r in result.restarts),
         "sqp_steps": sum(r.minimax_steps for r in result.restarts),
+        "restarts_cut": restarts_cut(result, DEFAULT_OPTIMIZE_SAMPLES)[0],
+    }
+
+
+def optimize_seconds() -> dict:
+    """`_timed_optimize` in this process on one seeded 2x3 member of the benchmark's
+    Sidon family (2 restarts, 200 samples), keyed "sidon", and on the C-NOT
+    trajectory at the default 32 restarts, keyed "cnot", where a certified
+    restart cuts the others.  Called by `library_metrics` in a fresh process."""
+    import numpy as np
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from bench_inputs import sidon
+    from tpslab import fixtures
+    from tpslab.optimizer import OptimizerConfig
+
+    sidon_traj = trig(sidon((2, 3), np.random.default_rng(0)))
+    return {
+        "sidon": _timed_optimize(sidon_traj, OptimizerConfig(restarts=2, seed=0)),
+        "cnot": _timed_optimize(fixtures.cnot_trajectory(), OptimizerConfig(restarts=32, seed=0)),
     }
 
 
@@ -294,11 +309,16 @@ def library_metrics() -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"optimize_seconds failed:\n{proc.stderr}")
     result = json.loads(proc.stdout)
+    sidon, cnot = result["sidon"], result["cnot"]
     return {
-        "library.optimize_s": result["seconds"],
-        "library.optimize.objective": result["objective"],
-        "library.optimize.lm_nfev": result["lm_nfev"],
-        "library.optimize.sqp_steps": result["sqp_steps"],
+        "library.optimize_s": sidon["seconds"],
+        "library.optimize.objective": sidon["objective"],
+        "library.optimize.lm_nfev": sidon["lm_nfev"],
+        "library.optimize.sqp_steps": sidon["sqp_steps"],
+        "library.optimize_cnot32_s": cnot["seconds"],
+        "library.optimize_cnot32.objective": cnot["objective"],
+        "library.optimize_cnot32.lm_nfev": cnot["lm_nfev"],
+        "library.optimize_cnot32.restarts_cut": cnot["restarts_cut"],
     }
 
 

@@ -236,7 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search for the most-disentangling TPS")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
-    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=OptimizerConfig.restarts,
+        help="maximum restarts: the first one certified to disentangle the samples cuts the rest",
+    )
     p.add_argument("--samples", type=int, default=DEFAULT_OPTIMIZE_SAMPLES)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_optimize)

@@ -7,8 +7,8 @@ IEEE TSP 2008), with B_d the non-local basis i (X_a (x) Y_b) of
 the quotient by local unitaries: a left factor V1 (x) V2 changes neither the
 Schmidt spectra of u psi_t nor |m(t)|^2 below, so the n1^2 + n2^2 - 1 local
 directions, which change neither cost, are dropped exactly.  Restart r starts
-at exp(A) of n^2 normals in `anti_hermitian_basis`.  Each restart performs two
-stages:
+at exp(A) of n^2 normals in `anti_hermitian_basis`.  Each restart performs up to
+two stages:
 
 1. a least-squares stage on the paper's disentangling criterion: every 2x2
    minor m_k(t) = x_t^T E_k x_t of the rebased coefficients x_t = U psi_t (E_k
@@ -22,9 +22,15 @@ stages:
    Levenberg-Marquardt with the exact Jacobian and one eigh of J^T J per
    accepted step, which stops on a small gradient, relative decrease or
    step, the step tested before it is tried.  All restarts run it in lockstep
-   on one stack, each to the bits of its run alone.  Its budget is MINORS_MAX_NFEV
-   evaluations per restart, or OBSTRUCTED_MAX_NFEV where R's singular values
-   certify, by `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
+   on one stack, each to the bits of its run alone.  The cost bounds every
+   sample's distance, z_t <= 2 min(n1, n2) T cost (`certified_cost`), so at the
+   first evaluation where some restart's cost certifies that stage 2 would skip
+   it, the lowest-index such restart runs on alone to its own end, and the
+   others are cut where they are and skip stage 2; `restart_index` names the
+   one that ran on.  Where no restart certifies, all run both stages.  The
+   stage's budget is MINORS_MAX_NFEV evaluations per restart, or
+   OBSTRUCTED_MAX_NFEV where R's singular values certify, by
+   `obstruction.product_rank`'s rule at DEFAULT_RANK_TOL, that no U zeros
    every minor.  That is sound for any T: over K orthonormal c_k, |R c|^2 is
    at least the sum of the K smallest sigma_k^2 (Ky Fan's minimum
    principle), which a rank above N - K makes positive for every U.  A
@@ -44,13 +50,14 @@ stages:
 
 The reported objective is the hard maximum of the chordal product distance on
 the sample grid, recomputed through `entanglement_profile`; each restart's
-summary objective is the same distance at its minimax point.  Derivatives are
-exact and taken at delta = 0, where the chart's derivative along B_d is B_d u;
-they are checked against finite differences in the tests.  No evaluation runs
-an SVD; one SVD of R, at most N x N, runs once per trajectory for the
-budget.  A step costs one n x n eigh, giving exp(delta . B); z_t adds a
-batched eigh of the Gram matrices M M^dag only when n1 >= 3, as their top
-eigenvectors are closed form for n1 = 2.  Both Jacobians are real, with one
+summary objective is the same distance at its minimax point, or for a cut
+restart where it was cut.  Derivatives are exact and taken at delta = 0,
+where the chart's derivative along B_d is B_d u; they are checked against
+finite differences in the tests.  No evaluation runs an SVD; one SVD of R,
+at most N x N, runs once per trajectory for the budget.  A step costs one
+n x n eigh, giving exp(delta . B); z_t adds a batched eigh of the Gram
+matrices M M^dag only when n1 >= 3, as their top eigenvectors are closed
+form for n1 = 2.  Both Jacobians are real, with one
 column per direction d.  The least-squares one is one product of forms
 against the flattened B_d u, with the residuals' rows: real parts, then
 imaginary parts, each ordered by R's row, then by minor.  The minimax one
@@ -214,7 +221,14 @@ def _rows(keep: np.ndarray, *stacks):
     return stacks if keep.all() else tuple(s[keep] for s in stacks)
 
 
-def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
+def _alone(cost: np.ndarray, stop: float) -> np.ndarray:
+    """Which members of a stack keep running: all of them, or, once some cost is at
+    most stop, the first such member alone."""
+    hit = cost <= stop
+    return np.arange(len(cost)) == hit.argmax() if hit.any() else np.ones(len(cost), dtype=bool)
+
+
+def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int, stop: float = -np.inf):
     """Minimize |fun(x_i)|^2 for each member x_i of a stack x (R, ...) by
     Levenberg-Marquardt with Nielsen's damping update (Madsen, Nielsen &
     Tingleff 2004), in the chart x <- step(x, h): jac(x) is d fun(step(x, h)) /
@@ -225,14 +239,19 @@ def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
     evaluated, and one eigh of J^T J for those it moved.  A member stops at
     max_nfev, on a gradient or a relative cost decrease of at most MINORS_TOL,
     and on a step |h| <= MINORS_TOL before trying it, so it ends in any chart:
-    a rejection only grows the damping, which shrinks h."""
+    a rejection only grows the damping, which shrinks h.  Every cost, the
+    start's included, is tested against stop: at the first evaluation where a
+    running member's cost is at most stop, the lowest-index such member runs on
+    alone to its own end and the others are cut where they are, so that member
+    is the first index whose returned cost is at most stop."""
     x, r = x.copy(), fun(x)
     cost, nfev = _dot(r, r), np.ones(len(x), dtype=int)
     if max_nfev < 2:
         return x, cost, nfev
     # the running members' indices, r, J^T r, eigenpairs of J^T J and damping mu, nu
-    run, (g, lam, v) = np.arange(len(x)), _normal_equations(jac(x), r)
-    mu, nu = 1e-3 * lam[:, -1], np.full(len(x), 2.0)
+    run, r, x_run = _rows(_alone(cost, stop), np.arange(len(x)), r, x)
+    g, lam, v = _normal_equations(jac(x_run), r)
+    mu, nu = 1e-3 * lam[:, -1], np.full(len(run), 2.0)
     while True:
         keep = np.abs(g).max(axis=-1) > MINORS_TOL  # the gradient test: only a new J fails it
         run, r, g, lam, v, mu, nu = _rows(keep, run, r, g, lam, v, mu, nu)
@@ -252,6 +271,7 @@ def _levenberg_marquardt(fun, jac, step, x: np.ndarray, max_nfev: int):
         mu, nu = np.where(up, mu * factor, mu * nu), np.where(up, 2.0, 2.0 * nu)
         x[run[up]], cost[run[up]], r[up] = x_new[up], c_new[up], r_new[up]
         keep = (nfev[run] < max_nfev) & ~(up & (c - c_new <= MINORS_TOL * c))
+        keep &= _alone(cost[run], stop)
         run, r, g, lam, v, mu, nu, up, x_new = _rows(keep, run, r, g, lam, v, mu, nu, up, x_new)
         if up.any():
             g[up], lam[up], v[up] = _normal_equations(jac(x_new[up]), r[up])
@@ -389,6 +409,15 @@ def _polish(obj: _Objective, u: np.ndarray):
     return u, trace
 
 
+def certified_cost(dims, samples: int) -> float:
+    """The least-squares cost on `samples` grid points at or below which u provably
+    skips the minimax stage: with r = min(n1, n2), sigma_1^2 >= 1 / r, Cauchy-Binet
+    and d^2 <= 2 sum_{i>=2} sigma_i^2 give z_t <= 2 r e_2(t) <= 2 r T cost, e_2(t) =
+    sum_k |m_k(t)|^2, so a cost of at most EPIGRAPH_FTOL / (2 r T) holds max_t z_t
+    to EPIGRAPH_FTOL."""
+    return EPIGRAPH_FTOL / (2 * min(dims.n1, dims.n2) * samples)
+
+
 def optimize_tps(
     traj, config: OptimizerConfig = OptimizerConfig(), *, num_samples=DEFAULT_OPTIMIZE_SAMPLES
 ) -> OptimizationResult:
@@ -398,7 +427,8 @@ def optimize_tps(
     Deterministic for a fixed config: restart r starts at exp(A), A the
     `anti_hermitian_basis` combination of n^2 normals from an RNG stream
     seeded with (seed, r), restart 0 always starts at the identity, and ties
-    between restarts are broken by index.
+    between restarts are broken by index.  `config.restarts` is a maximum: the
+    first restart certified by `certified_cost` cuts the others.
     """
     traj = sample(traj, num_samples)
     obj = _Objective(traj)
@@ -407,16 +437,24 @@ def optimize_tps(
     thetas = np.zeros((config.restarts, obj.n**2))
     for r in range(1, config.restarts):
         thetas[r] = np.random.default_rng([config.seed, r]).normal(scale=np.pi / 4, size=obj.n**2)
+    stop = certified_cost(traj.dims, len(traj))
     us, surrogates, nfevs = _levenberg_marquardt(
-        obj.residuals, obj.residual_jacobian, obj.step, obj.start(thetas), max_nfev
+        obj.residuals, obj.residual_jacobian, obj.step, obj.start(thetas), max_nfev, stop
     )
-    polished = [_polish(obj, u) for u in us]  # (u, trace of max_t z_t) per restart
+    winner = np.flatnonzero(surrogates <= stop)[:1]  # the certified restart that cut the others
+    polish = winner if len(winner) else range(len(us))
+    # (u, trace of max_t z_t) per restart; a cut restart reports its distance where it was cut
+    polished = [
+        _polish(obj, u) if r in polish else (u, [float(obj.sq_distances(u)[0].max())])
+        for r, u in enumerate(us)
+    ]
     objectives = [float(np.sqrt(trace[-1])) for _, trace in polished]
     steps = [len(trace) - 1 for _, trace in polished]
     summaries = tuple(
         map(RestartSummary, range(len(us)), objectives, surrogates.tolist(), nfevs.tolist(), steps)
     )
-    r_best = min(range(len(us)), key=objectives.__getitem__)  # ties go to the lower index
+    # the certified restart, or else the best one, ties going to the lower index
+    r_best = int(winner[0]) if len(winner) else min(range(len(us)), key=objectives.__getitem__)
     # each step's exp from one eigh is unitary to rounding, so the product needs no projection
     tps = TPSpec(polished[r_best][0], traj.dims)
     # report the objective through the same code path users would take

@@ -28,7 +28,13 @@ from .hamiltonian import (
 )
 from .linalg import haar_unitary
 from .obstruction import Verdict, certify_no_disentangling
-from .optimizer import OptimizerConfig, _Objective, optimize_tps
+from .optimizer import (
+    DEFAULT_OPTIMIZE_SAMPLES,
+    OptimizerConfig,
+    _Objective,
+    certified_cost,
+    optimize_tps,
+)
 from .trajectory import sample
 
 DIMS = HilbertDims(2, 2)
@@ -149,10 +155,26 @@ def check_constructor_regression():
     )
 
 
+def restarts_cut(result, samples: int) -> tuple[int, int]:
+    """How many restarts the certified winner of `optimize_tps` on `samples` points cut,
+    and at which least-squares evaluation: (0, 0) where no restart was certified.  In
+    lockstep, every restart still running at the cut reports that evaluation count."""
+    winner = result.restarts[result.restart_index]
+    if winner.surrogate_final > certified_cost(result.best_tps.dims, samples):
+        return 0, 0
+    others = [s.iterations for s in result.restarts if s is not winner]
+    at = max(others, default=0)
+    return others.count(at), at
+
+
 def check_optimizer_cnot():
     """Numerical search reaches a near-disentangling TPS where one exists."""
     result = optimize_tps(fixtures.cnot_trajectory(), OptimizerConfig(restarts=32, seed=0))
-    return result.objective < 1e-6, f"objective {result.objective:.2e} (tol 1e-6)"
+    cut, at = restarts_cut(result, DEFAULT_OPTIMIZE_SAMPLES)
+    return result.objective < 1e-6, (
+        f"objective {result.objective:.2e} (tol 1e-6); restart {result.restart_index} "
+        f"certified, {cut} of {len(result.restarts) - 1} others cut at LM evaluation {at}"
+    )
 
 
 def check_optimizer_sidon_floor():

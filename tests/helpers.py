@@ -6,7 +6,7 @@ from tpslab import fixtures
 from tpslab.core import HilbertDims, StateVector
 from tpslab.entanglement import coefficient_minors
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import Harmonic, TrigTrajectory
+from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory
 from tpslab.reproduce import random_state  # noqa: F401  (shared with the checks)
 
 QBITS = HilbertDims(2, 2)
@@ -36,6 +36,22 @@ def near_two_dimensional(amplitude) -> TrigTrajectory:
     u = haar_unitary(4, np.random.default_rng(3)) / np.sqrt(1 + amplitude**2)
     harmonic = Harmonic(h.frequency, u @ h.cos_coeffs, u @ h.sin_coeffs)
     return TrigTrajectory(QBITS, amplitude * u[:, 2], (harmonic,), 2 * np.pi)
+
+
+def planted_trajectory(dims, freqs_a, freqs_b, rng, samples=200) -> SampledTrajectory:
+    """V (a(t) (x) b(t)) on `samples` points of [0, 2 pi], a(t) = sum_w e^{iwt} a_w over
+    freqs_a and b(t) likewise over freqs_b, with complex normal a_w, b_w and a Haar V
+    drawn from rng: V^dag disentangles every sample by construction."""
+    t = np.linspace(0, 2 * np.pi, samples)
+
+    def factor(freqs, size):
+        coeffs = rng.normal(size=(len(freqs), size)) + 1j * rng.normal(size=(len(freqs), size))
+        return np.exp(1j * np.outer(t, freqs)) @ coeffs
+
+    a, b = factor(freqs_a, dims.n1), factor(freqs_b, dims.n2)
+    states = np.einsum("ti,tj->tij", a, b).reshape(samples, dims.n)
+    states = states @ haar_unitary(dims.n, rng).T
+    return SampledTrajectory(dims, t, states / np.linalg.norm(states, axis=1)[:, None])
 
 
 # Reference copies of kernels that were rewritten for speed with the same

@@ -15,9 +15,10 @@ from tpslab.entanglement import (
 from tpslab.linalg import anti_hermitian_basis, expm_anti_hermitian, haar_unitary, nonlocal_basis
 from tpslab.obstruction import Verdict, certify_no_disentangling, sym2_products
 from tpslab.optimizer import OptimizerConfig, _Objective, optimize_tps
+from tpslab.reproduce import restarts_cut
 from tpslab.trajectory import SampledTrajectory, sample
 
-from helpers import QBITS, random_state, reference_epigraph_qp
+from helpers import QBITS, planted_trajectory, random_state, reference_epigraph_qp
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +32,31 @@ def test_reaches_disentangling_structure(cnot_result):
     assert result.objective < 1e-6
 
 
-def test_identity_start_disentangles_on_its_own(cnot_result):
-    _, result = cnot_result
-    assert result.restarts[0].objective < 1e-10
+def _starts(objective, config):
+    """The restarts' starts as `optimize_tps` draws them: the identity, then exp of
+    each (seed, r) draw."""
+    thetas = np.zeros((config.restarts, objective.n**2))
+    for r in range(1, config.restarts):
+        rng = np.random.default_rng([config.seed, r])
+        thetas[r] = rng.normal(scale=np.pi / 4, size=objective.n**2)
+    return objective.start(thetas)
 
 
-def test_every_restart_disentangles_on_its_own(cnot_result):
-    _, result = cnot_result
-    assert all(s.objective < 1e-11 for s in result.restarts)
+@pytest.fixture(scope="module")
+def cnot_lone_objectives(cnot_result):
+    """What each of cnot_result's restarts reaches on its own: its start driven to its
+    own end by the least-squares stage with no stop, then `_polish`ed."""
+    objective = _Objective(cnot_result[0])
+    x = _stacked_least_squares(objective, _starts(objective, OptimizerConfig(restarts=6)))[0]
+    return [np.sqrt(optimizer._polish(objective, u)[1][-1]) for u in x]
+
+
+def test_identity_start_disentangles_on_its_own(cnot_lone_objectives):
+    assert cnot_lone_objectives[0] < 1e-10
+
+
+def test_every_restart_disentangles_on_its_own(cnot_lone_objectives):
+    assert all(objective < 1e-11 for objective in cnot_lone_objectives)
 
 
 def test_objective_matches_profile_reevaluation(cnot_result):
@@ -61,6 +79,8 @@ def test_constant_product_trajectory_is_solved_at_start():
     assert result.objective < 1e-10
     assert result.restart_index == 0
     assert result.restarts[0].surrogate_final < 1e-10  # identity start is already optimal
+    # certified at the start evaluation, where the others are cut
+    assert [s.iterations for s in result.restarts] == [1, 1, 1]
 
 
 def test_certified_trajectory_keeps_distance_floor():
@@ -396,10 +416,10 @@ def test_jacobian_stack_is_the_basis_times_u(n1, n2, scale):
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
 
-def _stacked_least_squares(objective, us, budget=optimizer.MINORS_MAX_NFEV):
+def _stacked_least_squares(objective, us, budget=optimizer.MINORS_MAX_NFEV, stop=-np.inf):
     """The least-squares stage on the stack us: (x, cost, nfev), one row per member."""
     return optimizer._levenberg_marquardt(
-        objective.residuals, objective.residual_jacobian, objective.step, us, budget
+        objective.residuals, objective.residual_jacobian, objective.step, us, budget, stop
     )
 
 
@@ -699,9 +719,9 @@ def test_restarts_start_at_exp_of_their_seeded_draw(monkeypatch):
     sampled, config = sample(fixtures.sidon_trajectory(), 40), OptimizerConfig(restarts=3, seed=7)
     starts, lm = [], optimizer._levenberg_marquardt
 
-    def recording_lm(fun, jac, step, x, max_nfev):
+    def recording_lm(fun, jac, step, x, max_nfev, stop):
         starts.append(x)
-        return lm(fun, jac, step, x, max_nfev)
+        return lm(fun, jac, step, x, max_nfev, stop)
 
     monkeypatch.setattr(optimizer, "_levenberg_marquardt", recording_lm)
     optimize_tps(sampled, config)
@@ -1027,3 +1047,167 @@ def test_least_squares_stage_solves_a_linear_problem_in_the_flat_chart():
     assert np.abs(x[0] - expected).max() < 1e-10
     assert cost[0] == pytest.approx(np.sum((a @ expected - b) ** 2), rel=1e-12)
     assert nfev[0] < 100
+
+
+def _near_product_states(dims, rng, samples, eps):
+    """Unit product states a_t (x) b_t, each moved off the product set by eps."""
+    a = rng.normal(size=(samples, dims.n1)) + 1j * rng.normal(size=(samples, dims.n1))
+    b = rng.normal(size=(samples, dims.n2)) + 1j * rng.normal(size=(samples, dims.n2))
+    states = np.einsum("ti,tj->tij", a, b).reshape(samples, dims.n)
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    noise = rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape)
+    states += eps * noise / np.linalg.norm(noise, axis=1)[:, None]
+    return states / np.linalg.norm(states, axis=1)[:, None]
+
+
+def _one_maximally_entangled_sample(dims, rng, samples):
+    """Near-product states but for one maximally entangled sample, which then
+    carries almost all of the minors' mass: there z_t / (2 r T cost) is nearly
+    2 - sqrt(2) ~ 0.59 for r = 2, within a factor 2 of the bound."""
+    states = _near_product_states(dims, rng, samples, 1e-4)
+    r = min(dims.n1, dims.n2)
+    states[samples // 2] = np.eye(dims.n1, dims.n2).reshape(-1) / np.sqrt(r)
+    return states
+
+
+@pytest.mark.parametrize("kind", ["random", "near-1e-2", "near-1e-6", "one-entangled"])
+@pytest.mark.parametrize("haar", [False, True], ids=["identity", "haar"])
+@pytest.mark.parametrize(
+    "n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"]
+)
+def test_certified_cost_bounds_every_sample_distance(n1, n2, haar, kind):
+    # z_t <= 2 r e_2(t) <= 2 r T cost, so a cost at most `certified_cost` holds
+    # max_t z_t to EPIGRAPH_FTOL and the minimax stage would skip that point
+    dims, rng, samples = HilbertDims(n1, n2), np.random.default_rng(21), 30
+    if kind == "random":
+        states = np.array([random_state(rng, dims).amplitudes for _ in range(samples)])
+    elif kind == "one-entangled":
+        states = _one_maximally_entangled_sample(dims, rng, samples)
+    else:
+        states = _near_product_states(dims, rng, samples, float(kind[5:]))
+    objective = _Objective(SampledTrajectory(dims, np.linspace(0, 1, samples), states))
+    u = haar_unitary(dims.n, rng) if haar else np.eye(dims.n, dtype=complex)
+    z = objective.sq_distances(u)[0]
+    m = coefficient_minors(objective._coefficients(u))
+    e2 = np.sum(m.real**2 + m.imag**2, axis=-1)
+    r = objective.residuals(u)
+    two_r = 2 * min(n1, n2)
+    assert np.all(z <= two_r * e2)
+    assert np.all(two_r * e2 <= two_r * samples * (r @ r))
+    ratio = z.max() / (r @ r) * optimizer.certified_cost(dims, samples)
+    assert ratio <= optimizer.EPIGRAPH_FTOL
+
+
+def _planted_2x3(samples=100):
+    return planted_trajectory(HilbertDims(2, 3), (0, 1), (0, 1, 2), np.random.default_rng(0), samples)
+
+
+_CERTIFIED_INPUTS = {
+    "cnot": lambda: sample(fixtures.cnot_trajectory(), 100),
+    "planted-2x3": _planted_2x3,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_CERTIFIED_INPUTS))
+def test_least_squares_stage_cut_leaves_each_member_as_its_lone_run(name):
+    # the winner runs on to its own end; every other member stops where the cut
+    # found it, as a lone run with that evaluation count for its budget would
+    objective = _Objective(_CERTIFIED_INPUTS[name]())
+    starts = _starts(objective, OptimizerConfig(restarts=5, seed=3))
+    stop = optimizer.certified_cost(objective.dims, len(objective.states))
+    x, cost, nfev = _stacked_least_squares(objective, starts, stop=stop)
+    winner = np.flatnonzero(cost <= stop)[0]
+    others = np.delete(np.arange(len(starts)), winner)
+    assert np.all(cost[:winner] > stop)
+    assert len(set(nfev[others])) == 1 and nfev[others][0] < optimizer.MINORS_MAX_NFEV
+    for i in range(len(starts)):
+        budget = optimizer.MINORS_MAX_NFEV if i == winner else nfev[i]
+        x_i, cost_i, nfev_i = _stacked_least_squares(objective, starts[i][None], budget)
+        assert nfev[i] == nfev_i[0] and cost[i] == cost_i[0]
+        assert np.array_equal(x[i], x_i[0])
+
+
+def test_least_squares_stage_cuts_the_others_at_a_certified_start():
+    # the start evaluation is tested too: of two certified starts the first wins
+    # there and runs on, and the second, an exact disentangler, is cut with the rest
+    objective = _Objective(sample(fixtures.cnot_trajectory(), 100))
+    u = np.array(fixtures.cnot_disentangler().basis_change)
+    near = objective.step(u, np.full(len(objective.basis), 1e-11))
+    thetas = np.random.default_rng(6).normal(scale=np.pi / 4, size=(2, 16))
+    starts = objective.start(thetas)
+    stack = np.stack([starts[0], near, starts[1], u])
+    stop = optimizer.certified_cost(objective.dims, 100)
+    x, cost, nfev = _stacked_least_squares(objective, stack, stop=stop)
+    assert np.flatnonzero(cost <= stop).tolist() == [1, 3]
+    assert nfev[1] > 1 and np.delete(nfev, 1).tolist() == [1, 1, 1]
+    assert np.array_equal(np.delete(x, 1, axis=0), np.delete(stack, 1, axis=0))
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED_INPUTS))
+def test_winner_is_its_lone_run_and_the_cut_restarts_report_where_they_stopped(
+    name, monkeypatch
+):
+    sampled, config = _CERTIFIED_INPUTS[name](), OptimizerConfig(restarts=6, seed=0)
+    stages, lm = [], optimizer._levenberg_marquardt
+
+    def recording_lm(*args):
+        stages.append(lm(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(optimizer, "_levenberg_marquardt", recording_lm)
+    result = optimize_tps(sampled, config)
+    monkeypatch.undo()
+    objective = _Objective(sampled)
+    (x, cost, nfev), w = stages[0], result.restart_index
+    # the winner: the bits of its start driven alone to its end, with no minimax stage
+    x_w, cost_w, nfev_w = _stacked_least_squares(objective, _starts(objective, config)[w][None])
+    winner = result.restarts[w]
+    assert np.array_equal(result.best_tps.basis_change, x_w[0])
+    assert (winner.surrogate_final, winner.iterations) == (cost_w[0], nfev_w[0])
+    assert winner.minimax_steps == 0
+    assert winner.objective == np.sqrt(objective.sq_distances(x_w[0])[0].max()) < 1e-10
+    # the others: their cut point's surrogate, count and distance, never polished
+    for s in result.restarts:
+        assert (s.surrogate_final, s.iterations) == (cost[s.index], nfev[s.index])
+        assert s.objective == float(np.sqrt(objective.sq_distances(x[s.index])[0].max()))
+        assert s.minimax_steps == 0
+
+
+@pytest.mark.parametrize(
+    "make_sampled",
+    [lambda: sample(fixtures.sidon_trajectory(), 200), _random_sidon_2x3],
+    ids=["sidon", "random-2x3"],
+)
+def test_the_stop_leaves_an_obstructed_search_as_it_was(make_sampled, monkeypatch):
+    # no cost reaches `certified_cost` where a Ky Fan floor holds it up
+    sampled, config = make_sampled(), OptimizerConfig(restarts=3, seed=0)
+    result = optimize_tps(sampled, config)
+    monkeypatch.setattr(optimizer, "certified_cost", lambda dims, samples: -np.inf)
+    assert _result_key(result) == _result_key(optimize_tps(sampled, config))
+
+
+@pytest.mark.parametrize(
+    "dims,freqs_a,freqs_b,seed",
+    [
+        ((2, 3), (0, 1), (0, 1, 2), 0),
+        ((2, 3), (0, 2), (-1, 0, 3), 1),
+        ((3, 3), (-2, 0, 1), (0, 1, 4), 0),
+    ],
+    ids=["2x3-a", "2x3-b", "3x3"],
+)
+def test_default_restarts_find_planted_disentanglers(dims, freqs_a, freqs_b, seed):
+    rng = np.random.default_rng(seed)
+    traj = planted_trajectory(HilbertDims(*dims), freqs_a, freqs_b, rng)
+    result = optimize_tps(traj, OptimizerConfig())
+    assert result.objective < 1e-10
+
+
+def test_restarts_cut_reads_the_cut_from_the_summaries(cnot_result):
+    _, result = cnot_result
+    winner = result.restarts[result.restart_index]
+    at = {s.iterations for s in result.restarts if s is not winner}
+    assert restarts_cut(result, 200) == (5, at.pop()) and not at
+    assert winner.iterations > restarts_cut(result, 200)[1]
+    sidon = optimize_tps(sample(fixtures.sidon_trajectory(), 200), OptimizerConfig(restarts=2))
+    assert restarts_cut(sidon, 200) == (0, 0)

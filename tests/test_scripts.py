@@ -93,6 +93,11 @@ def test_bench_snapshot_times_the_library_in_one_process(tmp_path):
     assert snapshot["library.optimize.objective"] > 1e-3  # an obstructed Sidon member
     assert snapshot["library.optimize.lm_nfev"] > 0
     assert snapshot["library.optimize.sqp_steps"] > 0
+    # C-NOT at 32 restarts: one restart is certified and cuts the other 31
+    assert snapshot["library.optimize_cnot32_s"] > 0
+    assert snapshot["library.optimize_cnot32.objective"] < 1e-6
+    assert snapshot["library.optimize_cnot32.lm_nfev"] > 0
+    assert snapshot["library.optimize_cnot32.restarts_cut"] == 31
 
 
 def test_bench_snapshot_keeps_each_layer_key_median_over_fresh_processes(monkeypatch):
