@@ -24,6 +24,7 @@ from .entanglement import (
     product_distance,
     is_product_state,
     entanglement_profile,
+    tail_bound,
 )
 from .obstruction import (
     Certificate,
@@ -35,7 +36,6 @@ from .construct import (
     ConstructionResult,
     RootPairing,
     construct_disentangler,
-    verify_disentangler,
 )
 from .hamiltonian import (
     SeparableDecomposition,

@@ -40,12 +40,13 @@ max(n1, n2), and no condition is needed: with m = W S V^H its SVD, the rows
 of U = W^H reordered to (w0, w2, w1, w3) send the span to |00>, |10>, where
 every state is (.) (x) |0>.
 
-Candidates are judged by that identity, exactly: the rebased minor is
-e^{-2it} Q(e^{it}) for Q = P_0 P_3 - P_1 P_2 over the rows of U m, so
-sqrt2 sum_k |Q_k| bounds sigma_2 at every t, with no samples.  The identity,
-the SVD candidate and the closed form are tried in turn, and the first bound
-below the tolerance wins; so a `not_found` on a rank-3 input means the
-necessary condition failed, and the message carries both invariants.
+Candidates are judged exactly, with no samples, by `entanglement.tail_bound`,
+which bounds sigma_2 of the rebased state at every t and here is sqrt2 sum_k
+|Q_k| for the rebased minor e^{-2it} Q(e^{it}), Q = P_0 P_3 - P_1 P_2 over the
+rows of U m.  The identity, the SVD candidate and the closed form are tried in
+turn, and the first bound below the tolerance wins; so a `not_found` on a
+rank-3 input means the necessary condition failed, and the message carries
+both invariants.
 
 Frequency-1 components live in the three-dimensional function space spanned
 by {1, cos t, sin t}, so the four of them are always linearly dependent and
@@ -71,10 +72,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertDims, TPSpec
-from .entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
+from .entanglement import tail_bound
 from .errors import InvalidInput, UnsupportedForm
 from .linalg import nearest_unitary, reshuffle
-from .trajectory import SampledTrajectory, TrigTrajectory
+from .trajectory import TrigTrajectory
 
 # component (i, j) = 2 i + j carries root i of the first factor (a or b) and
 # root j of the second (c or d), so P_0 P_3 = P_1 P_2 is the vanishing minor
@@ -103,13 +104,6 @@ class RootPairing:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
-    max_minor: float
-    max_sigma2: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ConstructionResult:
     found: bool
     message: str
@@ -118,20 +112,6 @@ class ConstructionResult:
     orthonormality_residual: float = math.inf
     disentangling_residual: float = math.inf
     attempts: int = 0
-
-
-def verify_disentangler(
-    tps: TPSpec, traj: SampledTrajectory, tol: float
-) -> VerificationReport:
-    """Rebase every sample and report the worst product-state residuals."""
-    mats = rebased_coefficients(traj, tps)
-    worst_minor = float(np.abs(coefficient_minors(mats)).max())
-    worst_s2 = float(schmidt_spectra(mats)[:, 1].max())
-    return VerificationReport(
-        max_minor=worst_minor,
-        max_sigma2=worst_s2,
-        passed=bool(worst_minor < tol and worst_s2 < tol),
-    )
 
 
 def _coefficient_map(traj) -> np.ndarray:
@@ -184,14 +164,6 @@ def _complete_unitary(s: np.ndarray, q: np.ndarray, dims: HilbertDims) -> np.nda
     return fixed + np.exp(1j * phis[values.argmin()]) * block
 
 
-def _sigma2_bound(c: np.ndarray) -> float:
-    """sqrt2 sum_k |Q_k| for Q = P_0 P_3 - P_1 P_2 over the rows of c = U m: at
-    every t, |minor| <= sum_k |Q_k| and a unit state has sigma_1^2 >= 1/2, so
-    this bounds sigma_2 = |minor| / sigma_1 of the rebased state."""
-    q = np.convolve(c[0], c[3]) - np.convolve(c[1], c[2])
-    return math.sqrt(2) * float(np.abs(q).sum())
-
-
 def construct_disentangler(
     traj: TrigTrajectory, config: ConstructConfig = ConstructConfig()
 ) -> ConstructionResult:
@@ -199,9 +171,9 @@ def construct_disentangler(
     at all times, if one exists.
 
     Inputs are those `_coefficient_map` takes.  The identity, the SVD candidate
-    and the closed form are tried in turn; the first whose `_sigma2_bound` is
-    below `config.verify_tol` is returned, with that bound, which holds at every
-    t, as its `disentangling_residual`.  A `found=False` result on a rank-3
+    and the closed form are tried in turn; the first whose `tail_bound` is below
+    `config.verify_tol` is returned, with that bound, which holds at every t, as
+    its `disentangling_residual`.  A `found=False` result on a rank-3
     coefficient matrix means the Gram condition of the module docstring fails.
     """
     m = _coefficient_map(traj)
@@ -216,7 +188,7 @@ def construct_disentangler(
         (0, np.eye(4, dtype=complex), "trajectory is already a product in the reference basis"),
         (1, svd, "the states span at most two dimensions; the SVD of m sends them to |00>, |10>"),
     ):
-        if (bound := _sigma2_bound(u @ m)) < config.verify_tol:
+        if (bound := tail_bound(traj, u)) < config.verify_tol:
             return found(u, bound, message, attempts)
 
     q, r = np.linalg.qr(m, mode="complete")
@@ -234,7 +206,7 @@ def construct_disentangler(
     invariants = f"|G01| = {abs(gram[0, 1]):.3e}, g1^2 - 4 g0 g2 = {discriminant:.3e}"
     try:
         u = nearest_unitary(_complete_unitary(n @ np.linalg.inv(r[:3]), q, traj.dims))
-        closed = _sigma2_bound(u @ m)
+        closed = tail_bound(traj, u)
     except np.linalg.LinAlgError:  # m has rank < 3 exactly: there is no closed form
         closed = math.inf
     if not closed < config.verify_tol:

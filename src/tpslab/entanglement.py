@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import HilbertDims, StateVector, TPSpec, reshape_coefficients
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnsupportedForm
 from .trajectory import SampledTrajectory
 
 
@@ -132,6 +132,30 @@ def minor_forms(n1: int, n2: int) -> np.ndarray:
     forms[rows, ij, kl] = forms[rows, kl, ij] = 0.5
     forms[rows, il, kj] = forms[rows, kj, il] = -0.5
     return forms
+
+
+def tail_bound(traj, u: np.ndarray) -> float:
+    """A bound on sqrt(sum_{i>=2} sigma_i^2) >= sigma_2 of U psi(t) at every real t.
+
+    For a closed form psi(t) = sum_w e^{iwt} a_w (`exponentials()`), every minor of
+    U psi(t) is m(t) = sum_s e^{ist} c_s over the pair sums s = w + w', grouped where
+    exactly equal (grouping less only loosens the bound); the result is sqrt(r)
+    sum_s ||c_s||_2, r = min(n1, n2).  Three facts: a unit state has sigma_1^2 >= 1/r;
+    sum_k |m_k|^2 = e_2(sigma^2) >= sigma_1^2 sum_{i>=2} sigma_i^2 (Cauchy-Binet); and
+    d^2 <= 2 sum_{i>=2} sigma_i^2, so sqrt2 times the result bounds the distance d.  A
+    local unitary moves each c_s by a unitary, so the value belongs to the TPS.
+    `SampledTrajectory` input has no closed form and raises `UnsupportedForm`.
+    """
+    if isinstance(traj, SampledTrajectory):
+        raise UnsupportedForm("tail_bound needs a closed-form trajectory, not samples")
+    freqs, rows = traj.exponentials()
+    ij, kl, il, kj = _minor_indices(traj.dims.n1, traj.dims.n2)
+    x = rows @ u.T
+    pairs = x[:, None, ij] * x[None, :, kl] - x[:, None, il] * x[None, :, kj]
+    sums, group = np.unique(np.add.outer(freqs, freqs), return_inverse=True)
+    coeffs = np.zeros((len(sums), len(ij)), dtype=complex)
+    np.add.at(coeffs, group.ravel(), pairs.reshape(-1, len(ij)))
+    return float(np.sqrt(min(traj.dims.n1, traj.dims.n2)) * np.linalg.norm(coeffs, axis=1).sum())
 
 
 def _qubit_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -411,10 +411,9 @@ def _polish(obj: _Objective, u: np.ndarray):
 
 def certified_cost(dims, samples: int) -> float:
     """The least-squares cost on `samples` grid points at or below which u provably
-    skips the minimax stage: with r = min(n1, n2), sigma_1^2 >= 1 / r, Cauchy-Binet
-    and d^2 <= 2 sum_{i>=2} sigma_i^2 give z_t <= 2 r e_2(t) <= 2 r T cost, e_2(t) =
-    sum_k |m_k(t)|^2, so a cost of at most EPIGRAPH_FTOL / (2 r T) holds max_t z_t
-    to EPIGRAPH_FTOL."""
+    skips the minimax stage: the three facts of `entanglement.tail_bound` give z_t <=
+    2 r e_2(t) <= 2 r T cost, r = min(n1, n2) and e_2(t) = sum_k |m_k(t)|^2, so a cost
+    of at most EPIGRAPH_FTOL / (2 r T) holds max_t z_t to EPIGRAPH_FTOL."""
     return EPIGRAPH_FTOL / (2 * min(dims.n1, dims.n2) * samples)
 
 

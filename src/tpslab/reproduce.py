@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixtures
-from .construct import ConstructConfig, construct_disentangler, verify_disentangler
+from .construct import ConstructConfig, construct_disentangler
 from .core import HilbertDims, StateVector, tps_equivalent
 from .entanglement import (
     coefficient_minors,
@@ -19,6 +19,7 @@ from .entanglement import (
     rebased_coefficients,
     schmidt_decompose,
     schmidt_spectra,
+    tail_bound,
 )
 from .hamiltonian import (
     interaction_norm,
@@ -41,10 +42,9 @@ DIMS = HilbertDims(2, 2)
 
 
 def check_cnot_disentangling():
-    """Rebased C-NOT evolution is a product state on a 1000-point grid."""
-    tps = fixtures.cnot_disentangler()
-    r = verify_disentangler(tps, sample(fixtures.cnot_trajectory(), 1000), 1e-10)
-    return r.passed, f"max minor {r.max_minor:.2e}, max sigma2 {r.max_sigma2:.2e} (tol 1e-10)"
+    """Rebased C-NOT evolution is a product state at every t."""
+    bound = tail_bound(fixtures.cnot_trajectory(), fixtures.cnot_disentangler().basis_change)
+    return bound < 1e-10, f"sigma2 bound {bound:.2e} at every t (tol 1e-10)"
 
 
 def check_closed_form_factorization():
@@ -145,12 +145,11 @@ def check_constructor_regression():
     result = construct_disentangler(fixtures.cnot_trajectory(), ConstructConfig())
     if not result.found:
         return False, result.message
-    sampled = sample(fixtures.cnot_trajectory(), 1000)
-    report = verify_disentangler(result.tps, sampled, 1e-8)
+    bound = tail_bound(fixtures.cnot_trajectory(), result.tps.basis_change)
     equivalent = tps_equivalent(result.tps, fixtures.cnot_disentangler())
-    ok = report.passed and equivalent
+    ok = bound < 1e-8 and equivalent
     return ok, (
-        f"verify max sigma2 {report.max_sigma2:.2e} (tol 1e-8), "
+        f"sigma2 bound {bound:.2e} at every t (tol 1e-8), "
         f"equivalent to closed form: {equivalent}"
     )
 
@@ -168,12 +167,16 @@ def restarts_cut(result, samples: int) -> tuple[int, int]:
 
 
 def check_optimizer_cnot():
-    """Numerical search reaches a near-disentangling TPS where one exists."""
-    result = optimize_tps(fixtures.cnot_trajectory(), OptimizerConfig(restarts=32, seed=0))
+    """Numerical search reaches a near-disentangling TPS where one exists: within
+    1e-6 on its grid, and by sqrt2 `tail_bound` >= d within 1e-6 at every t."""
+    traj = fixtures.cnot_trajectory()
+    result = optimize_tps(traj, OptimizerConfig(restarts=32, seed=0))
     cut, at = restarts_cut(result, DEFAULT_OPTIMIZE_SAMPLES)
-    return result.objective < 1e-6, (
-        f"objective {result.objective:.2e} (tol 1e-6); restart {result.restart_index} "
-        f"certified, {cut} of {len(result.restarts) - 1} others cut at LM evaluation {at}"
+    distance = np.sqrt(2) * tail_bound(traj, result.best_tps.basis_change)
+    return result.objective < 1e-6 and distance < 1e-6, (
+        f"objective {result.objective:.2e}, distance bound {distance:.2e} at every t "
+        f"(tol 1e-6); restart {result.restart_index} certified, {cut} of "
+        f"{len(result.restarts) - 1} others cut at LM evaluation {at}"
     )
 
 

@@ -68,8 +68,8 @@ class TrigTrajectory:
         for h in self.harmonics:
             if h.cos_coeffs.shape != (n,) or h.sin_coeffs.shape != (n,):
                 raise DimensionMismatch("harmonic coefficient length != dims.n")
-        if not self.t_max > 0:
-            raise InvalidInput("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise InvalidInput("t_max must be finite and positive")
         freqs, rows = [0.0], [self.constant]
         for h in self.harmonics:
             freqs += [h.frequency, -h.frequency]
@@ -110,8 +110,8 @@ class HamiltonianTrajectory:
         require_hermitian(h)
         if self.initial.dims != self.dims:
             raise DimensionMismatch("initial state dims differ from trajectory dims")
-        if not self.t_max > 0:
-            raise InvalidInput("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise InvalidInput("t_max must be finite and positive")
         object.__setattr__(self, "hamiltonian", h)
 
     def exponentials(self) -> tuple[np.ndarray, np.ndarray]:

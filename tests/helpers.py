@@ -4,7 +4,7 @@ import numpy as np
 
 from tpslab import fixtures
 from tpslab.core import HilbertDims, StateVector
-from tpslab.entanglement import coefficient_minors
+from tpslab.entanglement import coefficient_minors, rebased_coefficients, schmidt_spectra
 from tpslab.linalg import haar_unitary
 from tpslab.trajectory import Harmonic, SampledTrajectory, TrigTrajectory
 from tpslab.reproduce import random_state  # noqa: F401  (shared with the checks)
@@ -36,6 +36,13 @@ def near_two_dimensional(amplitude) -> TrigTrajectory:
     u = haar_unitary(4, np.random.default_rng(3)) / np.sqrt(1 + amplitude**2)
     harmonic = Harmonic(h.frequency, u @ h.cos_coeffs, u @ h.sin_coeffs)
     return TrigTrajectory(QBITS, amplitude * u[:, 2], (harmonic,), 2 * np.pi)
+
+
+def sampled_residuals(tps, sampled: SampledTrajectory) -> tuple[float, float]:
+    """Max |minor| and max sigma_2 of U psi(t) over the samples: the sampled
+    reference for the exact, every-t `entanglement.tail_bound`."""
+    mats = rebased_coefficients(sampled, tps)
+    return float(np.abs(coefficient_minors(mats)).max()), float(schmidt_spectra(mats)[:, 1].max())
 
 
 def planted_trajectory(dims, freqs_a, freqs_b, rng, samples=200) -> SampledTrajectory:

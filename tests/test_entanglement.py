@@ -20,14 +20,23 @@ from tpslab.entanglement import (
     schmidt_decompose,
     schmidt_spectra,
     schmidt_values,
+    tail_bound,
 )
-from tpslab.errors import DimensionMismatch
+from tpslab.construct import _coefficient_map
+from tpslab.errors import DimensionMismatch, UnsupportedForm
 from tpslab.linalg import haar_unitary
-from tpslab.trajectory import SampledTrajectory, sample
+from tpslab.trajectory import (
+    HamiltonianTrajectory,
+    Harmonic,
+    SampledTrajectory,
+    TrigTrajectory,
+    sample,
+)
 
 from helpers import (
     QBITS,
     bell_state,
+    random_hermitian,
     random_local_unitary,
     random_state,
     reference_gram_top_vectors,
@@ -400,3 +409,67 @@ def test_rebased_coefficients_match_rebase_state():
         assert np.abs(mats[k] - ref).max() < 1e-14
     with pytest.raises(DimensionMismatch):
         rebased_coefficients(sampled, TPSpec.identity(HilbertDims(2, 3)))
+
+
+def _closed_form(form, dims, rng, energies=(-2, -1, 0, 1, 2)):
+    """exp(+iHt) psi0 on [0, 2 pi] for a Haar psi0 and an H with Haar eigenvectors:
+    as a `HamiltonianTrajectory` with a Gaussian H, or as the `TrigTrajectory` it is
+    when H's eigenvalues are drawn from the integers `energies`."""
+    psi0 = random_state(rng, dims)
+    if form == "hamiltonian":
+        return HamiltonianTrajectory(dims, random_hermitian(rng, dims.n), psi0, 2 * np.pi)
+    vecs = haar_unitary(dims.n, rng)
+    rows = (vecs.conj().T @ psi0.amplitudes)[:, None] * vecs.T
+    drawn, top = rng.choice(energies, size=dims.n), max(energies)
+    a = {w: rows[drawn == w].sum(axis=0) for w in range(-top, top + 1)}
+    harmonics = tuple(Harmonic(f, a[f] + a[-f], 1j * (a[f] - a[-f])) for f in range(1, top + 1))
+    return TrigTrajectory(dims, a[0], harmonics, 2 * np.pi)
+
+
+DIMS = [HilbertDims(n1, n2) for n1, n2 in [(2, 2), (2, 3), (3, 2), (3, 3)]]
+
+
+@pytest.mark.parametrize("form", ["trig", "hamiltonian"])
+@pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d.n1}x{d.n2}")
+def test_tail_bound_covers_the_sampled_tail(dims, form):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        traj, u = _closed_form(form, dims, rng), haar_unitary(dims.n, rng)
+        spectra = schmidt_spectra(rebased_coefficients(sample(traj, 20000), TPSpec(u, dims)))
+        assert tail_bound(traj, u) >= np.sqrt((spectra[:, 1:] ** 2).sum(axis=1)).max()
+
+
+def test_tail_bound_is_zero_on_cnot_under_its_disentangler():
+    assert tail_bound(fixtures.cnot_trajectory(), fixtures.cnot_disentangler().basis_change) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tail_bound_is_the_convolution_bound_on_qubit_frequency_one_input(seed):
+    rng = np.random.default_rng(seed)
+    traj = fixtures.cnot_trajectory() if seed == 0 else _closed_form("trig", QBITS, rng, (-1, 0, 1))
+    for u in (np.eye(4), haar_unitary(4, rng), haar_unitary(4, rng)):
+        # c = U m holds the coefficients of e^{it} U psi(t) in (z^2, z, 1), z = e^{it}, so
+        # its one minor is e^{-2it} Q(z) with Q the difference of convolutions below; the
+        # two sum the same products in other orders, so they agree to ulps of the sum of
+        # the products' moduli, which is the reference itself unless some Q_k cancel
+        c = u @ _coefficient_map(traj)
+        reference = np.sqrt(2) * np.abs(np.convolve(c[0], c[3]) - np.convolve(c[1], c[2])).sum()
+        a = np.abs(c)
+        scale = np.sqrt(2) * (np.convolve(a[0], a[3]) + np.convolve(a[1], a[2])).sum()
+        assert abs(tail_bound(traj, u) - reference) <= 4 * np.spacing(scale)
+
+
+@pytest.mark.parametrize("form", ["trig", "hamiltonian"])
+@pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d.n1}x{d.n2}")
+def test_tail_bound_is_invariant_under_local_unitaries(dims, form):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        traj, u = _closed_form(form, dims, rng), haar_unitary(dims.n, rng)
+        bound = tail_bound(traj, u)
+        moved = tail_bound(traj, random_local_unitary(rng, dims) @ u)
+        assert abs(moved - bound) <= 1e-14 * bound
+
+
+def test_tail_bound_rejects_samples():
+    with pytest.raises(UnsupportedForm):
+        tail_bound(sample(fixtures.cnot_trajectory(), 50), np.eye(4))

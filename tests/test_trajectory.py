@@ -7,7 +7,7 @@ from tpslab import fixtures
 from tpslab.construct import _coefficient_map
 from tpslab.core import HilbertDims, StateVector, TPSpec, rebase_state
 from tpslab.entanglement import schmidt_values
-from tpslab.errors import NotHermitian, NotNormalizable, UnsupportedForm
+from tpslab.errors import InvalidInput, NotHermitian, NotNormalizable, UnsupportedForm
 from tpslab.linalg import haar_unitary
 from tpslab.trajectory import (
     HamiltonianTrajectory,
@@ -134,6 +134,15 @@ def test_evolution_rejects_non_hermitian():
         HamiltonianTrajectory(
             QBITS, h, StateVector(np.eye(4, dtype=complex)[0], QBITS), 1.0
         )
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
+def test_closed_forms_reject_a_t_max_that_is_not_finite_and_positive(t_max):
+    # t_max = inf would otherwise fail only in `sample`, on a grid of nan and inf
+    with pytest.raises(InvalidInput, match="t_max must be finite and positive"):
+        constant_trajectory([1, 0, 0, 0], t_max=t_max)
+    with pytest.raises(InvalidInput, match="t_max must be finite and positive"):
+        HamiltonianTrajectory(QBITS, np.eye(4), StateVector(np.eye(4)[0], QBITS), t_max)
 
 
 @given(st.integers(0, 10_000))
