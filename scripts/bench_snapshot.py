@@ -31,6 +31,7 @@ WORKLOADS = ("search-disentanglable", "search-obstructed", "analyze")
 LAYER_DIMS = ((2, 2), (2, 3))
 LAYER_SAMPLES = 200
 LAYER_THETAS = 16
+LAYER_RESTARTS = 32  # the stack that `restart_distances` scores, as a 32-restart search ends
 LAYER_REPEATS = 20
 LAYER_RUNS = 3  # fresh processes for the layers section, so one burst of host load is outvoted
 SPECTRA_SAMPLES = 1000
@@ -86,9 +87,13 @@ def layer_metrics() -> dict:
     `_Objective.start(theta)`, on the BLAS threads of the environment (one
     under `layer_medians`).
     `step` is one move of the chart, `_Objective.step(u, delta)` (one eigh),
-    on a fixed seeded delta.  `lm_step` is residuals, Jacobian, J^T r and the
-    eigh of J^T J.  `lm_round_r4` is one lockstep pass of the least-squares
-    stage on a stack of 4 starts near u (fixed seeded offsets of theta): the
+    on a fixed seeded delta.  `restart_distances` is the end-of-search
+    scoring of every restart, in place of one `sq_distances` each:
+    `entanglement.max_distances` on a stack of LAYER_RESTARTS starts near u
+    (fixed seeded offsets of theta).  `lm_step` is residuals, Jacobian, J^T r
+    and the eigh of J^T J.  `lm_round_r4` is one lockstep pass of the
+    least-squares stage on a stack of 4 starts near u (fixed seeded offsets
+    of theta): the
     stage at a budget of 2 evaluations, its start's residuals, Jacobian and
     eigh, then one solve, step and residuals for all 4.  `minimax_step` is
     one iteration of the minimax stage from u, as `_polish` runs its first,
@@ -117,7 +122,7 @@ def layer_metrics() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from tpslab.construct import construct_disentangler
     from tpslab.core import HilbertDims
-    from tpslab.entanglement import coefficient_minors, schmidt_spectra
+    from tpslab.entanglement import coefficient_minors, max_distances, schmidt_spectra
     from tpslab.hamiltonian import stationarity_gradient
     from tpslab.obstruction import certify_no_disentangling
     from tpslab.optimizer import (
@@ -135,10 +140,12 @@ def layer_metrics() -> dict:
         states = rng.normal(size=(LAYER_SAMPLES, n)) + 1j * rng.normal(size=(LAYER_SAMPLES, n))
         states /= np.linalg.norm(states, axis=1)[:, None]
         times = np.linspace(0, 1, LAYER_SAMPLES)
-        obj = _Objective(SampledTrajectory(HilbertDims(n1, n2), times, states))
+        sampled = SampledTrajectory(HilbertDims(n1, n2), times, states)
+        obj = _Objective(sampled)
 
         delta = 0.1 * np.random.default_rng(2).normal(size=len(obj.basis))
         offsets = 0.1 * np.random.default_rng(3).normal(size=(4, n * n))
+        spread = 0.1 * np.random.default_rng(4).normal(size=(LAYER_RESTARTS, n * n))
 
         def lm_step(u):
             r, j = obj.residuals(u), obj.residual_jacobian(u)
@@ -162,6 +169,7 @@ def layer_metrics() -> dict:
             "residuals": obj.residuals,
             "residual_jacobian": obj.residual_jacobian,
             "sq_distances": obj.sq_distances,
+            "restart_distances": lambda u: max_distances(sampled, u_stack),
             "lm_step": lm_step,
             "lm_round_r4": lambda u: _levenberg_marquardt(
                 obj.residuals, obj.residual_jacobian, obj.step, u4, 2
@@ -171,7 +179,7 @@ def layer_metrics() -> dict:
         elapsed = {name: [] for name in layers}
         gap = 0.0
         for theta in rng.normal(scale=0.6, size=(LAYER_THETAS, n * n)):
-            u, u4 = obj.start(theta), obj.start(theta + offsets)
+            u, u4, u_stack = obj.start(theta), obj.start(theta + offsets), obj.start(theta + spread)
             at_u = obj.sq_distances(u)  # z and its Jacobian thunk, for minimax_step
             for _ in range(LAYER_REPEATS):
                 for name, call in layers.items():

@@ -9,8 +9,8 @@ sigma_k^2 / (1 + sigma_1)), which keeps full precision at product states where
 Bell pair has entropy ln 2, not 1 bit), with the top Schmidt term read off the
 same tail, so they keep full relative precision there too.  All measures run
 on one batched kernel, `rebased_coefficients` plus `schmidt_spectra` (closed
-form on 2 x n, an SVD otherwise); the single-state helpers call the same
-functions.
+form on 2 x n, an SVD otherwise): the single-state helpers, and `max_distances`,
+which scores a stack of basis changes for every distance `optimize` reports.
 """
 
 from __future__ import annotations
@@ -67,9 +67,19 @@ def rebased_coefficients(traj: SampledTrajectory, tps: TPSpec) -> np.ndarray:
     renormalized as in `rebase_state` since U is unitary to 1e-10 only."""
     if traj.dims != tps.dims:
         raise DimensionMismatch("trajectory and TPS dimensions differ")
-    rebased = traj.states @ tps.basis_change.T
-    rebased /= np.linalg.norm(rebased, axis=1)[:, None]
-    return rebased.reshape(len(traj), tps.dims.n1, tps.dims.n2)
+    return _rebased(traj, tps.basis_change)
+
+
+def _rebased(traj: SampledTrajectory, u: np.ndarray) -> np.ndarray:
+    """`rebased_coefficients` of each U in u (..., n, n), each to the bits of its own call."""
+    rebased = traj.states @ u.swapaxes(-1, -2)
+    rebased /= np.linalg.norm(rebased, axis=-1)[..., None]
+    return rebased.reshape(*u.shape[:-2], len(traj), traj.dims.n1, traj.dims.n2)
+
+
+def max_distances(traj: SampledTrajectory, u: np.ndarray) -> np.ndarray:
+    """`entanglement_profile(traj, U).max_distance`, bit for bit, for each U in u (..., n, n)."""
+    return _distances(schmidt_spectra(_rebased(traj, u))).max(axis=-1)
 
 
 def schmidt_spectra(mats: np.ndarray) -> np.ndarray:
@@ -225,12 +235,5 @@ class EntanglementProfile:
 def entanglement_profile(traj: SampledTrajectory, tps: TPSpec) -> EntanglementProfile:
     """Entropy and product distance of U @ psi(t) at every sample."""
     spectra = schmidt_spectra(rebased_coefficients(traj, tps))
-    ent = _entropies(spectra)
-    dist = _distances(spectra)
-    return EntanglementProfile(
-        times=traj.times.copy(),
-        entropy=ent,
-        product_distance=dist,
-        max_entropy=float(ent.max()),
-        max_distance=float(dist.max()),
-    )
+    ent, dist = _entropies(spectra), _distances(spectra)
+    return EntanglementProfile(traj.times.copy(), ent, dist, float(ent.max()), float(dist.max()))

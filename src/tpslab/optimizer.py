@@ -48,10 +48,10 @@ two stages:
    start with max_t z_t <= EPIGRAPH_FTOL skips it, so its objective is the
    least-squares endpoint's distance, at most sqrt(EPIGRAPH_FTOL) ~ 3.2e-8.
 
-The reported objective is the hard maximum of the chordal product distance on
-the sample grid, recomputed through `entanglement_profile`; each restart's
-summary objective is the same distance at its minimax point, or for a cut
-restart where it was cut.  Derivatives are exact and taken at delta = 0,
+Every reported distance, the headline included, is the hard maximum of the
+chordal product distance on the sample grid at a restart's end point (its
+minimax point, or where it was cut), all in one pass of the profile kernel
+`entanglement.max_distances`.  Derivatives are exact and taken at delta = 0,
 where the chart's derivative along B_d is B_d u; they are checked against
 finite differences in the tests.  No evaluation runs an SVD; one SVD of R,
 at most N x N, runs once per trajectory for the budget.  A step costs one
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TPSpec
-from .entanglement import entanglement_profile, gram_top_vectors, minor_forms
+from .entanglement import gram_top_vectors, max_distances, minor_forms
 from .errors import InvalidInput
 from .linalg import anti_hermitian_basis, expm_anti_hermitian, nonlocal_basis
 from .obstruction import DEFAULT_RANK_TOL, product_rank, sym2_coordinates, sym2_products
@@ -377,9 +377,8 @@ def _polish(obj: _Objective, u: np.ndarray):
     states, built past the skip test, or at I where its Cholesky fails.  Every
     accepted step lowers max_t z_t, so the last iterate is the best, and the
     trace holds max_t z_t at the start and after each step.  A start with s0 =
-    max_t z_t <= EPIGRAPH_FTOL comes back as is with trace [s0], and its
-    restart reports sqrt(s0); the stage ends when the model predicts a
-    decrease of at most EPIGRAPH_FTOL.
+    max_t z_t <= EPIGRAPH_FTOL comes back as is with trace [s0]; the stage
+    ends when the model predicts a decrease of at most EPIGRAPH_FTOL.
     """
     z, jacobian = obj.sq_distances(u)
     trace = [float(z.max())]
@@ -441,21 +440,15 @@ def optimize_tps(
         obj.residuals, obj.residual_jacobian, obj.step, obj.start(thetas), max_nfev, stop
     )
     winner = np.flatnonzero(surrogates <= stop)[:1]  # the certified restart that cut the others
-    polish = winner if len(winner) else range(len(us))
-    # (u, trace of max_t z_t) per restart; a cut restart reports its distance where it was cut
-    polished = [
-        _polish(obj, u) if r in polish else (u, [float(obj.sq_distances(u)[0].max())])
-        for r, u in enumerate(us)
-    ]
-    objectives = [float(np.sqrt(trace[-1])) for _, trace in polished]
-    steps = [len(trace) - 1 for _, trace in polished]
-    summaries = tuple(
-        map(RestartSummary, range(len(us)), objectives, surrogates.tolist(), nfevs.tolist(), steps)
-    )
+    steps = np.zeros(len(us), dtype=int)  # a cut restart ends where it was cut, unpolished
+    for r in winner if len(winner) else range(len(us)):
+        us[r], trace = _polish(obj, us[r])
+        steps[r] = len(trace) - 1
+    objectives = max_distances(traj, us)  # every end point in one pass of the profile kernel
+    columns = (objectives, surrogates, nfevs, steps)  # each summary's fields after its index
+    summaries = tuple(map(RestartSummary, range(len(us)), *(c.tolist() for c in columns)))
     # the certified restart, or else the best one, ties going to the lower index
-    r_best = int(winner[0]) if len(winner) else min(range(len(us)), key=objectives.__getitem__)
+    r_best = int(winner[0]) if len(winner) else int(objectives.argmin())
     # each step's exp from one eigh is unitary to rounding, so the product needs no projection
-    tps = TPSpec(polished[r_best][0], traj.dims)
-    # report the objective through the same code path users would take
-    objective = float(entanglement_profile(traj, tps).max_distance)
-    return OptimizationResult(tps, objective, r_best, summaries)
+    tps = TPSpec(us[r_best], traj.dims)
+    return OptimizationResult(tps, summaries[r_best].objective, r_best, summaries)

@@ -346,6 +346,21 @@ def test_optimize_report(files, tmp_path):
     assert all(entry["minimax_steps"] == 0 for entry in results["restarts"])
 
 
+def test_optimize_objective_is_what_profile_reads_on_its_tps(files, tmp_path):
+    # one distance kernel: the headline, the winner's entry and `profile --tps` agree to the bit
+    opt, tps, prof = (tmp_path / name for name in ("opt.json", "tps.json", "prof.json"))
+    grid = ["--samples", "60"]
+    argv = ["optimize", "--input", files["sidon"], "--restarts", "2", *grid, "--output", str(opt)]
+    assert run(argv) == 0
+    results = read(opt)["results"]
+    u = np.array(results["basis_change"])
+    save_matrix_document(u[..., 0] + 1j * u[..., 1], QBITS, tps)
+    argv = ["profile", "--input", files["sidon"], "--tps", str(tps), *grid, "--output", str(prof)]
+    assert run(argv) == 0
+    winner = results["restarts"][results["restart_index"]]
+    assert results["objective"] == winner["objective"] == read(prof)["results"]["max_distance"]
+
+
 def test_malformed_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dims": [2, 2], "form": "trig", "trig": {"constant": [[0, 0]] * 3, "harmonics": [], "t_max": 1}}))

@@ -62,7 +62,7 @@ def test_every_restart_disentangles_on_its_own(cnot_lone_objectives):
 def test_objective_matches_profile_reevaluation(cnot_result):
     sampled, result = cnot_result
     profile = entanglement_profile(sampled, result.best_tps)
-    assert abs(result.objective - profile.max_distance) <= 1e-9
+    assert result.objective == profile.max_distance
 
 
 def test_deterministic_given_seed(cnot_result):
@@ -1166,12 +1166,48 @@ def test_winner_is_its_lone_run_and_the_cut_restarts_report_where_they_stopped(
     assert np.array_equal(result.best_tps.basis_change, x_w[0])
     assert (winner.surrogate_final, winner.iterations) == (cost_w[0], nfev_w[0])
     assert winner.minimax_steps == 0
-    assert winner.objective == np.sqrt(objective.sq_distances(x_w[0])[0].max()) < 1e-10
+    assert winner.objective == _profile_distance(sampled, x_w[0]) < 1e-10
     # the others: their cut point's surrogate, count and distance, never polished
     for s in result.restarts:
         assert (s.surrogate_final, s.iterations) == (cost[s.index], nfev[s.index])
-        assert s.objective == float(np.sqrt(objective.sq_distances(x[s.index])[0].max()))
+        assert s.objective == _profile_distance(sampled, x[s.index])
         assert s.minimax_steps == 0
+
+
+def _profile_distance(sampled, u):
+    return entanglement_profile(sampled, TPSpec(u, sampled.dims)).max_distance
+
+
+@pytest.mark.parametrize(
+    "make_sampled,restarts",
+    [
+        (lambda: sample(fixtures.cnot_trajectory(), 200), 32),
+        (lambda: sample(fixtures.sidon_trajectory(), 200), 2),
+        (_planted_2x3, 4),
+    ],
+    ids=["cnot-certified", "sidon-polished", "planted-2x3"],
+)
+def test_the_report_agrees_with_itself_and_with_the_profile(make_sampled, restarts):
+    # the headline, the winner's summary and `profile` on the returned TPS: one number
+    sampled = make_sampled()
+    result = optimize_tps(sampled, OptimizerConfig(restarts=restarts, seed=0))
+    winner = result.restarts[result.restart_index]
+    profiled = entanglement_profile(sampled, result.best_tps).max_distance
+    assert result.objective == winner.objective == profiled
+
+
+def test_a_certified_search_evaluates_the_minimax_cost_once(monkeypatch):
+    # the certified winner's skip test in `_polish`; the cut restarts cost no call
+    calls, sq_distances = [], _Objective.sq_distances
+
+    def counting(self, u):
+        calls.append(u)
+        return sq_distances(self, u)
+
+    monkeypatch.setattr(_Objective, "sq_distances", counting)
+    result = optimize_tps(fixtures.cnot_trajectory(), OptimizerConfig(restarts=32, seed=0))
+    assert len(result.restarts) == 32 and len(calls) == 1
+    assert np.array_equal(calls[0], result.best_tps.basis_change)
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,7 @@ def test_bench_snapshot_times_the_optimizer_layers(tmp_path):
         "residuals",
         "residual_jacobian",
         "sq_distances",
+        "restart_distances",
         "lm_step",
         "lm_round_r4",
         "minimax_step",
